@@ -290,13 +290,16 @@ def write_trace(path, losses: Sequence[float]) -> None:
 
 
 def write_incidence(path, h: Hypergraph) -> None:
-    """0/1 vertex-by-hyperedge incidence matrix, for external baselines."""
+    """0/1 vertex-by-hyperedge incidence matrix, for external baselines.
+
+    Rows are written one at a time from the sparse incidence, so no dense
+    n x E matrix is held in memory."""
     m = len(h.edges)
-    matrix = np.zeros((h.n, m), dtype=int)
-    for j, e in enumerate(h.edges):
-        matrix[list(e), j] = 1
+    row = np.zeros(m, dtype=int)
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["vertex"] + [f"edge_{j}" for j in range(m)])
-        for v in range(h.n):
-            writer.writerow([v] + matrix[v].tolist())
+        for v, edges in enumerate(h.incident_edges()):
+            row[edges] = 1
+            writer.writerow([v] + row.tolist())
+            row[edges] = 0

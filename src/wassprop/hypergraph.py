@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, StructureError
 
@@ -44,13 +47,24 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
 
+    def incidence(self) -> sp.csr_matrix:
+        """E x n 0/1 incidence matrix: row e holds ones at hyperedge e's members.
+
+        Built on each call, so graphs that never propagate never pay for it.
+        Row indices are sorted, and the stored entries run through the
+        hyperedges in order.
+        """
+        sizes = np.fromiter(map(len, self.edges), dtype=np.intp, count=len(self.edges))
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        indices = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=indptr[-1])
+        return sp.csr_matrix(
+            (np.ones(indices.size), indices, indptr), shape=(len(self.edges), self.n)
+        )
+
     def incident_edges(self) -> list:
         """For each vertex, the list of indices of hyperedges containing it."""
-        inc = [[] for _ in range(self.n)]
-        for idx, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(idx)
-        return inc
+        inc = self.incidence().tocsc()
+        return [inc.indices[a:b].tolist() for a, b in zip(inc.indptr[:-1], inc.indptr[1:])]
 
 
 @dataclass(frozen=True)
@@ -74,43 +88,25 @@ class WeightedGraph:
             if key in canon:
                 raise InputError(f"duplicate edge {key}")
             w = float(w)
-            if w <= 0:
-                raise InputError(f"edge {key} has non-positive weight {w}")
+            if not 0 < w < math.inf:
+                raise InputError(f"edge {key} has weight {w}; weights must be positive and finite")
             canon[key] = w
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", canon)
 
+    def _arcs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, weights) of both orientations of every edge, interleaved
+        in edge order: (i, j, w), (j, i, w), ..."""
+        m = len(self.edges)
+        rows = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * m)
+        cols = rows.reshape(-1, 2)[:, ::-1].ravel()
+        weights = np.repeat(np.fromiter(self.edges.values(), dtype=float, count=m), 2)
+        return rows, cols, weights
+
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency matrix."""
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n))
-        ii, jj, ww = [], [], []
-        for (i, j), w in self.edges.items():
-            ii += [i, j]
-            jj += [j, i]
-            ww += [w, w]
-        return sp.csr_matrix((ww, (ii, jj)), shape=(self.n, self.n))
-
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of every vertex."""
-        deg = np.zeros(self.n)
-        for (i, j), w in self.edges.items():
-            deg[i] += w
-            deg[j] += w
-        return deg
-
-
-@dataclass(frozen=True)
-class LaplacianView:
-    """Laplacian L = D - W of a weighted graph, as degrees + a matrix action."""
-
-    graph: WeightedGraph
-    degrees: np.ndarray = field(repr=False)
-    matrix: sp.csr_matrix = field(repr=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Compute L @ x; accepts a vector or an (n, k) block of vectors."""
-        return self.matrix @ x
+        rows, cols, weights = self._arcs()
+        return sp.csr_matrix((weights, (rows, cols)), shape=(self.n, self.n))
 
 
 def clique_expand(h: Hypergraph) -> WeightedGraph:
@@ -118,45 +114,31 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     the pair, an additive contribution 1/k^2.
 
     With these weights the pairwise-sum regularizer on the expanded graph
-    reproduces the sum of per-hyperedge barycenter energies exactly.
+    reproduces the sum of per-hyperedge barycenter energies exactly.  The
+    weights are the off-diagonal entries of B^T diag(1/k^2) B for the
+    incidence matrix B; each sum runs through the hyperedges in order.
     """
-    weights: Dict[Tuple[int, int], float] = {}
-    for e in h.edges:
-        k = len(e)
-        contrib = 1.0 / (k * k)
-        for a in range(k):
-            for b in range(a + 1, k):
-                key = (e[a], e[b])
-                weights[key] = weights.get(key, 0.0) + contrib
-    return WeightedGraph(h.n, weights)
+    inc = h.incidence()
+    sizes = np.diff(inc.indptr)
+    weights = 1.0 / np.repeat(sizes * sizes, sizes)
+    weighted = sp.csr_matrix((weights, inc.indices, inc.indptr), shape=inc.shape)
+    pairs = sp.triu(inc.T.tocsr() @ weighted, k=1).tocoo()
+    keys = zip(pairs.row.tolist(), pairs.col.tolist())
+    return WeightedGraph(h.n, dict(zip(keys, pairs.data.tolist())))
 
 
-def laplacian(g: WeightedGraph) -> LaplacianView:
-    """Assemble L = D - W as a sparse symmetric matrix with its degree vector."""
-    deg = g.degrees()
-    adj = g.adjacency()
-    lap = sp.diags(deg) - adj
-    return LaplacianView(graph=g, degrees=deg, matrix=lap.tocsr())
+def laplacian(g: WeightedGraph) -> sp.csr_matrix:
+    """L = D - W as a sparse symmetric matrix; its diagonal holds the degrees."""
+    rows, cols, weights = g._arcs()
+    # bincount adds each vertex's weights in edge order
+    deg = np.bincount(rows, weights=weights, minlength=g.n)
+    adj = sp.csr_matrix((weights, (rows, cols)), shape=(g.n, g.n))
+    return (sp.diags(deg) - adj).tocsr()
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (single component)."""
-    if g.n == 1:
-        return True
-    neighbors = [[] for _ in range(g.n)]
-    for (i, j) in g.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in neighbors[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return bool(seen.all())
+    """True iff the graph has a single connected component."""
+    return connected_components(g.adjacency(), directed=False, return_labels=False) == 1
 
 
 def spectral_gap(g: WeightedGraph) -> float:
@@ -164,7 +146,8 @@ def spectral_gap(g: WeightedGraph) -> float:
 
     Dense eigendecomposition up to DENSE_EIG_LIMIT vertices; above that, an
     iterative smallest-eigenvalue solve on the Laplacian with the constant
-    nullvector deflated by a rank-one shift.
+    nullvector deflated by a rank-one shift, started from a fixed seeded
+    vector so that reruns return the same float.
     """
     if not is_connected(g):
         raise StructureError("spectral gap undefined: graph is disconnected")
@@ -172,17 +155,19 @@ def spectral_gap(g: WeightedGraph) -> float:
         raise StructureError("spectral gap undefined on a single vertex")
     lap = laplacian(g)
     if g.n <= DENSE_EIG_LIMIT:
-        eigvals = np.linalg.eigvalsh(lap.matrix.toarray())
+        eigvals = np.linalg.eigvalsh(lap.toarray())
         return float(eigvals[1])
     # Shift the constant eigenvector's eigenvalue from 0 up to c > lambda_max
     # (Gershgorin: lambda_max <= 2 max degree), leaving lambda_1 the minimum.
     n = g.n
-    c = 2.0 * float(lap.degrees.max()) + 1.0
+    c = 2.0 * float(lap.diagonal().max()) + 1.0
     ones = np.ones(n) / np.sqrt(n)
 
     def matvec(x):
-        return lap.matrix @ x + c * ones * (ones @ x)
+        return lap @ x + c * ones * (ones @ x)
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    vals = spla.eigsh(op, k=1, which="SA", tol=1e-10, return_eigenvectors=False)
+    # not the constant vector: that is the deflated eigenvector
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals = spla.eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
     return float(vals[0])

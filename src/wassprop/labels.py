@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DimensionError, InputError, NormalizationError
 
@@ -104,6 +104,8 @@ class DiagGaussianLabel:
             raise DimensionError(
                 f"mean and std must be equal-length vectors, got {m.shape} and {s.shape}"
             )
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+            raise InputError("Gaussian means and standard deviations must be finite")
         if np.any(s < 0):
             raise InputError("standard deviations must be non-negative")
         object.__setattr__(self, "mean", m)
@@ -172,7 +174,7 @@ def gaussian_quantile_label(mean: float, std: float, grid: QuantileGrid) -> Quan
     """Quantile samples of a univariate Gaussian N(mean, std^2) on the grid."""
     if std < 0:
         raise InputError("std must be non-negative")
-    return QuantileLabel(grid, mean + std * norm.ppf(grid.nodes))
+    return QuantileLabel(grid, mean + std * ndtri(grid.nodes))
 
 
 def w2_squared_quantile(a: QuantileLabel, b: QuantileLabel) -> float:

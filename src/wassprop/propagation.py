@@ -8,17 +8,21 @@ vertices additionally carry weight alpha inside hyperedge barycenters.
 
 Both label backends embed labels into a Euclidean vector space in which the
 barycenter is a plain weighted average and the squared transport distance is
-a scaled squared norm, so each phase is exact and fully vectorized.
+a scaled squared norm, so each phase is exact: a product of the (n, dim)
+label block with a weighted sparse incidence matrix.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.special import ndtri
 
 from .errors import InputError
 from .hypergraph import Hypergraph
@@ -26,6 +30,7 @@ from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel
 
 DEFAULT_MAX_ITERS = 200
 DEFAULT_REL_TOL = 1e-6
+LOSS_BLOCK_VALUES = 1 << 16  # floats gathered per block of the loss (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,10 @@ class PropagationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise InputError(f"alpha must be >= 1, got {self.alpha}")
-        if self.gamma <= 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
+        if not 1 <= self.alpha < math.inf:
+            raise InputError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if not 0 < self.gamma < math.inf:
+            raise InputError(f"gamma must be positive and finite, got {self.gamma}")
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol <= 0:
@@ -72,12 +77,15 @@ class QuantileBackend:
     def decode(self, vec: np.ndarray) -> QuantileLabel:
         return QuantileLabel(self.grid, vec)
 
-    def random_init(self, rng: np.random.Generator, anchors: Sequence[QuantileLabel]) -> np.ndarray:
-        # standard Gaussian shape with a uniformly drawn mean in [-1, 1]
-        return norm.ppf(self.grid.nodes) + rng.uniform(-1.0, 1.0)
+    def random_init(
+        self, rngs: Sequence[np.random.Generator], anchors: Sequence[QuantileLabel]
+    ) -> np.ndarray:
+        # standard Gaussian shape with a uniformly drawn mean in [-1, 1] per row
+        shifts = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
+        return ndtri(self.grid.nodes) + shifts[:, None]
 
-    def mean_stats(self, vec: np.ndarray) -> np.ndarray:
-        return np.array([vec.mean()])
+    def mean_stats(self, values: np.ndarray) -> np.ndarray:
+        return values.mean(axis=1, keepdims=True)
 
 
 class GaussianBackend:
@@ -103,15 +111,17 @@ class GaussianBackend:
     def decode(self, vec: np.ndarray) -> DiagGaussianLabel:
         return DiagGaussianLabel(vec[: self.b], np.maximum(vec[self.b:], 0.0))
 
-    def random_init(self, rng: np.random.Generator, anchors: Sequence[DiagGaussianLabel]) -> np.ndarray:
+    def random_init(
+        self, rngs: Sequence[np.random.Generator], anchors: Sequence[DiagGaussianLabel]
+    ) -> np.ndarray:
         std = self.init_std
         if std is None:
             std = np.mean(np.stack([a.std for a in anchors]), axis=0)
-        mean = rng.uniform(0.0, 1.0, size=self.b)
-        return np.concatenate([mean, np.broadcast_to(std, (self.b,))])
+        means = np.stack([rng.uniform(0.0, 1.0, size=self.b) for rng in rngs])
+        return np.hstack([means, np.broadcast_to(std, means.shape)])
 
-    def mean_stats(self, vec: np.ndarray) -> np.ndarray:
-        return np.array(vec[: self.b])
+    def mean_stats(self, values: np.ndarray) -> np.ndarray:
+        return values[:, : self.b]
 
 
 @dataclass(frozen=True)
@@ -129,29 +139,14 @@ class LabeledSubset:
         return sorted(self.targets)
 
 
-def init_weights(h: Hypergraph, known: LabeledSubset, cfg: PropagationConfig):
-    """Per-hyperedge member weights and per-vertex incident-edge weights.
-
-    Returns (edge_weights, vertex_weights): for hyperedge E, a weight per
-    member vertex (alpha if known, else 1); for vertex v, the weight 1/|E|
-    of each incident hyperedge, with gamma appended when v is known.
-    """
-    known_set = set(known.vertices)
-    edge_weights = [
-        np.array([cfg.alpha if v in known_set else 1.0 for v in e]) for e in h.edges
-    ]
-    incident = h.incident_edges()
-    vertex_weights = []
-    for v in range(h.n):
-        w = [1.0 / len(h.edges[e]) for e in incident[v]]
-        if v in known_set:
-            w.append(cfg.gamma)
-        vertex_weights.append(np.array(w))
-    return edge_weights, vertex_weights
-
-
 class _Context:
-    """Precomputed flat incidence arrays shared by all steps of one run."""
+    """The two weighted incidence operators shared by all steps of one run.
+
+    Both reuse the index arrays of the hypergraph's incidence matrix B and
+    differ only in their data: ``edge_incidence`` (E x n) weighs a member by
+    alpha if it is known and 1 otherwise, and ``vertex_incidence`` (n x E,
+    the transpose) weighs hyperedge E by 1/|E|.
+    """
 
     def __init__(self, h: Hypergraph, known: LabeledSubset, cfg: PropagationConfig, backend):
         self.h = h
@@ -159,34 +154,29 @@ class _Context:
         self.cfg = cfg
         self.backend = backend
 
-        known_set = set(known.vertices)
-        for v in known_set:
+        for v in known.vertices:
             if not (0 <= v < h.n):
                 raise InputError(f"known vertex {v} outside [0, {h.n})")
-
-        inc_vertex, inc_edge = [], []
-        for idx, e in enumerate(h.edges):
-            inc_vertex.extend(e)
-            inc_edge.extend([idx] * len(e))
-        self.inc_vertex = np.array(inc_vertex, dtype=np.intp)
-        self.inc_edge = np.array(inc_edge, dtype=np.intp)
-        # hyperedge-side weights: alpha on known members, 1 otherwise
-        self.inc_alpha = np.where(
-            np.isin(self.inc_vertex, sorted(known_set)), cfg.alpha, 1.0
-        )
-        sizes = np.array([len(e) for e in h.edges], dtype=float)
-        # vertex-side weight of each incidence: 1/|E|
-        self.inc_wv = 1.0 / sizes[self.inc_edge] if len(h.edges) else np.zeros(0)
-        self.edge_weight_total = np.bincount(
-            self.inc_edge, weights=self.inc_alpha, minlength=len(h.edges)
-        )
-
         self.anchor_vertices = np.array(known.vertices, dtype=np.intp)
-        self.anchor_values = (
-            np.stack([backend.encode(known.targets[v]) for v in known.vertices])
-            if known.vertices
-            else np.zeros((0, backend.dim))
-        )
+        self.anchor_values = np.stack([backend.encode(known.targets[v]) for v in known.vertices])
+
+        inc = h.incidence()
+        sizes = np.diff(inc.indptr)
+        # the hyperedge of each stored incidence, in storage order
+        self.member_edges = np.repeat(np.arange(len(h.edges)), sizes)
+        is_known = np.zeros(h.n, dtype=bool)
+        is_known[self.anchor_vertices] = True
+        alpha_weights = np.where(is_known[inc.indices], cfg.alpha, 1.0)
+        size_weights = 1.0 / sizes[self.member_edges]
+        self.edge_incidence = sp.csr_matrix((alpha_weights, inc.indices, inc.indptr), inc.shape)
+        self.vertex_incidence = sp.csr_matrix((size_weights, inc.indices, inc.indptr), inc.shape).T
+        # a matvec adds each total in storage order; .sum(axis=1) would not
+        self.edge_totals = self.edge_incidence @ np.ones(h.n)
+        den = self.vertex_incidence @ np.ones(len(h.edges))
+        den[self.anchor_vertices] += cfg.gamma
+        # vertices in no hyperedge and not known keep their current label
+        self.updated = den > 0
+        self.vertex_totals = np.where(self.updated, den, 1.0)
 
 
 @dataclass(frozen=True)
@@ -214,9 +204,25 @@ class PropagationState:
 
 def _edge_phase(ctx: _Context, vertex_values: np.ndarray) -> np.ndarray:
     """Hyperedge labels: weighted barycenter of member labels."""
-    num = np.zeros((len(ctx.h.edges), ctx.backend.dim))
-    np.add.at(num, ctx.inc_edge, ctx.inc_alpha[:, None] * vertex_values[ctx.inc_vertex])
-    return num / ctx.edge_weight_total[:, None]
+    return (ctx.edge_incidence @ vertex_values) / ctx.edge_totals[:, None]
+
+
+def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> float:
+    """Sum over incidences (v, E) of ||x_v - y_E||^2 / |E|, plus the gamma-
+    weighted anchor terms, in transport units.  The incidences are gathered
+    in blocks, which bounds the scratch memory; each squared norm is summed
+    whole, so the result does not depend on the block size."""
+    members = ctx.edge_incidence.indices
+    sq_norms = np.empty(members.size)
+    rows = max(1, LOSS_BLOCK_VALUES // ctx.backend.dim)
+    for start in range(0, members.size, rows):
+        block = slice(start, start + rows)
+        diffs = vertex_values[members[block]] - edge_values[ctx.member_edges[block]]
+        sq_norms[block] = np.sum(diffs * diffs, axis=1)
+    loss = float(ctx.vertex_incidence.data @ sq_norms)
+    anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
+    scale = ctx.backend.metric_scale
+    return loss * scale + ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
 
 
 def step(state: PropagationState) -> PropagationState:
@@ -226,30 +232,15 @@ def step(state: PropagationState) -> PropagationState:
     old = state.vertex_values
 
     edge_values = _edge_phase(ctx, old)
-
-    num = np.zeros((ctx.h.n, ctx.backend.dim))
-    den = np.zeros(ctx.h.n)
-    if len(ctx.h.edges):
-        np.add.at(num, ctx.inc_vertex, ctx.inc_wv[:, None] * edge_values[ctx.inc_edge])
-        den += np.bincount(ctx.inc_vertex, weights=ctx.inc_wv, minlength=ctx.h.n)
+    num = ctx.vertex_incidence @ edge_values
     num[ctx.anchor_vertices] += ctx.cfg.gamma * ctx.anchor_values
-    den[ctx.anchor_vertices] += ctx.cfg.gamma
-    updated = den > 0
-    new = np.where(updated[:, None], num / np.where(updated, den, 1.0)[:, None], old)
-
-    scale = ctx.backend.metric_scale
-    loss = 0.0
-    if len(ctx.h.edges):
-        diffs = new[ctx.inc_vertex] - edge_values[ctx.inc_edge]
-        loss += float(ctx.inc_wv @ np.sum(diffs * diffs, axis=1)) * scale
-    anchor_diffs = new[ctx.anchor_vertices] - ctx.anchor_values
-    loss += ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
+    new = np.where(ctx.updated[:, None], num / ctx.vertex_totals[:, None], old)
 
     return replace(
         state,
         vertex_values=new,
         edge_values=edge_values,
-        loss_history=state.loss_history + (loss,),
+        loss_history=state.loss_history + (_loss(ctx, new, edge_values),),
         iterations=state.iterations + 1,
     )
 
@@ -260,15 +251,7 @@ def evaluate_loss(state_or_ctx, vertex_values: Optional[np.ndarray] = None) -> f
     ctx = state_or_ctx.context if isinstance(state_or_ctx, PropagationState) else state_or_ctx
     if vertex_values is None:
         vertex_values = state_or_ctx.vertex_values
-    edge_values = _edge_phase(ctx, vertex_values) if len(ctx.h.edges) else np.zeros((0, ctx.backend.dim))
-    scale = ctx.backend.metric_scale
-    loss = 0.0
-    if len(ctx.h.edges):
-        diffs = vertex_values[ctx.inc_vertex] - edge_values[ctx.inc_edge]
-        loss += float(ctx.inc_wv @ np.sum(diffs * diffs, axis=1)) * scale
-    anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
-    loss += ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
-    return loss
+    return _loss(ctx, vertex_values, _edge_phase(ctx, vertex_values))
 
 
 def initial_state(
@@ -287,32 +270,20 @@ def initial_state(
             raise InputError(f"expected {h.n} initial labels, got {len(initial_labels)}")
         values = np.stack([backend.encode(lab) for lab in initial_labels])
     else:
-        rows = []
-        for v in range(h.n):
-            rng = np.random.default_rng([cfg.seed, v])
-            rows.append(backend.random_init(rng, anchors))
-        values = np.stack(rows)
+        rngs = [np.random.default_rng([cfg.seed, v]) for v in range(h.n)]
+        values = backend.random_init(rngs, anchors)
     return PropagationState(context=ctx, vertex_values=values)
 
 
 def _warn_unreached(h: Hypergraph, known: LabeledSubset) -> None:
-    incident = h.incident_edges()
-    reached = np.zeros(h.n, dtype=bool)
-    stack = list(known.vertices)
-    reached[stack] = True
-    seen_edges = np.zeros(len(h.edges), dtype=bool)
-    while stack:
-        v = stack.pop()
-        for e in incident[v]:
-            if seen_edges[e]:
-                continue
-            seen_edges[e] = True
-            for u in h.edges[e]:
-                if not reached[u]:
-                    reached[u] = True
-                    stack.append(u)
-    isolated = [v for v in range(h.n) if not incident[v] and not reached[v]]
-    unreached = [v for v in range(h.n) if not reached[v] and incident[v]]
+    """Warn about vertices no anchor reaches: those in no hyperedge, and those
+    whose connected component of B^T B holds no known vertex."""
+    inc = h.incidence()
+    _, component = connected_components(inc.T @ inc, directed=False)
+    reached = np.isin(component, component[known.vertices])
+    in_some_edge = np.bincount(inc.indices, minlength=h.n) > 0
+    isolated = np.flatnonzero(~reached & ~in_some_edge).tolist()
+    unreached = np.flatnonzero(~reached & in_some_edge).tolist()
     if isolated:
         warnings.warn(
             f"{len(isolated)} vertices belong to no hyperedge and keep their "
@@ -338,8 +309,8 @@ def propagate(
     """Run alternating propagation until the relative loss change drops below
     cfg.rel_tol or cfg.max_iters is reached; returns the final state with the
     full loss history."""
+    state = initial_state(h, known, cfg, backend, initial_labels)  # validates known vertices
     _warn_unreached(h, known)
-    state = initial_state(h, known, cfg, backend, initial_labels)
     for _ in range(cfg.max_iters):
         state = step(state)
         hist = state.loss_history
@@ -355,9 +326,7 @@ def classify(state: PropagationState) -> np.ndarray:
     multi-dimensional means use the argmax coordinate with ties broken toward
     the lowest index.
     """
-    stats = np.stack(
-        [state.context.backend.mean_stats(state.vertex_values[v]) for v in range(state.context.h.n)]
-    )
+    stats = state.context.backend.mean_stats(state.vertex_values)
     if stats.shape[1] == 1:
         return np.where(stats[:, 0] >= 0, 1, -1)
     return np.argmax(stats, axis=1)

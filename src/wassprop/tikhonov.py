@@ -119,8 +119,7 @@ class TikhonovOperator:
         self.gamma = float(gamma)
         self.m = ts.m
         self.t = ts.multiplicities(g.n)
-        lap = laplacian(g)
-        self.matrix = (sp.diags(self.t) + self.m * self.gamma * lap.matrix).tocsr()
+        self.matrix = (sp.diags(self.t) + self.m * self.gamma * laplacian(g)).tocsr()
         self._cho = None
         if g.n <= DENSE_SOLVE_LIMIT:
             try:

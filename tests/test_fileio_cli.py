@@ -1,5 +1,9 @@
 """File formats and the command-line front end."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -154,6 +158,14 @@ def test_trace_and_incidence(tmp_path):
 
 
 # ---------------------------------------------------------------- CLI
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs close to a second of start-up on every CLI run
+    code = "import sys, wassprop.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def p2_files(tmp_path, grid_size=8):

@@ -13,12 +13,13 @@ from wassprop import (
     QuantileBackend,
     QuantileGrid,
     TrainingSet,
+    WeightedGraph,
     barycenter_gaussian,
     barycenter_quantile,
     classify,
     clique_expand,
+    gaussian_quantile_label,
     evaluate_loss,
-    init_weights,
     initial_state,
     propagate,
     quantile_from_histogram,
@@ -26,6 +27,8 @@ from wassprop import (
     step,
     w2_squared_quantile,
 )
+from wassprop import propagation
+from wassprop.propagation import _Context
 from conftest import random_histogram_label, random_hypergraph
 
 
@@ -45,6 +48,42 @@ def test_config_validation():
         PropagationConfig(alpha=2.0, gamma=1.0, rel_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightedGraph(2, {(0, 1): float("nan")}),
+        lambda: WeightedGraph(2, {(0, 1): float("inf")}),
+        lambda: PropagationConfig(alpha=float("nan"), gamma=1.0),
+        lambda: PropagationConfig(alpha=float("inf"), gamma=1.0),
+        lambda: PropagationConfig(alpha=2.0, gamma=float("nan")),
+        lambda: PropagationConfig(alpha=2.0, gamma=float("inf")),
+        lambda: DiagGaussianLabel([float("nan")], [1.0]),
+        lambda: DiagGaussianLabel([0.0], [float("inf")]),
+        lambda: DiagGaussianLabel([0.0], [float("nan")]),
+    ],
+    ids=[
+        "graph-weight-nan", "graph-weight-inf", "alpha-nan", "alpha-inf", "gamma-nan",
+        "gamma-inf", "gauss-mean-nan", "gauss-std-inf", "gauss-std-nan",
+    ],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_random_init_uses_per_vertex_streams(grid4):
+    rngs = [np.random.default_rng([7, v]) for v in range(3)]
+    block = QuantileBackend(grid4).random_init(rngs, [])
+    for v in range(3):
+        shift = np.random.default_rng([7, v]).uniform(-1.0, 1.0)
+        assert np.array_equal(block[v], gaussian_quantile_label(shift, 1.0, grid4).values)
+    anchors = [DiagGaussianLabel([1.0, 0.0], [0.2, 0.4]), DiagGaussianLabel([0.0, 1.0], [0.4, 0.2])]
+    block = GaussianBackend(2).random_init([np.random.default_rng([7, 1])], anchors)
+    means = np.random.default_rng([7, 1]).uniform(0.0, 1.0, size=2)
+    assert np.array_equal(block[:, :2], [means])
+    assert np.allclose(block[:, 2:], 0.3, atol=1e-15)  # mean of the anchor stds
+
+
 def test_labeled_subset_validation(grid4):
     with pytest.raises(InputError):
         LabeledSubset({})
@@ -56,20 +95,26 @@ def test_init_weights_examples(grid4):
     h = Hypergraph(3, [(0, 1, 2)])
     known = LabeledSubset({0: delta(grid4, 0.0)})
     cfg = PropagationConfig(alpha=20.0, gamma=10.0)
-    edge_w, vertex_w = init_weights(h, known, cfg)
-    assert np.allclose(edge_w[0], [20.0, 1.0, 1.0])
-    # known vertex 0 in one size-3 hyperedge, gamma appended
-    assert np.allclose(vertex_w[0], [1.0 / 3.0, 10.0])
+    ctx = _Context(h, known, cfg, QuantileBackend(grid4))
+    assert np.allclose(ctx.edge_incidence.toarray(), [[20.0, 1.0, 1.0]])
+    vertex_w = ctx.vertex_incidence.toarray()
+    # known vertex 0 in one size-3 hyperedge, gamma added to its total
+    assert np.allclose(vertex_w[0], [1.0 / 3.0])
+    assert ctx.vertex_totals[0] == pytest.approx(1.0 / 3.0 + 10.0)
     # unknown vertex: just the reciprocal size
     assert np.allclose(vertex_w[1], [1.0 / 3.0])
+    assert ctx.vertex_totals[1] == pytest.approx(1.0 / 3.0)
 
 
 def test_init_weights_two_hyperedges(grid4):
     h = Hypergraph(4, [(0, 1, 2), (0, 3)])
     known = LabeledSubset({3: delta(grid4, 0.0)})
     cfg = PropagationConfig(alpha=5.0, gamma=2.0)
-    _, vertex_w = init_weights(h, known, cfg)
-    assert np.allclose(vertex_w[0], [1.0 / 3.0, 1.0 / 2.0])
+    ctx = _Context(h, known, cfg, QuantileBackend(grid4))
+    assert np.allclose(ctx.vertex_incidence.toarray()[0], [1.0 / 3.0, 1.0 / 2.0])
+    # known vertex 3 carries alpha inside hyperedge 1 only
+    assert np.allclose(ctx.edge_incidence.toarray(), [[1, 1, 1, 0], [1, 0, 0, 5.0]])
+    assert np.allclose(ctx.edge_totals, [3.0, 6.0])
 
 
 def test_consensus_fixed_point(grid4):
@@ -125,6 +170,33 @@ def test_loss_traces_recorded(grid32):
         hist = np.array(final.loss_history)
         assert len(hist) == final.iterations >= 1
         assert np.all(np.isfinite(hist)) and np.all(hist >= 0.0)
+
+
+def test_loss_matches_per_incidence_sum(grid32):
+    rng = np.random.default_rng(17)
+    h = Hypergraph(6, [(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)])
+    known = LabeledSubset({v: random_histogram_label(rng, grid32) for v in (0, 3)})
+    cfg = PropagationConfig(alpha=3.0, gamma=2.0, seed=4)
+    state = step(initial_state(h, known, cfg, QuantileBackend(grid32)))
+    expected = sum(
+        w2_squared_quantile(state.vertex_label(v), state.hyperedge_label(e)) / len(edge)
+        for e, edge in enumerate(h.edges)
+        for v in edge
+    ) + cfg.gamma * sum(
+        w2_squared_quantile(state.vertex_label(v), lab) for v, lab in known.targets.items()
+    )
+    assert state.loss_history[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_independent_of_gather_block(grid32, monkeypatch):
+    rng = np.random.default_rng(19)
+    h = random_hypergraph(rng, 8, max_edges=6)
+    known = LabeledSubset({0: random_histogram_label(rng, grid32)})
+    cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=3)
+    state = initial_state(h, known, cfg, QuantileBackend(grid32))
+    whole = evaluate_loss(state)
+    monkeypatch.setattr(propagation, "LOSS_BLOCK_VALUES", 1)  # one incidence per block
+    assert evaluate_loss(state) == whole
 
 
 def _has_unreached(h, known):
@@ -336,6 +408,13 @@ def test_known_vertex_out_of_range(grid4):
     cfg = PropagationConfig(alpha=1.0, gamma=1.0)
     with pytest.raises(InputError):
         initial_state(h, known, cfg, QuantileBackend(grid4))
+
+
+def test_propagate_known_vertex_out_of_range(grid4):
+    h = Hypergraph(2, [(0, 1)])
+    known = LabeledSubset({5: delta(grid4, 0.0)})
+    with pytest.raises(InputError):
+        propagate(h, known, PropagationConfig(alpha=1.0, gamma=1.0), QuantileBackend(grid4))
 
 
 def test_initial_labels_length_checked(grid4):
