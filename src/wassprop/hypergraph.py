@@ -116,13 +116,16 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     With these weights the pairwise-sum regularizer on the expanded graph
     reproduces the sum of per-hyperedge barycenter energies exactly.  The
     weights are the off-diagonal entries of B^T diag(1/k^2) B for the
-    incidence matrix B; each sum runs through the hyperedges in order.
+    incidence matrix B; each sum runs through the hyperedges in order.  The
+    pairs (i, j), i < j, are keyed in sorted order.
     """
     inc = h.incidence()
     sizes = np.diff(inc.indptr)
     weights = 1.0 / np.repeat(sizes * sizes, sizes)
     weighted = sp.csr_matrix((weights, inc.indices, inc.indptr), shape=inc.shape)
-    pairs = sp.triu(inc.T.tocsr() @ weighted, k=1).tocoo()
+    pairs = sp.triu(inc.T.tocsr() @ weighted, k=1, format="csr")
+    pairs.sort_indices()  # the product leaves each row's columns unordered
+    pairs = pairs.tocoo()
     keys = zip(pairs.row.tolist(), pairs.col.tolist())
     return WeightedGraph(h.n, dict(zip(keys, pairs.data.tolist())))
 

@@ -275,13 +275,21 @@ def initial_state(
     return PropagationState(context=ctx, vertex_values=values)
 
 
-def _warn_unreached(h: Hypergraph, known: LabeledSubset) -> None:
+def _warn_unreached(ctx: _Context) -> None:
     """Warn about vertices no anchor reaches: those in no hyperedge, and those
-    whose connected component of B^T B holds no known vertex."""
-    inc = h.incidence()
-    _, component = connected_components(inc.T @ inc, directed=False)
-    reached = np.isin(component, component[known.vertices])
-    in_some_edge = np.bincount(inc.indices, minlength=h.n) > 0
+    whose connected component of the bipartite vertex-hyperedge graph holds no
+    known vertex.  The bipartite graph has one link per incidence, so the scan
+    is linear in the size of the hyperedges."""
+    n = ctx.h.n
+    members = ctx.edge_incidence.indices
+    nodes = n + len(ctx.h.edges)  # vertices first, then hyperedges
+    links = sp.csr_matrix(
+        (np.ones(members.size), (members, n + ctx.member_edges)), shape=(nodes, nodes)
+    )
+    _, component = connected_components(links, directed=False)
+    component = component[:n]
+    reached = np.isin(component, component[ctx.anchor_vertices])
+    in_some_edge = np.bincount(members, minlength=n) > 0
     isolated = np.flatnonzero(~reached & ~in_some_edge).tolist()
     unreached = np.flatnonzero(~reached & in_some_edge).tolist()
     if isolated:
@@ -310,7 +318,7 @@ def propagate(
     cfg.rel_tol or cfg.max_iters is reached; returns the final state with the
     full loss history."""
     state = initial_state(h, known, cfg, backend, initial_labels)  # validates known vertices
-    _warn_unreached(h, known)
+    _warn_unreached(state.context)
     for _ in range(cfg.max_iters):
         state = step(state)
         hist = state.loss_history

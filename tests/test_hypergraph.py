@@ -93,7 +93,10 @@ def test_clique_expand_additive():
 
 
 def test_sparse_builds_match_loop_references():
-    # the sparse products add the same terms in the same order as these loops
+    # clique_expand adds each pair's terms in hyperedge order, as this loop
+    # does, so the weights are equal to the last bit; its keys are sorted
+    # (i, j) pairs, not in order of first appearance.  laplacian adds each
+    # degree in the order of g.edges.
     rng = np.random.default_rng(47)
     for _ in range(20):
         h = random_hypergraph(rng, 12, max_edges=15, max_size=6)
@@ -104,6 +107,7 @@ def test_sparse_builds_match_loop_references():
                     weights[(e[a], e[b])] = weights.get((e[a], e[b]), 0.0) + 1.0 / len(e) ** 2
         g = clique_expand(h)
         assert g.edges == weights
+        assert list(g.edges) == sorted(weights)
         deg = np.zeros(g.n)
         for (i, j), w in g.edges.items():
             deg[i] += w

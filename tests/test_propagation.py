@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from wassprop import (
     DiagGaussianLabel,
@@ -400,6 +401,28 @@ def test_unreachable_component_warning(grid4):
     cfg = PropagationConfig(alpha=1.0, gamma=1.0, max_iters=3)
     with pytest.warns(UserWarning, match="not reachable"):
         propagate(h, known, cfg, QuantileBackend(grid4))
+
+
+def test_reachability_scan_linear_in_incidences(grid4, monkeypatch):
+    # hyperedges of thousands of vertices: the scan must not build the
+    # vertex-by-vertex co-membership matrix, which would hold ~10^7 entries
+    edges = [range(0, 3000), range(2000, 5000), range(5000, 5500)]
+    h = Hypergraph(6000, edges)
+    seen = []
+
+    def recording(graph, **kwargs):
+        seen.append((graph.shape, graph.nnz))
+        return connected_components(graph, **kwargs)
+
+    monkeypatch.setattr(propagation, "connected_components", recording)
+    known = LabeledSubset({0: delta(grid4, 0.0)})
+    cfg = PropagationConfig(alpha=1.0, gamma=1.0, max_iters=1)
+    with pytest.warns(UserWarning) as record:
+        propagate(h, known, cfg, QuantileBackend(grid4))
+    assert seen == [((6003, 6003), 6500)]
+    messages = [str(w.message) for w in record]
+    assert any(m.startswith("500 vertices belong to no hyperedge") and "[5500," in m for m in messages)
+    assert any(m.startswith("500 vertices are not reachable") and "[5000," in m for m in messages)
 
 
 def test_known_vertex_out_of_range(grid4):
