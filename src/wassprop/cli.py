@@ -206,7 +206,9 @@ def cmd_stability(args) -> int:
             f"sample_size_ok={report.sample_size_ok}",
         ]
         if args.empirical:
-            emp = empirical_stability(g, ts, args.swaps, args.gamma, envelope, seed=args.seed)
+            emp = empirical_stability(
+                g, ts, args.swaps, args.gamma, envelope, seed=args.seed, inputs=si
+            )
             lines += [
                 f"swaps={args.swaps}",
                 f"worst_slice_ratio={emp.worst_slice_ratio!r}",

@@ -35,10 +35,14 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _joined(values: np.ndarray, sep: str) -> str:
+    """`format_float` of each value, joined; repr of the Python floats that
+    `tolist` yields is the same text, made in one pass."""
+    return sep.join(map(repr, values.tolist()))
+
+
 def gauss_params(label: DiagGaussianLabel) -> str:
-    mu = ",".join(format_float(v) for v in label.mean)
-    sd = ",".join(format_float(v) for v in label.std)
-    return f"{mu}|{sd}"
+    return f"{_joined(label.mean, ',')}|{_joined(label.std, ',')}"
 
 
 def parse_gauss_params(text: str) -> DiagGaussianLabel:
@@ -82,7 +86,7 @@ def label_params(label) -> str:
     if isinstance(label, DiagGaussianLabel):
         return gauss_params(label)
     if isinstance(label, QuantileLabel):
-        return ";".join(format_float(v) for v in label.values)
+        return _joined(label.values, ";")
     raise InputError(f"cannot serialize label of type {type(label).__name__}")
 
 
@@ -213,8 +217,9 @@ def write_field(path, field: QuantileField) -> None:
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["vertex"] + [f"s_{j}" for j in range(1, S + 1)])
-        for v in range(field.n):
-            writer.writerow([v] + [format_float(x) for x in field.values[v]])
+        # float reprs hold no delimiter or quote, so csv.writer would add no quoting
+        for v, row in enumerate(field.values):
+            fh.write(f"{v},{_joined(row, ',')}\n")
 
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:

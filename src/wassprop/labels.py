@@ -15,7 +15,7 @@ Two label backends are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,6 +57,18 @@ class QuantileGrid:
 DEFAULT_GRID_SIZE = 1024
 
 
+def check_quantile_samples(values: np.ndarray, shape: Tuple[int, ...]) -> None:
+    """Raise unless `values` has `shape` and each row along the last axis is
+    a valid inverse CDF: finite and non-decreasing.  Checks one label's
+    samples or a whole block of them at once."""
+    if values.shape != shape:
+        raise DimensionError(f"expected quantile samples of shape {shape}, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InputError("quantile samples must be finite")
+    if np.any(values[..., 1:] < values[..., :-1]):
+        raise InputError("quantile samples must be non-decreasing")
+
+
 def _check_same_grid(a: QuantileGrid, b: QuantileGrid) -> None:
     if a.size != b.size:
         raise DimensionError(f"grid mismatch: S={a.size} vs S={b.size}")
@@ -75,14 +87,7 @@ class QuantileLabel:
 
     def __post_init__(self):
         v = _readonly(self.values)
-        if v.shape != (self.grid.size,):
-            raise DimensionError(
-                f"expected {self.grid.size} quantile samples, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InputError("quantile samples must be finite")
-        if np.any(np.diff(v) < 0):
-            raise InputError("quantile samples must be non-decreasing")
+        check_quantile_samples(v, (self.grid.size,))
         object.__setattr__(self, "values", v)
 
     def mean(self) -> float:

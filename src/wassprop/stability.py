@@ -14,21 +14,36 @@ Bounds above 1 are vacuous and are reported flagged, never clipped.
 
 The empirical harness replaces single training labels and verifies, on each
 swap, that the measured per-slice solution shift and the measured cost shift
-stay below their theoretical bounds.
+stay below their theoretical bounds.  A swap keeps the vertex, so the
+operator A = T + m*gamma*L is factored once: each swapped field is the base
+field plus a rank-1 update through one cached column solve per swapped
+vertex, and passes the same residual and monotonicity checks as a fresh
+solve.  Each swap's probe labels are drawn and checked as one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import HypothesisError, InputError, NumericalError
 from .hypergraph import WeightedGraph, spectral_gap
-from .labels import DominatedQuantileEnvelope, QuantileLabel, check_dominated
-from .tikhonov import TrainingSet, solve_field
+from .labels import (
+    DominatedQuantileEnvelope,
+    QuantileLabel,
+    check_dominated,
+    check_quantile_samples,
+)
+from .tikhonov import (
+    QuantileField,
+    TikhonovOperator,
+    TrainingSet,
+    monotone_field,
+    solve_field,
+)
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
 PROBES_PER_VERTEX = 10
@@ -190,14 +205,67 @@ class EmpiricalStabilityReport:
         )
 
 
+def _dominated_samples(
+    rng: np.random.Generator, envelope: DominatedQuantileEnvelope, rows: int
+) -> np.ndarray:
+    """(rows, S) block of sorted uniforms scaled into [-c, c] with c = min phi,
+    so every row is dominated at every node regardless of the envelope's
+    shape.  The generator draws doubles in sequence, so the block equals
+    `rows` successive one-row draws; it is sorted and scaled in place."""
+    block = rng.uniform(-1.0, 1.0, (rows, envelope.grid.size))
+    block.sort(axis=1)
+    block *= float(envelope.phi.min())
+    return block
+
+
 def _random_dominated_label(
     rng: np.random.Generator, envelope: DominatedQuantileEnvelope
 ) -> QuantileLabel:
-    # sorted uniforms scaled into [-c, c] with c = min phi: dominated at every
-    # node regardless of the envelope's shape
-    c = float(envelope.phi.min())
-    values = c * np.sort(rng.uniform(-1.0, 1.0, envelope.grid.size))
-    return QuantileLabel(envelope.grid, values)
+    return QuantileLabel(envelope.grid, _dominated_samples(rng, envelope, 1)[0])
+
+
+def _probe_costs(values: np.ndarray, probe_vertex: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Quadrature cost (1/S) * ||x_v - p||^2 of each probe row p against the
+    field row of its vertex."""
+    d = values[probe_vertex]
+    d -= probes
+    d *= d
+    return np.sum(d, axis=1) / probes.shape[1]
+
+
+class SwapSolver:
+    """The solved field of a training set and of its single-label swaps.
+
+    A swap keeps the sample's vertex v, so T and A = T + m*gamma*L do not
+    change and only row v of the right-hand side moves, by
+    delta = new - old.  The swapped field is base + (A^{-1} e_v) delta^T:
+    one factorization serves every swap, with one cached column solve per
+    distinct swapped vertex.  Each swapped field passes the checks of a
+    fresh solve: the residual against its own right-hand side, and the
+    monotonicity check with its roundoff clamp.
+    """
+
+    def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
+        self.training = ts
+        self.operator = TikhonovOperator(g, ts, gamma)
+        self.rhs = ts.rhs_matrix(g.n)
+        self.base = solve_field(g, ts, gamma, operator=self.operator)
+        self._columns: Dict[int, np.ndarray] = {}
+
+    def swapped(self, index: int, label: QuantileLabel) -> QuantileField:
+        """Field after sample `index` takes `label` at the same vertex."""
+        vertex, old = self.training.samples[index]
+        if label.grid.size != old.grid.size:
+            raise InputError("all training labels must share one grid")
+        delta = label.values - old.values
+        column = self._columns.get(vertex)
+        if column is None:
+            column = self._columns[vertex] = self.operator.unit_response(vertex)
+        values = self.base.values + np.outer(column, delta)
+        rhs = self.rhs.copy()
+        rhs[vertex] += delta
+        self.operator.check_residual(values, rhs)
+        return monotone_field(self.base.grid, values)
 
 
 def empirical_stability(
@@ -207,42 +275,49 @@ def empirical_stability(
     gamma: float,
     envelope: DominatedQuantileEnvelope,
     seed: int = 0,
+    inputs: Optional[StabilityInputs] = None,
 ) -> EmpiricalStabilityReport:
     """Stress-test the bounds on `swaps` random single-label replacements.
 
     Each trial replaces one training label (same vertex) with a fresh
-    envelope-dominated label, re-solves, and measures (a) the worst per-slice
-    solution shift relative to its bound and (b) the worst cost shift over
-    random probe labels at every vertex relative to beta.  A measured value
-    beyond its proven bound raises, since that indicates a solver defect.
+    envelope-dominated label, obtains the swapped field by the rank-1 update
+    of `SwapSolver`, and measures (a) the worst per-slice solution shift
+    relative to its bound and (b) the worst cost shift over random probe
+    labels at every vertex relative to beta.  A measured value beyond its
+    proven bound raises, since that indicates a solver defect.  `inputs` may
+    be shared with the caller, which saves a second spectral gap.
     """
     if swaps < 1:
         raise InputError(f"swaps must be >= 1, got {swaps}")
     for v, lab in base.samples:
         if not check_dominated(lab, envelope):
             raise InputError(f"training label at vertex {v} is not dominated by the envelope")
-    si = StabilityInputs.from_instance(g, base, gamma, envelope)
+    si = StabilityInputs.from_instance(g, base, gamma, envelope) if inputs is None else inputs
+    if (si.m, si.gamma, si.T, si.phi_l2_squared) != (
+        base.m, gamma, base.max_multiplicity(), envelope.phi_l2_squared
+    ):
+        raise InputError("stability inputs do not match the training set, gamma and envelope")
     if not si.hypothesis_holds:
         raise HypothesisError(f"margin {si.margin:.6g} <= 0: bounds do not apply")
 
     coeff = slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
     beta_value = beta(si)
     S = envelope.grid.size
-    phi = envelope.phi
+    bound = coeff * envelope.phi
+    probe_count = g.n * PROBES_PER_VERTEX
+    probe_vertex = np.repeat(np.arange(g.n), PROBES_PER_VERTEX)
 
     rng = np.random.default_rng(seed)
-    base_field = solve_field(g, base, gamma).values
+    solver = SwapSolver(g, base, gamma)
+    base_field = solver.base.values
 
     trials: List[SwapTrial] = []
     for k in range(swaps):
         idx = int(rng.integers(0, base.m))
-        vertex = base.samples[idx][0]
-        swapped = base.replaced(idx, vertex, _random_dominated_label(rng, envelope))
-        other_field = solve_field(g, swapped, gamma).values
+        other_field = solver.swapped(idx, _random_dominated_label(rng, envelope)).values
 
         # (a) per-slice shift against coeff * M_s with M_s = phi(s_j)
         shift = np.max(np.abs(base_field - other_field), axis=0)
-        bound = coeff * phi
         with np.errstate(invalid="ignore", divide="ignore"):
             ratios = np.where(bound > 0, shift / np.where(bound > 0, bound, 1.0), 0.0)
         zero_bound = (bound == 0) & (shift > RATIO_SLACK)
@@ -250,18 +325,12 @@ def empirical_stability(
             raise NumericalError("solution shifted at a node where the envelope vanishes")
         slice_ratio = float(ratios.max())
 
-        # (b) cost shift over probe labels at every vertex against beta
-        probes = np.stack(
-            [
-                _random_dominated_label(rng, envelope).values
-                for _ in range(g.n * PROBES_PER_VERTEX)
-            ]
-        )
-        probe_vertex = np.repeat(np.arange(g.n), PROBES_PER_VERTEX)
-        d_base = base_field[probe_vertex] - probes
-        d_other = other_field[probe_vertex] - probes
-        costs_base = np.sum(d_base * d_base, axis=1) / S
-        costs_other = np.sum(d_other * d_other, axis=1) / S
+        # (b) cost shift over probe labels at every vertex against beta; the
+        # block gets the checks each probe label would
+        probes = _dominated_samples(rng, envelope, probe_count)
+        check_quantile_samples(probes, (probe_count, S))
+        costs_base = _probe_costs(base_field, probe_vertex, probes)
+        costs_other = _probe_costs(other_field, probe_vertex, probes)
         worst_shift = float(np.max(np.abs(costs_base - costs_other)))
         cost_ratio = worst_shift / beta_value if beta_value > 0 else (0.0 if worst_shift == 0 else np.inf)
 

@@ -142,13 +142,24 @@ class TikhonovOperator:
             x = np.stack(cols, axis=1)
             if rhs.ndim == 1:
                 x = x[:, 0]
+        self.check_residual(x, rhs)
+        return x
+
+    def check_residual(self, x: np.ndarray, rhs: np.ndarray) -> None:
+        """Raise unless ||A x - rhs||_inf <= RESIDUAL_TOL * max(1, ||rhs||_inf)."""
         resid = np.max(np.abs(self.matrix @ x - rhs))
         scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
         if resid > RESIDUAL_TOL * scale:
             raise NumericalError(
                 f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}"
             )
-        return x
+
+    def unit_response(self, vertex: int) -> np.ndarray:
+        """The column A^{-1} e_vertex: how the solution moves per unit change
+        of the right-hand side at one vertex."""
+        e = np.zeros(self.graph.n)
+        e[vertex] = 1.0
+        return self.solve(e)
 
 
 @dataclass(frozen=True)
@@ -216,16 +227,11 @@ class QuantileField:
         return [self.label(i) for i in range(self.n)]
 
 
-def solve_field(g: WeightedGraph, ts: TrainingSet, gamma: float) -> QuantileField:
-    """Solve all S slice systems with one shared factorization.
-
-    Each vertex row of the result is checked for monotonicity in s.  The
-    solution is provably non-decreasing, so violations beyond MONOTONE_SLACK
-    raise; roundoff-size ones are clamped by a running maximum.
-    """
-    op = TikhonovOperator(g, ts, gamma)
-    rhs = ts.rhs_matrix(g.n)
-    phi = op.solve(rhs)
+def monotone_field(grid: QuantileGrid, phi: np.ndarray) -> QuantileField:
+    """Wrap solved slices as a field after checking each vertex row for
+    monotonicity in s.  The solution is provably non-decreasing, so
+    violations beyond MONOTONE_SLACK raise; roundoff-size ones are clamped by
+    a running maximum."""
     drops = np.diff(phi, axis=1)
     worst = -float(drops.min()) if drops.size else 0.0
     if worst > MONOTONE_SLACK:
@@ -234,7 +240,20 @@ def solve_field(g: WeightedGraph, ts: TrainingSet, gamma: float) -> QuantileFiel
         )
     if worst > 0.0:
         phi = np.maximum.accumulate(phi, axis=1)
-    return QuantileField(grid=ts.grid, values=phi)
+    return QuantileField(grid=grid, values=phi)
+
+
+def solve_field(
+    g: WeightedGraph,
+    ts: TrainingSet,
+    gamma: float,
+    operator: Optional[TikhonovOperator] = None,
+) -> QuantileField:
+    """Solve all S slice systems with one shared factorization; `operator`
+    may be shared.  The rows pass the `monotone_field` check."""
+    if operator is None:
+        operator = TikhonovOperator(g, ts, gamma)
+    return monotone_field(ts.grid, operator.solve(ts.rhs_matrix(g.n)))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from wassprop import cli, fileio
+from wassprop import cli, fileio, stability
 from wassprop import (
     DiagGaussianLabel,
     Hypergraph,
     InputError,
+    QuantileField,
     QuantileGrid,
+    QuantileLabel,
     TrainingSet,
     WeightedGraph,
     quantile_from_histogram,
@@ -123,6 +125,33 @@ def test_field_round_trip(tmp_path):
     assert np.array_equal(back.values, field.values)
     with pytest.raises(InputError):
         fileio.read_field(path, QuantileGrid(4))
+
+
+def test_writers_match_per_value_reference(tmp_path):
+    # per-value format_float through csv.writer: the writers' former loops
+    import csv
+
+    grid = QuantileGrid(6)
+    values = np.array(
+        [[-1e300, -0.0, 0.0, 5e-324, 0.1, 1e16], [-2.5, -1 / 3, 1e-7, 2 / 3, 123456.789, np.inf]]
+    )
+    path = tmp_path / "field.csv"
+    fileio.write_field(path, QuantileField(grid, values))
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["vertex"] + [f"s_{j}" for j in range(1, 7)])
+        for v, row in enumerate(values):
+            writer.writerow([v] + [fileio.format_float(x) for x in row])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    label = QuantileLabel(grid, np.sort(values[0]))
+    assert fileio.label_params(label) == ";".join(fileio.format_float(x) for x in label.values)
+    gauss = DiagGaussianLabel([0.1, -1e-300, 7.0], [0.0, 1 / 3, 1e20])
+    assert fileio.label_params(gauss) == (
+        ",".join(fileio.format_float(x) for x in gauss.mean)
+        + "|"
+        + ",".join(fileio.format_float(x) for x in gauss.std)
+    )
 
 
 def test_truth_round_trip(tmp_path):
@@ -383,7 +412,10 @@ def test_cli_propagate_gauss_rerun_identical(tmp_path):
     assert classes[0] == 0 and classes[3] == 1
 
 
-def test_cli_stability_report(tmp_path):
+def test_cli_stability_report(tmp_path, monkeypatch):
+    gap_calls = []
+    gap = stability.spectral_gap
+    monkeypatch.setattr(stability, "spectral_gap", lambda g: gap_calls.append(1) or gap(g))
     graph, labels = p2_files(tmp_path)
     out = tmp_path / "report.txt"
     ratios = tmp_path / "ratios.csv"
@@ -411,6 +443,7 @@ def test_cli_stability_report(tmp_path):
     ratio_lines = ratios.read_text().splitlines()
     assert ratio_lines[0] == "swap,sample_index,slice_ratio,cost_ratio"
     assert len(ratio_lines) == 4
+    assert len(gap_calls) == 1  # the report and the swap harness share one spectral gap
 
 
 def test_cli_stability_stdout_without_output(tmp_path, capsys):

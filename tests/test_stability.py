@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from wassprop import (
+    DimensionError,
     DominatedQuantileEnvelope,
     HypothesisError,
     InputError,
+    NumericalError,
     QuantileGrid,
     QuantileLabel,
     StabilityInputs,
@@ -23,7 +25,16 @@ from wassprop import (
     solve_field,
     spectral_gap,
 )
-from conftest import random_connected_graph
+from wassprop import stability, tikhonov
+from wassprop.labels import check_quantile_samples
+from wassprop.stability import (
+    PROBES_PER_VERTEX,
+    SwapSolver,
+    _dominated_samples,
+    _random_dominated_label,
+)
+from wassprop.tikhonov import TikhonovOperator
+from conftest import random_connected_graph, random_monotone_label
 
 
 def delta(grid, c):
@@ -218,3 +229,117 @@ def test_empirical_stability_swaps_validated(grid4):
     base = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 0.5))])
     with pytest.raises(InputError):
         empirical_stability(g, base, swaps=0, gamma=1.0, envelope=env)
+
+
+def _swap_instance(seed, grid, n, vertices):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=n)
+    base = TrainingSet([(v, random_monotone_label(rng, grid)) for v in vertices])
+    return rng, g, base
+
+
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_swap_update_matches_fresh_solve(grid32, monkeypatch, cg_path):
+    if cg_path:
+        # CG stops at a relative residual of 1e-10, which alone keeps two CG
+        # solves from agreeing to 1e-12; a tighter stop leaves the update's error
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+        monkeypatch.setattr(tikhonov, "CG_RELATIVE_RESIDUAL", 1e-14)
+    for seed in range(4):
+        # vertex 2 carries two samples: multiplicity 2 in T
+        rng, g, base = _swap_instance(seed, grid32, 12, [0, 2, 2, 7, 11])
+        solver = SwapSolver(g, base, gamma=0.8)
+        assert (solver.operator._cho is None) == cg_path
+        for idx in range(base.m):
+            label = random_monotone_label(rng, grid32)
+            updated = solver.swapped(idx, label).values
+            fresh = solve_field(g, base.replaced(idx, base.samples[idx][0], label), 0.8).values
+            assert np.max(np.abs(updated - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+def test_probe_block_equals_sequential_label_draws(grid32):
+    env = DominatedQuantileEnvelope(grid32, np.linspace(0.5, 3.0, 32))
+    n = 7
+    block = _dominated_samples(np.random.default_rng(11), env, PROBES_PER_VERTEX * n)
+    rng = np.random.default_rng(11)
+    rows = [_random_dominated_label(rng, env).values for _ in range(PROBES_PER_VERTEX * n)]
+    assert np.array_equal(block, np.stack(rows))
+
+
+def test_quantile_block_check():
+    good = np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, (5, 8)), axis=1)
+    check_quantile_samples(good, (5, 8))
+    with pytest.raises(DimensionError):
+        check_quantile_samples(good, (5, 9))
+    for row, col, value in ((2, 3, np.nan), (0, 7, np.inf), (4, 0, 5.0)):
+        bad = good.copy()
+        bad[row, col] = value
+        with pytest.raises(InputError):
+            check_quantile_samples(bad, (5, 8))
+
+
+def test_corrupt_probe_block_rejected(grid32, monkeypatch):
+    _, g, base = _swap_instance(9, grid32, 10, [1, 6])
+    original = stability._dominated_samples
+
+    def corrupt(rng, envelope, rows):
+        block = original(rng, envelope, rows)
+        if rows > 1:
+            block[rows // 2, 5] = np.nan  # a probe row; swap labels stay intact
+        return block
+
+    monkeypatch.setattr(stability, "_dominated_samples", corrupt)
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    with pytest.raises(InputError, match="finite"):
+        empirical_stability(g, base, swaps=1, gamma=5.0, envelope=env, seed=0)
+
+
+@pytest.mark.parametrize("swaps", [1, 6])
+def test_empirical_stability_builds_one_operator(grid32, monkeypatch, swaps):
+    _, g, base = _swap_instance(5, grid32, 10, [1, 4, 4, 8])
+    calls = []
+    original = TikhonovOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TikhonovOperator, "__init__", counting)
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    report = empirical_stability(g, base, swaps=swaps, gamma=5.0, envelope=env, seed=2)
+    assert len(report.trials) == swaps and report.ok
+    assert len(calls) == 1
+
+
+def test_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
+    _, g, base = _swap_instance(6, grid32, 10, [0, 3, 9])
+    original = TikhonovOperator.unit_response
+    monkeypatch.setattr(
+        TikhonovOperator, "unit_response", lambda self, v: original(self, v) + 1e-3
+    )
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    with pytest.raises(NumericalError, match="residual"):
+        empirical_stability(g, base, swaps=2, gamma=5.0, envelope=env, seed=0)
+
+
+def test_swapped_fields_pass_monotonicity_check(grid32, monkeypatch):
+    _, g, base = _swap_instance(7, grid32, 10, [0, 3, 9])
+    checked = []
+    original = stability.monotone_field
+    monkeypatch.setattr(
+        stability, "monotone_field", lambda grid, phi: checked.append(1) or original(grid, phi)
+    )
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    empirical_stability(g, base, swaps=3, gamma=5.0, envelope=env, seed=0)
+    assert len(checked) == 3
+
+
+def test_empirical_stability_shared_inputs(grid32):
+    _, g, base = _swap_instance(8, grid32, 10, [2, 5, 9])
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    si = StabilityInputs.from_instance(g, base, 5.0, env)
+    own = empirical_stability(g, base, swaps=3, gamma=5.0, envelope=env, seed=4)
+    shared = empirical_stability(g, base, swaps=3, gamma=5.0, envelope=env, seed=4, inputs=si)
+    assert shared == own
+    with pytest.raises(InputError):
+        empirical_stability(g, base, swaps=3, gamma=4.0, envelope=env, seed=4, inputs=si)
