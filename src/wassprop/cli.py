@@ -40,27 +40,6 @@ from .stability import StabilityInputs, empirical_stability, generalization_boun
 from .tikhonov import TrainingSet, invertibility_margin, solve_field
 
 
-def _config_flags(path: Path) -> List[str]:
-    """Translate key=value lines into flag tokens; booleans toggle flags."""
-    flags: List[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise InputError(f"config line must be key=value, got {text!r}")
-            key, _, value = text.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    flags.append(flag)
-            else:
-                flags.extend([flag, value])
-    return flags
-
-
 def _apply_config(argv: List[str]) -> List[str]:
     """Expand --config <file> into its flags, placed right after the
     subcommand so explicit command-line flags take precedence."""
@@ -74,13 +53,20 @@ def _apply_config(argv: List[str]) -> List[str]:
             break
     if path is None or not argv:
         return argv
-    return [argv[0]] + _config_flags(Path(path)) + argv[1:]
+    return [argv[0]] + fileio.read_config_flags(path) + argv[1:]
 
 
 def _require_output(args) -> Path:
     if args.output is None:
         raise InputError("--output <path> is required for this subcommand")
     return args.output
+
+
+def _propagation_config(args) -> PropagationConfig:
+    """The loop flags shared by propagate and experiment, plus the seed."""
+    return PropagationConfig(
+        alpha=args.alpha, gamma=args.gamma, max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed
+    )
 
 
 def _read_training(args):
@@ -102,16 +88,21 @@ def _read_training(args):
     return g, TrainingSet(samples), grid
 
 
+def _write_hypergraph(args, h, classes) -> None:
+    """The gen-sbm and ingest outputs: hypergraph, optional truth and incidence."""
+    fileio.write_hypergraph(_require_output(args), h)
+    if args.truth is not None:
+        fileio.write_truth(args.truth, classes)
+    if args.incidence is not None:
+        fileio.write_incidence(args.incidence, h)
+
+
 def cmd_gen_sbm(args) -> int:
     blocks = tuple(int(b) for b in args.blocks.split(","))
     cfg = SbmConfig(blocks, args.k, args.p_in, args.p_out, seed=args.seed)
     sample = gen_sbm(cfg)
     counts = expected_sbm_counts(cfg)
-    fileio.write_hypergraph(_require_output(args), sample.hypergraph)
-    if args.truth is not None:
-        fileio.write_truth(args.truth, sample.blocks)
-    if args.incidence is not None:
-        fileio.write_incidence(args.incidence, sample.hypergraph)
+    _write_hypergraph(args, sample.hypergraph, sample.blocks)
     print(
         f"n={cfg.n} k={cfg.k} within_block={sample.within_block} "
         f"cross_block={sample.cross_block} total={sample.total} "
@@ -125,11 +116,7 @@ def cmd_ingest(args) -> int:
     table = fileio.read_categorical_csv(args.input, args.class_column)
     missing = args.missing if args.missing != "" else None
     result = ingest_categorical(table, missing)
-    fileio.write_hypergraph(_require_output(args), result.hypergraph)
-    if args.truth is not None:
-        fileio.write_truth(args.truth, result.classes)
-    if args.incidence is not None:
-        fileio.write_incidence(args.incidence, result.hypergraph)
+    _write_hypergraph(args, result.hypergraph, result.classes)
     print(
         f"rows={result.hypergraph.n} hyperedges={len(result.hypergraph.edges)} "
         f"classes={','.join(result.class_names)}"
@@ -148,23 +135,8 @@ def cmd_propagate(args) -> int:
         if len(dims) != 1:
             raise InputError(f"gauss labels mix dimensions {sorted(dims)}")
         backend = GaussianBackend(dims.pop())
-    cfg = PropagationConfig(
-        alpha=args.alpha,
-        gamma=args.gamma,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        seed=args.seed,
-    )
-    state = propagate(h, LabeledSubset(targets), cfg, backend)
-    predicted = classify(state)
-
-    import csv
-
-    with open(_require_output(args), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "predicted_class", "label_params"])
-        for v in range(h.n):
-            writer.writerow([v, int(predicted[v]), fileio.label_params(state.vertex_label(v))])
+    state = propagate(h, LabeledSubset(targets), _propagation_config(args), backend)
+    fileio.write_predictions(_require_output(args), classify(state), state)
     if args.trace is not None:
         fileio.write_trace(args.trace, state.loss_history)
     print(f"iterations={state.iterations} final_loss={state.loss_history[-1]!r}")
@@ -216,20 +188,7 @@ def cmd_stability(args) -> int:
                 f"empirical_ok={emp.ok}",
             ]
             if args.ratios is not None:
-                import csv
-
-                with open(args.ratios, "w", newline="") as fh:
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(["swap", "sample_index", "slice_ratio", "cost_ratio"])
-                    for t in emp.trials:
-                        writer.writerow(
-                            [
-                                t.swap_index,
-                                t.sample_index,
-                                fileio.format_float(t.slice_shift_ratio),
-                                fileio.format_float(t.cost_shift_ratio),
-                            ]
-                        )
+                fileio.write_ratios(args.ratios, emp.trials)
     text = "\n".join(lines) + "\n"
     if args.output is not None:
         with open(args.output, "w") as fh:
@@ -253,15 +212,10 @@ def cmd_experiment(args) -> int:
         h, truth = sample.hypergraph, sample.blocks
     else:
         raise InputError("provide either --hypergraph/--truth or --blocks/--p-in/--p-out")
-    cfg = PropagationConfig(
-        alpha=args.alpha,
-        gamma=args.gamma,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        seed=args.seed,
-    )
     anchors = AnchorSpec(args.anchor_kind, args.anchor_variance)
-    result = run_experiment(h, truth, args.labels_per_class, args.trials, cfg, anchors)
+    result = run_experiment(
+        h, truth, args.labels_per_class, args.trials, _propagation_config(args), anchors
+    )
     emit_metrics(result, _require_output(args))
     print(
         f"trials={result.trials} labels_per_class={result.labels_per_class} "
@@ -282,6 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", type=Path, help="primary output file")
     common.add_argument("--config", type=Path, help="key=value file of default flags")
 
+    loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("--alpha", type=float, required=True)
+    loop.add_argument("--gamma", type=float, required=True)
+    loop.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    loop.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
+
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--graph", type=Path, required=True)
+    training.add_argument("--labels", type=Path, required=True)
+    training.add_argument("--gamma", type=float, required=True)
+    training.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    training.add_argument("--n", type=int, help="vertex count override")
+
     p = sub.add_parser("gen-sbm", parents=[common], help="draw a block-model hypergraph")
     p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 50,50")
     p.add_argument("--k", type=int, default=3, help="hyperedge arity")
@@ -299,39 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--incidence", type=Path, help="write 0/1 incidence CSV here")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("propagate", parents=[common], help="alternating label propagation")
+    p = sub.add_parser("propagate", parents=[common, loop], help="alternating label propagation")
     p.add_argument("--hypergraph", type=Path, required=True)
     p.add_argument("--labels", type=Path, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--n", type=int, help="vertex count override")
     p.add_argument("--trace", type=Path, help="write iter,loss CSV here")
     p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("solve-tikhonov", parents=[common], help="closed-form graph solve")
-    p.add_argument("--graph", type=Path, required=True)
-    p.add_argument("--labels", type=Path, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
-    p.add_argument("--n", type=int, help="vertex count override")
+    p = sub.add_parser("solve-tikhonov", parents=[common, training], help="closed-form graph solve")
     p.set_defaults(func=cmd_solve_tikhonov)
 
-    p = sub.add_parser("stability", parents=[common], help="stability constants and bounds")
-    p.add_argument("--graph", type=Path, required=True)
-    p.add_argument("--labels", type=Path, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p = sub.add_parser("stability", parents=[common, training], help="stability constants and bounds")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
-    p.add_argument("--n", type=int, help="vertex count override")
     p.add_argument("--empirical", action="store_true", help="run replacement swaps")
     p.add_argument("--swaps", type=int, default=20)
     p.add_argument("--ratios", type=Path, help="write per-swap ratio CSV here")
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("experiment", parents=[common], help="seeded classification trials")
+    p = sub.add_parser("experiment", parents=[common, loop], help="seeded classification trials")
     p.add_argument("--hypergraph", type=Path)
     p.add_argument("--truth", type=Path)
     p.add_argument("--n", type=int, help="vertex count override")
@@ -341,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-out", type=float)
     p.add_argument("--labels-per-class", type=int, required=True)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--anchor-kind", choices=["onehot", "sign"], default="onehot")
     p.add_argument("--anchor-variance", type=float, default=0.05)
     p.set_defaults(func=cmd_experiment)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -188,9 +188,10 @@ def ingest_categorical(table: CategoricalTable, missing: Optional[str] = "?") ->
 
 
 def stratified_subsample(
-    classes: np.ndarray, per_class: int, seed: int = 0
+    classes: np.ndarray, per_class: int, seed: Union[int, Sequence[int]] = 0
 ) -> np.ndarray:
-    """Seeded draw of per_class row indices from every class, sorted."""
+    """Seeded draw of per_class row indices from every class, sorted.  The
+    classes are drawn in ascending order from one `default_rng(seed)`."""
     classes = np.asarray(classes)
     rng = np.random.default_rng(seed)
     picks: List[np.ndarray] = []
@@ -290,14 +291,8 @@ def run_experiment(
     accuracies: List[float] = []
     evaluated = True
     for t in range(trials):
-        draw_rng = np.random.default_rng([cfg.seed, t, 0])
-        known_vertices: List[int] = []
-        for c in class_ids:
-            members = np.flatnonzero(truth == c)
-            known_vertices.extend(
-                int(v) for v in draw_rng.choice(members, size=labels_per_class, replace=False)
-            )
-        known = LabeledSubset({v: labels[truth[v]] for v in known_vertices})
+        known_vertices = stratified_subsample(truth, labels_per_class, seed=[cfg.seed, t, 0])
+        known = LabeledSubset({v: labels[truth[v]] for v in known_vertices.tolist()})
         trial_cfg = replace(cfg, seed=_trial_seed(cfg.seed, t))
         state = propagate(h, known, trial_cfg, backend)
 

@@ -1,12 +1,14 @@
 """Plain-text formats: label tables, hypergraph and graph files, quantile
-field CSVs, categorical tables, and metric traces.
+field CSVs, categorical tables, truth tables, predictions, stability ratios,
+metric traces, and key=value config files.
 
 Label files are CSV with header `vertex,kind,params`.  kind "hist" encodes a
 histogram as `b1:m1;b2:m2;...` (bin:mass pairs); kind "gauss" encodes a
 diagonal Gaussian as `mu1,...,mub|sd1,...,sdb`.  Hypergraph files hold one
 hyperedge per line as whitespace-separated 0-based vertex indices; graph
 files hold lines `i j w`.  All floats are written with `.` decimals via repr
-(shortest round-trip) and all files use `\n` line endings.
+(shortest round-trip) and all files use `\n` line endings.  Readers raise
+InputError naming the file, and the line for a line that does not parse.
 """
 
 from __future__ import annotations
@@ -33,6 +35,30 @@ LABELS_HEADER = ["vertex", "kind", "params"]
 
 def format_float(x: float) -> str:
     return repr(float(x))
+
+
+def _read_lines(path) -> List[str]:
+    """The lines of an input file, endings kept; if it cannot be read, raise
+    InputError naming it."""
+    try:
+        with open(Path(path), newline="") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc.reason}") from None
+
+
+def _csv_rows(path) -> List[Tuple[int, List[str]]]:
+    """(line number, fields) of each non-empty row of a CSV file."""
+    reader = csv.reader(_read_lines(path))
+    return [(reader.line_num, row) for row in reader if row]
+
+
+def _data_lines(path) -> List[Tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line that is no `#` comment."""
+    lines = enumerate((raw.strip() for raw in _read_lines(path)), start=1)
+    return [(number, text) for number, text in lines if text and not text.startswith("#")]
 
 
 def _joined(values: np.ndarray, sep: str) -> str:
@@ -97,18 +123,15 @@ def read_labels(path, grid: Optional[QuantileGrid] = None):
     (required for hist files).
     """
     rows = []
-    with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if row[0].strip() == "vertex":
-                continue
-            if len(row) != 3:
-                raise InputError(f"labels row needs 3 columns, got {row!r}")
-            rows.append([field.strip() for field in row])
+    for line, row in _csv_rows(path):
+        if row[0].strip() == "vertex":
+            continue
+        if len(row) != 3:
+            raise InputError(f"{path}, line {line}: labels row needs 3 columns, got {row!r}")
+        rows.append((line, [field.strip() for field in row]))
     if not rows:
         raise InputError(f"no label rows found in {path}")
-    kinds = {row[1] for row in rows}
+    kinds = {row[1] for _, row in rows}
     if not kinds <= {"hist", "gauss"}:
         raise InputError(f"unknown label kind(s) {sorted(kinds - {'hist', 'gauss'})}")
     if len(kinds) != 1:
@@ -117,18 +140,21 @@ def read_labels(path, grid: Optional[QuantileGrid] = None):
     if kind == "hist" and grid is None:
         raise InputError("hist labels require a quantile grid")
     out: Dict[int, object] = {}
-    for vertex_text, _, params in rows:
+    for line, (vertex_text, _, params) in rows:
         try:
             vertex = int(vertex_text)
         except ValueError:
-            raise InputError(f"bad vertex index {vertex_text!r}") from None
+            raise InputError(f"{path}, line {line}: bad vertex index {vertex_text!r}") from None
         if vertex in out:
-            raise InputError(f"duplicate label for vertex {vertex}")
-        if kind == "hist":
-            bins, masses = parse_hist_params(params)
-            out[vertex] = quantile_from_histogram(bins, masses, grid)
-        else:
-            out[vertex] = parse_gauss_params(params)
+            raise InputError(f"{path}, line {line}: duplicate label for vertex {vertex}")
+        try:
+            if kind == "hist":
+                bins, masses = parse_hist_params(params)
+                out[vertex] = quantile_from_histogram(bins, masses, grid)
+            else:
+                out[vertex] = parse_gauss_params(params)
+        except InputError as exc:  # keeps the subclass, e.g. NormalizationError
+            raise type(exc)(f"{path}, line {line}: {exc}") from None
     return kind, out
 
 
@@ -151,26 +177,15 @@ def write_hist_labels(
             writer.writerow([v, "hist", hist_params(bins, masses)])
 
 
-def _data_lines(path) -> List[List[str]]:
-    lines = []
-    with open(Path(path)) as fh:
-        for raw in fh:
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            lines.append(text.split())
-    return lines
-
-
 def read_hypergraph(path, n: Optional[int] = None) -> Hypergraph:
     """One hyperedge per line; `#` comments and blank lines ignored; the
     vertex count defaults to one past the largest index seen."""
     edges: List[Tuple[int, ...]] = []
-    for fields in _data_lines(path):
+    for line, text in _data_lines(path):
         try:
-            edges.append(tuple(int(v) for v in fields))
+            edges.append(tuple(int(v) for v in text.split()))
         except ValueError:
-            raise InputError(f"bad hyperedge line {' '.join(fields)!r}") from None
+            raise InputError(f"{path}, line {line}: bad hyperedge line {text!r}") from None
     if n is None:
         if not edges:
             raise InputError("cannot infer vertex count from an empty hypergraph file")
@@ -187,16 +202,15 @@ def write_hypergraph(path, h: Hypergraph) -> None:
 def read_graph(path, n: Optional[int] = None) -> WeightedGraph:
     """Lines `i j w`; `#` comments ignored; duplicate pairs rejected."""
     weights: Dict[Tuple[int, int], float] = {}
-    for fields in _data_lines(path):
-        if len(fields) != 3:
-            raise InputError(f"graph line needs 'i j w', got {' '.join(fields)!r}")
+    for line, text in _data_lines(path):
         try:
-            i, j, w = int(fields[0]), int(fields[1]), float(fields[2])
+            i, j, w = text.split()
+            i, j, w = int(i), int(j), float(w)
         except ValueError:
-            raise InputError(f"bad graph line {' '.join(fields)!r}") from None
+            raise InputError(f"{path}, line {line}: graph line needs 'i j w', got {text!r}") from None
         key = (min(i, j), max(i, j))
         if key in weights:
-            raise InputError(f"duplicate edge {key} in graph file")
+            raise InputError(f"{path}, line {line}: duplicate edge {key} in graph file")
         weights[key] = w
     if n is None:
         if not weights:
@@ -224,42 +238,40 @@ def write_field(path, field: QuantileField) -> None:
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:
     rows: List[List[float]] = []
-    with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "vertex":
-                continue
+    for line, row in _csv_rows(path):
+        if row[0] == "vertex":
+            continue
+        try:
+            if len(row) - 1 != grid.size:
+                raise ValueError(f"width {len(row) - 1} does not match grid size {grid.size}")
             rows.append([float(x) for x in row[1:]])
-    values = np.array(rows)
-    if values.ndim != 2 or values.shape[1] != grid.size:
-        raise InputError(
-            f"field file width {values.shape[-1] if rows else 0} does not match grid size {grid.size}"
-        )
-    return QuantileField(grid, values)
+        except ValueError as exc:
+            raise InputError(f"{path}, line {line}: {exc}") from None
+    if not rows:
+        raise InputError(f"no field rows found in {path}")
+    return QuantileField(grid, np.array(rows))
 
 
 def read_categorical_csv(path, class_column: str = "class") -> CategoricalTable:
     """CSV with header; the named class column is split out, every other
     column is a categorical feature."""
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if class_column not in header:
-            raise InputError(f"class column {class_column!r} not found in header {header}")
-        class_idx = header.index(class_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != class_idx)
-        rows: List[Tuple[str, ...]] = []
-        classes: List[str] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"row {row!r} does not match header width {len(header)}")
-            classes.append(row[class_idx].strip())
-            rows.append(tuple(v.strip() for i, v in enumerate(row) if i != class_idx))
+    lines = _csv_rows(path)
+    if not lines:
+        raise InputError(f"{path} is empty")
+    header = [h.strip() for h in lines[0][1]]
+    if class_column not in header:
+        raise InputError(f"class column {class_column!r} not found in header {header}")
+    class_idx = header.index(class_column)
+    feature_names = tuple(h for i, h in enumerate(header) if i != class_idx)
+    rows: List[Tuple[str, ...]] = []
+    classes: List[str] = []
+    for line, row in lines[1:]:
+        if len(row) != len(header):
+            raise InputError(
+                f"{path}, line {line}: row {row!r} does not match header width {len(header)}"
+            )
+        classes.append(row[class_idx].strip())
+        rows.append(tuple(v.strip() for i, v in enumerate(row) if i != class_idx))
     return CategoricalTable(feature_names, tuple(rows), tuple(classes))
 
 
@@ -273,17 +285,55 @@ def write_truth(path, classes: Sequence[int]) -> None:
 
 def read_truth(path) -> np.ndarray:
     values: Dict[int, int] = {}
-    with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "vertex":
-                continue
-            values[int(row[0])] = int(row[1])
+    for line, row in _csv_rows(path):
+        if row[0] == "vertex":
+            continue
+        try:
+            vertex, cls = row
+            values[int(vertex)] = int(cls)
+        except ValueError:
+            raise InputError(f"{path}, line {line}: truth row needs two integers, got {row!r}") from None
     if not values:
         raise InputError(f"no truth rows found in {path}")
     n = max(values) + 1
     if sorted(values) != list(range(n)):
         raise InputError("truth file must cover vertices 0..n-1")
     return np.array([values[v] for v in range(n)], dtype=np.intp)
+
+
+def write_predictions(path, predicted: np.ndarray, state) -> None:
+    """CSV rows `vertex,predicted_class,label_params` of a propagation state."""
+    with open(Path(path), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["vertex", "predicted_class", "label_params"])
+        for v, c in enumerate(predicted.tolist()):
+            writer.writerow([v, c, label_params(state.vertex_label(v))])
+
+
+def write_ratios(path, trials) -> None:
+    """CSV rows `swap,sample_index,slice_ratio,cost_ratio`, one per stability swap."""
+    with open(Path(path), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["swap", "sample_index", "slice_ratio", "cost_ratio"])
+        for t in trials:
+            ratios = [format_float(t.slice_shift_ratio), format_float(t.cost_shift_ratio)]
+            writer.writerow([t.swap_index, t.sample_index, *ratios])
+
+
+def read_config_flags(path) -> List[str]:
+    """CLI flag tokens from `key=value` lines; a true/false value toggles its flag."""
+    flags: List[str] = []
+    for line, text in _data_lines(path):
+        if "=" not in text:
+            raise InputError(f"{path}, line {line}: config line must be key=value, got {text!r}")
+        key, _, value = text.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        value = value.strip()
+        if value.lower() == "true":
+            flags.append(flag)
+        elif value.lower() != "false":
+            flags.extend([flag, value])
+    return flags
 
 
 def write_trace(path, losses: Sequence[float]) -> None:

@@ -103,11 +103,6 @@ class WeightedGraph:
         weights = np.repeat(np.fromiter(self.edges.values(), dtype=float, count=m), 2)
         return rows, cols, weights
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric weighted adjacency matrix."""
-        rows, cols, weights = self._arcs()
-        return sp.csr_matrix((weights, (rows, cols)), shape=(self.n, self.n))
-
 
 def clique_expand(h: Hypergraph) -> WeightedGraph:
     """Weighted graph whose edges carry, for each hyperedge of size k covering
@@ -133,15 +128,21 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
 def laplacian(g: WeightedGraph) -> sp.csr_matrix:
     """L = D - W as a sparse symmetric matrix; its diagonal holds the degrees."""
     rows, cols, weights = g._arcs()
-    # bincount adds each vertex's weights in edge order
-    deg = np.bincount(rows, weights=weights, minlength=g.n)
+    # bincount adds each vertex's weights in edge order; without edges it
+    # returns integers, so the degrees are cast to keep L floating-point
+    deg = np.bincount(rows, weights=weights, minlength=g.n).astype(float, copy=False)
     adj = sp.csr_matrix((weights, (rows, cols)), shape=(g.n, g.n))
     return (sp.diags(deg) - adj).tocsr()
 
 
+def single_component(lap: sp.spmatrix) -> bool:
+    """True iff the graph with Laplacian (or adjacency) `lap` is connected."""
+    return connected_components(lap, directed=False, return_labels=False) == 1
+
+
 def is_connected(g: WeightedGraph) -> bool:
     """True iff the graph has a single connected component."""
-    return connected_components(g.adjacency(), directed=False, return_labels=False) == 1
+    return single_component(laplacian(g))
 
 
 def spectral_gap(g: WeightedGraph) -> float:
@@ -152,11 +153,11 @@ def spectral_gap(g: WeightedGraph) -> float:
     nullvector deflated by a rank-one shift, started from a fixed seeded
     vector so that reruns return the same float.
     """
-    if not is_connected(g):
+    lap = laplacian(g)
+    if not single_component(lap):
         raise StructureError("spectral gap undefined: graph is disconnected")
     if g.n == 1:
         raise StructureError("spectral gap undefined on a single vertex")
-    lap = laplacian(g)
     if g.n <= DENSE_EIG_LIMIT:
         eigvals = np.linalg.eigvalsh(lap.toarray())
         return float(eigvals[1])

@@ -95,13 +95,12 @@ class GaussianBackend:
     the squared norm of a difference is the closed-form squared distance.
     """
 
-    def __init__(self, dim: int, init_std: Optional[np.ndarray] = None):
+    def __init__(self, dim: int):
         if dim < 1:
             raise InputError(f"Gaussian dimension must be >= 1, got {dim}")
         self.b = dim
         self.dim = 2 * dim
         self.metric_scale = 1.0
-        self.init_std = None if init_std is None else np.asarray(init_std, dtype=float)
 
     def encode(self, label: DiagGaussianLabel) -> np.ndarray:
         if label.dim != self.b:
@@ -114,9 +113,7 @@ class GaussianBackend:
     def random_init(
         self, rngs: Sequence[np.random.Generator], anchors: Sequence[DiagGaussianLabel]
     ) -> np.ndarray:
-        std = self.init_std
-        if std is None:
-            std = np.mean(np.stack([a.std for a in anchors]), axis=0)
+        std = np.mean(np.stack([a.std for a in anchors]), axis=0)
         means = np.stack([rng.uniform(0.0, 1.0, size=self.b) for rng in rngs])
         return np.hstack([means, np.broadcast_to(std, means.shape)])
 
@@ -192,9 +189,6 @@ class PropagationState:
 
     def vertex_label(self, v: int):
         return self.context.backend.decode(self.vertex_values[v])
-
-    def labels(self) -> list:
-        return [self.vertex_label(v) for v in range(self.context.h.n)]
 
     def hyperedge_label(self, e: int):
         if self.edge_values is None:

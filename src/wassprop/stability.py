@@ -34,7 +34,6 @@ from .hypergraph import WeightedGraph, spectral_gap
 from .labels import (
     DominatedQuantileEnvelope,
     QuantileLabel,
-    check_dominated,
     check_quantile_samples,
 )
 from .tikhonov import (
@@ -62,10 +61,10 @@ class StabilityInputs:
     def __post_init__(self):
         if self.m < 1 or self.T < 1:
             raise InputError("m and T must be positive integers")
-        if self.gamma <= 0 or self.lambda1 <= 0:
-            raise InputError("gamma and lambda1 must be positive")
-        if self.phi_l2_squared < 0:
-            raise InputError("phi_l2_squared must be non-negative")
+        if not (0 < self.gamma < math.inf and 0 < self.lambda1 < math.inf):
+            raise InputError(f"need finite gamma > 0 and lambda1 > 0, got {self.gamma}, {self.lambda1}")
+        if not 0 <= self.phi_l2_squared < math.inf:
+            raise InputError(f"phi_l2_squared must be finite and >= 0, got {self.phi_l2_squared}")
 
     @property
     def margin(self) -> float:
@@ -142,8 +141,8 @@ def bounds_from_beta(
 ) -> BoundReport:
     """Evaluate both bounds from given (beta, M); values above 1 are reported
     as-is with their vacuity flags."""
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     fraction = (64.0 * M * m * beta_value + 8.0 * M * M) / (m * epsilon * epsilon)
@@ -289,9 +288,7 @@ def empirical_stability(
     """
     if swaps < 1:
         raise InputError(f"swaps must be >= 1, got {swaps}")
-    for v, lab in base.samples:
-        if not check_dominated(lab, envelope):
-            raise InputError(f"training label at vertex {v} is not dominated by the envelope")
+    base.check_dominated(envelope)
     si = StabilityInputs.from_instance(g, base, gamma, envelope) if inputs is None else inputs
     if (si.m, si.gamma, si.T, si.phi_l2_squared) != (
         base.m, gamma, base.max_multiplicity(), envelope.phi_l2_squared

@@ -24,7 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, NumericalError, StructureError
-from .hypergraph import WeightedGraph, is_connected, laplacian, spectral_gap
+# is_connected stays bound here: bench/traced.py times it under this name
+from .hypergraph import WeightedGraph, is_connected, laplacian, single_component, spectral_gap
 from .labels import (
     DominatedQuantileEnvelope,
     QuantileGrid,
@@ -60,6 +61,16 @@ class TrainingSet:
             if lab.grid.size != grid.size:
                 raise InputError("all training labels must share one grid")
         object.__setattr__(self, "samples", samples)
+        try:
+            vertices = np.array([v for v, _ in samples], dtype=np.intp)
+        except OverflowError:
+            raise InputError("sample vertex index out of range") from None
+        # the sample vertices in sample order, and each distinct one (sorted)
+        # with its multiplicity
+        distinct, counts = np.unique(vertices, return_counts=True)
+        for name, a in (("_vertices", vertices), ("_distinct", distinct), ("_counts", counts)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
@@ -73,32 +84,39 @@ class TrainingSet:
     @property
     def labeled_vertices(self) -> List[int]:
         """Sorted distinct vertices carrying at least one sample."""
-        return sorted({v for v, _ in self.samples})
+        return self._distinct.tolist()
+
+    def _check_range(self, n: int) -> None:
+        """Raise unless every sample vertex is below n, naming the first that is not."""
+        outside = np.flatnonzero(self._vertices >= n)
+        if outside.size:
+            raise InputError(f"sample vertex {self._vertices[outside[0]]} outside [0, {n})")
 
     def multiplicities(self, n: int) -> np.ndarray:
         """Vector t with t[i] = number of samples at vertex i, length n."""
+        self._check_range(n)
         t = np.zeros(n)
-        for v, _ in self.samples:
-            if v >= n:
-                raise InputError(f"sample vertex {v} outside [0, {n})")
-            t[v] += 1.0
+        t[self._distinct] = self._counts
         return t
 
     def max_multiplicity(self) -> int:
-        t = {}
-        for v, _ in self.samples:
-            t[v] = t.get(v, 0) + 1
-        return max(t.values())
+        return int(self._counts.max())
 
     def rhs_matrix(self, n: int) -> np.ndarray:
         """(n, S) matrix whose column j is y at grid node j: per-vertex sums
-        of training quantile samples."""
+        of training quantile samples, added in sample order."""
+        self._check_range(n)
         y = np.zeros((n, self.grid.size))
         for v, lab in self.samples:
-            if v >= n:
-                raise InputError(f"sample vertex {v} outside [0, {n})")
             y[v] += lab.values
         return y
+
+    def check_dominated(self, envelope: DominatedQuantileEnvelope) -> None:
+        """Raise unless the envelope dominates every training label, naming
+        the vertex of the first sample it does not."""
+        for v, lab in self.samples:
+            if not check_dominated(lab, envelope):
+                raise InputError(f"training label at vertex {v} is not dominated by the envelope")
 
     def replaced(self, index: int, vertex: int, label: QuantileLabel) -> "TrainingSet":
         """Copy with sample `index` swapped for (vertex, label)."""
@@ -111,15 +129,16 @@ class TikhonovOperator:
     """The shared slice operator A = T + m*gamma*L with a reusable factorization."""
 
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
-        if gamma <= 0:
-            raise InputError(f"gamma must be positive, got {gamma}")
-        if not is_connected(g):
+        if not 0 < gamma < np.inf:
+            raise InputError(f"gamma must be positive and finite, got {gamma}")
+        lap = laplacian(g)
+        if not single_component(lap):
             raise StructureError("Tikhonov solve requires a connected graph")
         self.graph = g
         self.gamma = float(gamma)
         self.m = ts.m
         self.t = ts.multiplicities(g.n)
-        self.matrix = (sp.diags(self.t) + self.m * self.gamma * laplacian(g)).tocsr()
+        self.matrix = (sp.diags(self.t) + self.m * self.gamma * lap).tocsr()
         self._cho = None
         if g.n <= DENSE_SOLVE_LIMIT:
             try:
@@ -197,9 +216,7 @@ def assemble_system(
         operator = TikhonovOperator(g, ts, gamma)
     if not (0 <= s_index < ts.grid.size):
         raise InputError(f"slice index {s_index} outside [0, {ts.grid.size})")
-    y = np.zeros(g.n)
-    for v, lab in ts.samples:
-        y[v] += lab.values[s_index]
+    y = ts.rhs_matrix(g.n)[:, s_index].copy()
     return SliceSystem(operator=operator, s_index=s_index, y=y, ybar=float(y.sum()) / ts.m)
 
 
@@ -222,9 +239,6 @@ class QuantileField:
 
     def label(self, vertex: int) -> QuantileLabel:
         return QuantileLabel(self.grid, self.values[vertex])
-
-    def labels(self) -> List[QuantileLabel]:
-        return [self.label(i) for i in range(self.n)]
 
 
 def monotone_field(grid: QuantileGrid, phi: np.ndarray) -> QuantileField:
@@ -279,10 +293,9 @@ class MaxPrincipleReport:
         return self.extrema_on_labeled and self.nonnegative_ok
 
 
-def check_maximum_principle(field: QuantileField, ts: TrainingSet, n: Optional[int] = None) -> MaxPrincipleReport:
+def check_maximum_principle(field: QuantileField, ts: TrainingSet) -> MaxPrincipleReport:
     """Verify that per-slice extrema are attained on labeled vertices and that
     slices with non-negative data stay non-negative."""
-    n = field.n if n is None else n
     labeled = ts.labeled_vertices
     phi = field.values
     sub = phi[labeled, :]
@@ -314,9 +327,7 @@ def check_apriori(
     exactly; a violation there voids the estimate and raises.
     """
     if ts is not None:
-        for v, lab in ts.samples:
-            if not check_dominated(lab, envelope):
-                raise InputError(f"training label at vertex {v} is not dominated by the envelope")
+        ts.check_dominated(envelope)
     if field.grid.size != envelope.grid.size:
         raise InputError("field and envelope grids differ")
     return bool(np.all(np.abs(field.values) <= envelope.phi[None, :] + 1e-9))

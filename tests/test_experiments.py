@@ -20,6 +20,7 @@ from wassprop import (
     run_experiment,
     stratified_subsample,
 )
+from wassprop import experiments
 
 REFERENCE_SBM = dict(block_sizes=(50, 50), k=3, p_in=0.01, p_out=0.002)
 
@@ -212,6 +213,36 @@ def test_run_experiment_deterministic():
         b = run_experiment(h, truth, labels_per_class=3, trials=4, cfg=cfg, anchors=anchors)
     assert a.accuracies == b.accuracies
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_run_experiment_known_sets_match_inline_draw(monkeypatch):
+    h, truth = small_sbm(seed=8)
+    cfg = PropagationConfig(alpha=10.0, gamma=5.0, max_iters=3, seed=12)
+    seen = []
+    real = experiments.propagate
+
+    def recording(h, known, cfg, backend):
+        seen.append(known.vertices)
+        return real(h, known, cfg, backend)
+
+    monkeypatch.setattr(experiments, "propagate", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_experiment(h, truth, labels_per_class=3, trials=4, cfg=cfg,
+                       anchors=AnchorSpec(kind="onehot", variance=0.05))
+    # the draw run_experiment made inline before it called stratified_subsample
+    expected = []
+    for t in range(4):
+        draw_rng = np.random.default_rng([cfg.seed, t, 0])
+        known_vertices = []
+        for c in np.unique(truth):
+            members = np.flatnonzero(truth == c)
+            known_vertices.extend(
+                int(v) for v in draw_rng.choice(members, size=3, replace=False)
+            )
+        expected.append(sorted(known_vertices))
+    assert seen == expected
+    assert all(type(v) is int for v in seen[0])
 
 
 def test_run_experiment_all_known_flagged():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wassprop import (
     DiagGaussianLabel,
     Hypergraph,
     InputError,
+    NormalizationError,
     QuantileField,
     QuantileGrid,
     QuantileLabel,
@@ -570,3 +572,138 @@ def test_cli_config_boolean_toggle(tmp_path):
     assert cli.main(argv) == 0
     text = out.read_text()
     assert "swaps=2" in text and "empirical_ok=True" in text
+
+
+# the benchmark's four command lines, with the values the parser gave them
+# before the loop and training flags moved into shared parent parsers
+BENCH_ARGVS = [
+    (
+        ["propagate", "--hypergraph", "edges.txt", "--labels", "known.csv", "--alpha", "20.0",
+         "--gamma", "10.0", "--grid-size", "256", "--max-iters", "6", "--tol", "1e-300",
+         "--seed", "101", "--output", "predictions.csv"],
+        {"alpha": 20.0, "command": "propagate", "config": None, "gamma": 10.0, "grid_size": 256,
+         "hypergraph": Path("edges.txt"), "labels": Path("known.csv"), "max_iters": 6, "n": None,
+         "output": Path("predictions.csv"), "seed": 101, "tol": 1e-300, "trace": None},
+    ),
+    (
+        ["experiment", "--hypergraph", "edges.txt", "--truth", "truth.csv",
+         "--labels-per-class", "10", "--trials", "4", "--alpha", "20.0", "--gamma", "10.0",
+         "--anchor-kind", "onehot", "--max-iters", "30", "--tol", "1e-300", "--seed", "101",
+         "--output", "metrics.csv"],
+        {"alpha": 20.0, "anchor_kind": "onehot", "anchor_variance": 0.05, "blocks": None,
+         "command": "experiment", "config": None, "gamma": 10.0,
+         "hypergraph": Path("edges.txt"), "k": 3, "labels_per_class": 10, "max_iters": 30,
+         "n": None, "output": Path("metrics.csv"), "p_in": None, "p_out": None, "seed": 101,
+         "tol": 1e-300, "trials": 4, "truth": Path("truth.csv")},
+    ),
+    (
+        ["stability", "--graph", "graph.txt", "--labels", "known.csv", "--gamma", "1.5",
+         "--epsilon", "0.5", "--grid-size", "256", "--empirical", "--swaps", "4",
+         "--ratios", "ratios.csv", "--seed", "101", "--output", "report.txt"],
+        {"command": "stability", "config": None, "empirical": True, "epsilon": 0.5, "gamma": 1.5,
+         "graph": Path("graph.txt"), "grid_size": 256, "labels": Path("known.csv"), "n": None,
+         "output": Path("report.txt"), "ratios": Path("ratios.csv"), "seed": 101, "swaps": 4},
+    ),
+    (
+        ["solve-tikhonov", "--graph", "graph.txt", "--labels", "known.csv", "--gamma", "0.01",
+         "--grid-size", "128", "--seed", "101", "--output", "field.csv"],
+        {"command": "solve-tikhonov", "config": None, "gamma": 0.01, "graph": Path("graph.txt"),
+         "grid_size": 128, "labels": Path("known.csv"), "n": None, "output": Path("field.csv"),
+         "seed": 101},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BENCH_ARGVS, ids=[a[0] for a, _ in BENCH_ARGVS])
+def test_bench_command_lines_parse_unchanged(argv, expected):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    parsed.pop("func")
+    assert parsed == expected
+
+
+def test_propagation_config_from_flags():
+    args = cli.build_parser().parse_args(BENCH_ARGVS[1][0])
+    cfg = cli._propagation_config(args)
+    assert (cfg.alpha, cfg.gamma, cfg.max_iters, cfg.rel_tol, cfg.seed) == (20.0, 10.0, 30, 1e-300, 101)
+
+
+def _bad_input_cases(tmp_path):
+    graph, labels = p2_files(tmp_path)
+    hyper = tmp_path / "h.txt"
+    hyper.write_text("0 1\n1 2\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("vertex,class\n0,0\n1,a\n2,1\n")
+    bad_graph = tmp_path / "bad_graph.txt"
+    bad_graph.write_text("0 1 1.0\n1 x 1.0\n")
+    config = tmp_path / "bad.cfg"
+    config.write_text("gamma=1.0\nepsilon\n")
+    missing = tmp_path / "missing.txt"
+    training = ["--graph", str(graph), "--labels", str(labels), "--grid-size", "8"]
+    stab = ["stability", *training]
+    return {
+        "epsilon-nan": ([*stab, "--gamma", "1.0", "--epsilon", "nan"], "epsilon"),
+        "gamma-inf": ([*stab, "--gamma", "inf", "--epsilon", "0.5"], "gamma"),
+        "gamma-nan": (["solve-tikhonov", *training, "--gamma", "nan",
+                       "--output", str(tmp_path / "f.csv")], "gamma"),
+        "missing-hypergraph": (["propagate", "--hypergraph", str(missing), "--labels", str(labels),
+                                "--alpha", "2", "--gamma", "1", "--output", str(tmp_path / "p.csv")],
+                               str(missing)),
+        "missing-config": ([*stab, "--gamma", "1.0", "--epsilon", "0.5", "--config", str(missing)],
+                           str(missing)),
+        "truth-class-a": (["experiment", "--hypergraph", str(hyper), "--truth", str(truth),
+                           "--labels-per-class", "1", "--alpha", "2", "--gamma", "1",
+                           "--output", str(tmp_path / "m.csv")], f"{truth}, line 3"),
+        "graph-bad-line": (["solve-tikhonov", "--graph", str(bad_graph), "--labels", str(labels),
+                            "--grid-size", "8", "--gamma", "1.0",
+                            "--output", str(tmp_path / "f.csv")], f"{bad_graph}, line 2"),
+        "config-bad-line": ([*stab, "--epsilon", "0.5", "--config", str(config)],
+                            f"{config}, line 2"),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["epsilon-nan", "gamma-inf", "gamma-nan", "missing-hypergraph", "missing-config",
+     "truth-class-a", "graph-bad-line", "config-bad-line"],
+)
+def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
+    argv, names = _bad_input_cases(tmp_path)[case]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and names in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "reader, text, line",
+    [
+        (lambda p: fileio.read_labels(p, QuantileGrid(4)),
+         "vertex,kind,params\n0,hist,0.0:1.0\n1,hist,0.0:x\n", 3),
+        (lambda p: fileio.read_labels(p), "vertex,kind,params\n0,gauss,0.0|1.0\nv,gauss,0|1\n", 3),
+        (lambda p: fileio.read_hypergraph(p), "# edges\n0 1\n1 two\n", 3),
+        (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,0.5\n", 3),
+        (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,one\n", 2),
+        (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n1\n", 3),
+        (lambda p: fileio.read_categorical_csv(p), "f,class\na,x\nb\n", 3),
+    ],
+    ids=["hist-params", "vertex", "hypergraph", "field-width", "field-value", "truth", "table"],
+)
+def test_readers_name_file_and_line(tmp_path, reader, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(InputError, match=f"^{path}, line {line}: "):
+        reader(path)
+    with pytest.raises(InputError, match=f"cannot read {tmp_path / 'absent.txt'}"):
+        reader(tmp_path / "absent.txt")
+    path.write_bytes(b"\xff\xfe" + text.encode())  # not UTF-8
+    with pytest.raises(InputError, match=f"cannot read {path}"):
+        reader(path)
+
+
+def test_label_validation_error_keeps_its_type(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("vertex,kind,params\n0,hist,0.0:0.5\n")
+    with pytest.raises(NormalizationError, match=f"^{path}, line 2: "):
+        fileio.read_labels(path, QuantileGrid(4))

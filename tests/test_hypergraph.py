@@ -1,6 +1,7 @@
 """Hypergraph structures, clique expansion, Laplacian, spectral gap."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from wassprop import (
     InputError,
     QuantileGrid,
     StructureError,
+    TikhonovOperator,
+    TrainingSet,
     WeightedGraph,
     barycenter_energy,
     clique_expand,
     is_connected,
     laplacian,
+    quantile_from_histogram,
     spectral_gap,
     w2_squared_quantile,
 )
@@ -216,6 +220,38 @@ def test_is_connected():
     assert is_connected(WeightedGraph(2, {(0, 1): 1.0}))
     assert not is_connected(WeightedGraph(2, {}))
     assert not is_connected(WeightedGraph(4, {(0, 1): 1.0, (2, 3): 1.0}))
+
+
+@pytest.mark.parametrize(
+    "n, edges, connected",
+    [
+        (4, {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 2.0}, True),
+        (600, {(i, i + 1): 1.0 for i in range(599)}, True),  # iterative spectral gap
+        (4, {(0, 1): 1.0, (2, 3): 1.0}, False),  # two components
+        (3, {(0, 1): 1.0}, False),  # isolated vertex 2
+        (3, {}, False),
+    ],
+)
+def test_connectivity_agrees(n, edges, connected):
+    g = WeightedGraph(n, edges)
+    ts = TrainingSet([(0, quantile_from_histogram([0.0], [1.0], QuantileGrid(4)))])
+    assert is_connected(g) is connected
+    if connected:
+        assert spectral_gap(g) > 0
+        assert TikhonovOperator(g, ts, 1.0).matrix.shape == (n, n)
+    else:
+        with pytest.raises(StructureError, match="disconnected"):
+            spectral_gap(g)
+        with pytest.raises(StructureError, match="connected graph"):
+            TikhonovOperator(g, ts, 1.0)
+
+
+def test_laplacian_of_edgeless_graph_is_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lap = laplacian(WeightedGraph(3, {}))
+    assert lap.dtype == np.float64
+    assert not lap.toarray().any()
 
 
 def test_spectral_gap_disconnected_rejected():

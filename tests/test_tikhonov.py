@@ -18,6 +18,7 @@ from wassprop import (
     check_apriori,
     check_maximum_principle,
     clique_expand,
+    empirical_stability,
     gaussian_quantile_label,
     invertibility_margin,
     quantile_from_histogram,
@@ -338,3 +339,67 @@ def test_training_set_invariants(grid4):
     assert ts.labeled_vertices == [0, 2]
     assert ts.max_multiplicity() == 2
     assert np.array_equal(ts.multiplicities(4), [2, 0, 1, 0])
+
+
+def test_slice_rhs_is_column_of_rhs_matrix(grid32):
+    # per-sample loop: the former body of assemble_system, kept as the reference
+    rng = np.random.default_rng(89)
+    g = random_connected_graph(rng, 5)
+    labs = [random_monotone_label(rng, grid32) for _ in range(4)]
+    ts = TrainingSet([(1, labs[0]), (3, labs[1]), (1, labs[2]), (0, labs[3])])
+    op = TikhonovOperator(g, ts, gamma=0.8)
+    rhs = ts.rhs_matrix(g.n)
+    for s in (0, 7, 31):
+        ref = np.zeros(g.n)
+        for v, lab in ts.samples:
+            ref[v] += lab.values[s]
+        for sys in (assemble_system(g, ts, 0.8, s), assemble_system(g, ts, 0.8, s, operator=op)):
+            assert sys.y.tobytes() == rhs[:, s].tobytes() == ref.tobytes()
+    # with a shared operator the sample range is still checked
+    outside = TrainingSet([(1, labs[0]), (5, labs[1])])
+    with pytest.raises(InputError, match="sample vertex 5 outside"):
+        assemble_system(g, outside, 0.8, 0, operator=op)
+
+
+def test_counts_match_per_sample_loop(grid4):
+    rng = np.random.default_rng(97)
+    lab = delta(grid4, 0.0)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        vertices = rng.integers(0, n, size=int(rng.integers(1, 12))).tolist()
+        ts = TrainingSet([(v, lab) for v in vertices])
+        ref = np.zeros(n)
+        for v in vertices:
+            ref[v] += 1.0
+        assert np.array_equal(ts.multiplicities(n), ref)
+        assert ts.max_multiplicity() == int(ref.max())
+        assert ts.labeled_vertices == sorted(set(vertices))
+        with pytest.raises(InputError, match=f"sample vertex {max(vertices)} outside"):
+            ts.multiplicities(max(vertices))
+    first = TrainingSet([(0, lab), (9, lab), (4, lab)])
+    with pytest.raises(InputError, match=r"sample vertex 9 outside \[0, 3\)"):
+        first.rhs_matrix(3)
+
+
+def test_training_dominance_one_error(grid4):
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    ts = TrainingSet([(0, delta(grid4, 0.5)), (2, delta(grid4, 3.0)), (1, delta(grid4, 4.0))])
+    field = solve_field(g, ts, gamma=1.0)
+    env = DominatedQuantileEnvelope(grid4, np.ones(4))
+    messages = []
+    for check in (
+        lambda: check_apriori(field, env, ts),
+        lambda: empirical_stability(g, ts, 1, 1.0, env),
+        lambda: ts.check_dominated(env),
+    ):
+        with pytest.raises(InputError) as info:
+            check()
+        messages.append(str(info.value))
+    assert messages == ["training label at vertex 2 is not dominated by the envelope"] * 3
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_operator_rejects_bad_gamma(grid4, gamma):
+    g, ts = p2_instance(grid4)
+    with pytest.raises(InputError, match="gamma"):
+        TikhonovOperator(g, ts, gamma)
