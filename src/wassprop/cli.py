@@ -36,7 +36,7 @@ from .propagation import (
     classify,
     propagate,
 )
-from .stability import StabilityInputs, empirical_stability, generalization_bounds
+from .stability import StabilityInputs, check_epsilon, empirical_stability, generalization_bounds
 from .tikhonov import TrainingSet, invertibility_margin, solve_field
 
 
@@ -156,6 +156,7 @@ def cmd_stability(args) -> int:
     g, ts, _ = _read_training(args)
     envelope = tight_envelope([label for _, label in ts.samples])
     si = StabilityInputs.from_instance(g, ts, args.gamma, envelope)
+    check_epsilon(args.epsilon)  # also when a non-positive margin leaves the bounds out
     lines = [
         f"m={si.m}",
         f"T={si.T}",
@@ -309,6 +310,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except WasspropError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # readers raise InputError, so this is an output file
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .experiments import CategoricalTable
-from .hypergraph import Hypergraph, WeightedGraph
+from .hypergraph import Hypergraph, WeightedGraph, first_duplicate, vertex_array
 from .labels import (
     DiagGaussianLabel,
     QuantileGrid,
@@ -200,28 +200,38 @@ def write_hypergraph(path, h: Hypergraph) -> None:
 
 
 def read_graph(path, n: Optional[int] = None) -> WeightedGraph:
-    """Lines `i j w`; `#` comments ignored; duplicate pairs rejected."""
-    weights: Dict[Tuple[int, int], float] = {}
-    for line, text in _data_lines(path):
+    """Lines `i j w`; `#` comments ignored; a repeated pair, in either
+    orientation, is rejected naming its line."""
+    rows = _data_lines(path)
+    heads: List[int] = []
+    tails: List[int] = []
+    weights: List[float] = []
+    for line, text in rows:
         try:
             i, j, w = text.split()
             i, j, w = int(i), int(j), float(w)
         except ValueError:
             raise InputError(f"{path}, line {line}: graph line needs 'i j w', got {text!r}") from None
-        key = (min(i, j), max(i, j))
-        if key in weights:
-            raise InputError(f"{path}, line {line}: duplicate edge {key} in graph file")
-        weights[key] = w
+        heads.append(i)
+        tails.append(j)
+        weights.append(w)
+    canon = np.sort(vertex_array([heads, tails]).T, axis=1)
+    repeat = first_duplicate(canon)
+    if repeat >= 0:
+        key = tuple(canon[repeat].tolist())
+        raise InputError(f"{path}, line {rows[repeat][0]}: duplicate edge {key} in graph file")
     if n is None:
-        if not weights:
+        if not rows:
             raise InputError("cannot infer vertex count from an empty graph file")
-        n = max(max(k) for k in weights) + 1
-    return WeightedGraph(n, weights)
+        n = int(canon.max()) + 1
+    return WeightedGraph(n, canon, weights)
 
 
 def write_graph(path, g: WeightedGraph) -> None:
+    """Lines `i j w` in sorted pair order."""
+    order = np.lexsort((g.pairs[:, 1], g.pairs[:, 0]))
     with open(Path(path), "w") as fh:
-        for (i, j), w in sorted(g.edges.items()):
+        for (i, j), w in zip(g.pairs[order].tolist(), g.weights[order].tolist()):
             fh.write(f"{i} {j} {format_float(w)}\n")
 
 
@@ -290,9 +300,12 @@ def read_truth(path) -> np.ndarray:
             continue
         try:
             vertex, cls = row
-            values[int(vertex)] = int(cls)
+            vertex, cls = int(vertex), int(cls)
         except ValueError:
             raise InputError(f"{path}, line {line}: truth row needs two integers, got {row!r}") from None
+        if vertex in values:
+            raise InputError(f"{path}, line {line}: duplicate truth row for vertex {vertex}")
+        values[vertex] = cls
     if not values:
         raise InputError(f"no truth rows found in {path}")
     n = max(values) + 1
@@ -351,10 +364,12 @@ def write_incidence(path, h: Hypergraph) -> None:
     n x E matrix is held in memory."""
     m = len(h.edges)
     row = np.zeros(m, dtype=int)
+    inc = h.incidence().tocsc()  # column v lists the hyperedges holding vertex v
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["vertex"] + [f"edge_{j}" for j in range(m)])
-        for v, edges in enumerate(h.incident_edges()):
+        for v in range(h.n):
+            edges = inc.indices[inc.indptr[v]:inc.indptr[v + 1]]
             row[edges] = 1
             writer.writerow([v] + row.tolist())
             row[edges] = 0

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InputError, StructureError
+from .errors import InputError, NumericalError, StructureError
 
 # Above this size the spectral gap switches from dense eigendecomposition to a
 # deflated iterative eigensolver.
@@ -61,47 +60,64 @@ class Hypergraph:
             (np.ones(indices.size), indices, indptr), shape=(len(self.edges), self.n)
         )
 
-    def incident_edges(self) -> list:
-        """For each vertex, the list of indices of hyperedges containing it."""
-        inc = self.incidence().tocsc()
-        return [inc.indices[a:b].tolist() for a, b in zip(inc.indptr[:-1], inc.indptr[1:])]
+
+def first_duplicate(pairs: np.ndarray) -> int:
+    """Index of the first row of an (m, 2) pair array that repeats an earlier
+    row, or -1.  A stable sort puts equal rows next to each other in input
+    order, so every row after the first of its run is a repeat."""
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ranked = pairs[order]
+    repeats = order[1:][np.all(ranked[1:] == ranked[:-1], axis=1)]
+    return int(repeats.min()) if repeats.size else -1
 
 
-@dataclass(frozen=True)
+def vertex_array(indices) -> np.ndarray:
+    """Vertex indices as a new intp array; an index too large for intp raises
+    InputError."""
+    try:
+        return np.array(indices, dtype=np.intp)
+    except OverflowError:
+        raise InputError("edge vertex index out of range") from None
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Sparse symmetric graph: map from unordered vertex pairs to positive weights."""
+    """Sparse symmetric graph on n vertices: a read-only (m, 2) intp array of
+    vertex pairs (i, j) with i < j, in input order, and a read-only array of
+    their positive finite weights.  A pair given as (j, i) is stored as (i, j).
+    """
 
     n: int
-    edges: Dict[Tuple[int, int], float]
+    pairs: np.ndarray
+    weights: np.ndarray
 
-    def __init__(self, n: int, edges: Dict[Tuple[int, int], float]):
+    def __init__(self, n: int, pairs, weights):
         if n < 1:
             raise InputError(f"vertex count must be >= 1, got {n}")
-        canon: Dict[Tuple[int, int], float] = {}
-        for (i, j), w in edges.items():
-            i, j = int(i), int(j)
-            if i == j:
-                raise InputError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"edge ({i},{j}) outside [0, {n})")
-            key = (min(i, j), max(i, j))
-            if key in canon:
-                raise InputError(f"duplicate edge {key}")
-            w = float(w)
-            if not 0 < w < math.inf:
-                raise InputError(f"edge {key} has weight {w}; weights must be positive and finite")
-            canon[key] = w
+        pairs = vertex_array(pairs).reshape(-1, 2)
+        weights = np.array(weights, dtype=float)
+        if weights.shape != (len(pairs),):
+            raise InputError(f"need one weight per pair: {len(pairs)} pairs, weights {weights.shape}")
+        # each check names its first offender
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise InputError(f"self-loop at vertex {pairs[loops[0], 0]}")
+        outside = np.flatnonzero(np.any((pairs < 0) | (pairs >= n), axis=1))
+        if outside.size:
+            i, j = pairs[outside[0]].tolist()
+            raise InputError(f"edge ({i},{j}) outside [0, {n})")
+        pairs.sort(axis=1)
+        repeat = first_duplicate(pairs)
+        if repeat >= 0:
+            raise InputError(f"duplicate edge {tuple(pairs[repeat].tolist())}")
+        bad = np.flatnonzero(~((weights > 0) & (weights < np.inf)))
+        if bad.size:
+            key, w = tuple(pairs[bad[0]].tolist()), weights[bad[0]].item()
+            raise InputError(f"edge {key} has weight {w}; weights must be positive and finite")
+        for name, a in (("pairs", pairs), ("weights", weights)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", canon)
-
-    def _arcs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, weights) of both orientations of every edge, interleaved
-        in edge order: (i, j, w), (j, i, w), ..."""
-        m = len(self.edges)
-        rows = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * m)
-        cols = rows.reshape(-1, 2)[:, ::-1].ravel()
-        weights = np.repeat(np.fromiter(self.edges.values(), dtype=float, count=m), 2)
-        return rows, cols, weights
 
 
 def clique_expand(h: Hypergraph) -> WeightedGraph:
@@ -112,7 +128,7 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     reproduces the sum of per-hyperedge barycenter energies exactly.  The
     weights are the off-diagonal entries of B^T diag(1/k^2) B for the
     incidence matrix B; each sum runs through the hyperedges in order.  The
-    pairs (i, j), i < j, are keyed in sorted order.
+    pairs (i, j), i < j, come in sorted order.
     """
     inc = h.incidence()
     sizes = np.diff(inc.indptr)
@@ -121,13 +137,15 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     pairs = sp.triu(inc.T.tocsr() @ weighted, k=1, format="csr")
     pairs.sort_indices()  # the product leaves each row's columns unordered
     pairs = pairs.tocoo()
-    keys = zip(pairs.row.tolist(), pairs.col.tolist())
-    return WeightedGraph(h.n, dict(zip(keys, pairs.data.tolist())))
+    return WeightedGraph(h.n, np.column_stack((pairs.row, pairs.col)), pairs.data)
 
 
 def laplacian(g: WeightedGraph) -> sp.csr_matrix:
     """L = D - W as a sparse symmetric matrix; its diagonal holds the degrees."""
-    rows, cols, weights = g._arcs()
+    # both orientations of every pair, interleaved in pair order: (i, j), (j, i), ...
+    rows = g.pairs.ravel()
+    cols = g.pairs[:, ::-1].ravel()
+    weights = np.repeat(g.weights, 2)
     # bincount adds each vertex's weights in edge order; without edges it
     # returns integers, so the degrees are cast to keep L floating-point
     deg = np.bincount(rows, weights=weights, minlength=g.n).astype(float, copy=False)
@@ -173,5 +191,8 @@ def spectral_gap(g: WeightedGraph) -> float:
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     # not the constant vector: that is the deflated eigenvector
     v0 = np.random.default_rng(0).standard_normal(n)
-    vals = spla.eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
+    try:
+        vals = spla.eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalError(f"spectral gap: eigsh did not converge: {exc}") from None
     return float(vals[0])

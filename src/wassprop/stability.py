@@ -132,6 +132,12 @@ class BoundReport:
         return self.exponential_bound > 1.0
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise unless the bound's deviation epsilon is positive and finite."""
+    if not 0 < epsilon < math.inf:
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def bounds_from_beta(
     beta_value: float,
     M: float,
@@ -141,8 +147,7 @@ def bounds_from_beta(
 ) -> BoundReport:
     """Evaluate both bounds from given (beta, M); values above 1 are reported
     as-is with their vacuity flags."""
-    if not 0 < epsilon < math.inf:
-        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     fraction = (64.0 * M * m * beta_value + 8.0 * M * M) / (m * epsilon * epsilon)

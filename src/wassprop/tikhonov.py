@@ -182,50 +182,6 @@ class TikhonovOperator:
 
 
 @dataclass(frozen=True)
-class SliceSystem:
-    """One grid node's linear system: operator, right-hand side, and offset.
-
-    The offset ybar is the sample mean of the training quantiles at this node;
-    the centered right-hand side y - ybar*T*1 always sums to zero, which is
-    checked at construction.
-    """
-
-    operator: TikhonovOperator
-    s_index: int
-    y: np.ndarray
-    ybar: float
-
-    def __post_init__(self):
-        centered_sum = float(np.sum(self.y - self.ybar * self.operator.t))
-        scale = max(1.0, float(np.sum(np.abs(self.y))))
-        if abs(centered_sum) > 1e-12 * scale:
-            raise NumericalError(
-                f"centering identity violated: 1^T(y - ybar*T*1) = {centered_sum:.3e}"
-            )
-
-
-def assemble_system(
-    g: WeightedGraph,
-    ts: TrainingSet,
-    gamma: float,
-    s_index: int,
-    operator: Optional[TikhonovOperator] = None,
-) -> SliceSystem:
-    """Build the slice system at one grid node; `operator` may be shared."""
-    if operator is None:
-        operator = TikhonovOperator(g, ts, gamma)
-    if not (0 <= s_index < ts.grid.size):
-        raise InputError(f"slice index {s_index} outside [0, {ts.grid.size})")
-    y = ts.rhs_matrix(g.n)[:, s_index].copy()
-    return SliceSystem(operator=operator, s_index=s_index, y=y, ybar=float(y.sum()) / ts.m)
-
-
-def solve_slice(sys: SliceSystem) -> np.ndarray:
-    """Minimizer of the single-node quadratic, as a length-n vector."""
-    return sys.operator.solve(sys.y)
-
-
-@dataclass(frozen=True)
 class QuantileField:
     """Solved labels for all vertices: matrix of shape (n, S), row i holding
     vertex i's quantile samples.  Every row is non-decreasing."""

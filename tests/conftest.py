@@ -28,6 +28,16 @@ def random_monotone_label(rng, grid, spread=2.0):
     return QuantileLabel(grid, np.sort(rng.uniform(-spread, spread, grid.size)))
 
 
+def dict_graph(n, weights):
+    """WeightedGraph from a {(i, j): w} dict, pairs in the dict's order."""
+    return WeightedGraph(n, list(weights), list(weights.values()))
+
+
+def edge_dict(g):
+    """A graph's edges as a {(i, j): w} dict, in its pair order."""
+    return dict(zip(map(tuple, g.pairs.tolist()), g.weights.tolist()))
+
+
 def random_connected_graph(rng, n, extra_edges=3):
     """Random spanning tree plus a few extra edges, random positive weights."""
     weights = {}
@@ -38,7 +48,7 @@ def random_connected_graph(rng, n, extra_edges=3):
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         if (i, j) not in weights:
             weights[(i, j)] = float(rng.uniform(0.2, 2.0))
-    return WeightedGraph(n, weights)
+    return dict_graph(n, weights)
 
 
 def random_hypergraph(rng, n, max_edges=6, max_size=4):

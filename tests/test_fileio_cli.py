@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wassprop
 from wassprop import cli, fileio, stability
 from wassprop import (
     DiagGaussianLabel,
@@ -18,10 +19,10 @@ from wassprop import (
     QuantileGrid,
     QuantileLabel,
     TrainingSet,
-    WeightedGraph,
     quantile_from_histogram,
     solve_field,
 )
+from conftest import dict_graph, edge_dict
 
 
 # ---------------------------------------------------------------- file I/O
@@ -99,10 +100,10 @@ def test_hypergraph_round_trip(tmp_path):
 
 def test_graph_round_trip(tmp_path):
     path = tmp_path / "g.txt"
-    g = WeightedGraph(4, {(0, 1): 1.5, (1, 3): 0.25, (0, 2): 2.0})
+    g = dict_graph(4, {(0, 1): 1.5, (1, 3): 0.25, (0, 2): 2.0})
     fileio.write_graph(path, g)
     back = fileio.read_graph(path)
-    assert back.n == 4 and back.edges == g.edges
+    assert back.n == 4 and edge_dict(back) == edge_dict(g)
     path.write_text("0 1 1.0\n1 0 2.0\n")
     with pytest.raises(InputError):
         fileio.read_graph(path)
@@ -111,10 +112,59 @@ def test_graph_round_trip(tmp_path):
         fileio.read_graph(path)
 
 
+def test_graph_round_trip_unsorted(tmp_path):
+    # pairs given out of order and reversed are written sorted, and read back
+    # as the same edges with the same weight bits
+    path = tmp_path / "g.txt"
+    weights = {(3, 1): 0.1, (0, 4): 2.5e-17, (2, 0): 1.0 / 3.0, (1, 2): 7.0, (0, 1): 1e300}
+    g = dict_graph(5, weights)
+    fileio.write_graph(path, g)
+    back = fileio.read_graph(path)
+    expected = {(min(k), max(k)): w for k, w in weights.items()}
+    assert back.n == 5 and edge_dict(back) == expected
+    assert list(edge_dict(back)) == sorted(expected)
+    assert back.weights.tobytes() == np.array([expected[k] for k in sorted(expected)]).tobytes()
+    again = tmp_path / "again.txt"
+    fileio.write_graph(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("# g\n0 1 1.0\n2 2 1.0\n", None, "self-loop at vertex 2"),
+        ("0 1 1.0\n1 3 1.0\n", 3, "edge (1,3) outside [0, 3)"),
+        ("0 1 1.0\n3 1 1.0\n", 3, "edge (1,3) outside [0, 3)"),
+        ("0 1 1.0\n-1 1 1.0\n", None, "edge (-1,1) outside [0, 2)"),
+        ("0 1 1.0\n# c\n0 1 2.0\n", None, "{path}, line 3: duplicate edge (0, 1) in graph file"),
+        ("0 1 1.0\n1 0 1.0\n", None, "{path}, line 2: duplicate edge (0, 1) in graph file"),
+        ("0 1 1.0\n1 2 0\n", None,
+         "edge (1, 2) has weight 0.0; weights must be positive and finite"),
+        ("0 1 -2.5\n", None, "edge (0, 1) has weight -2.5; weights must be positive and finite"),
+        ("0 1 1.0\n1 2 nan\n", None,
+         "edge (1, 2) has weight nan; weights must be positive and finite"),
+        ("0 1 inf\n", None, "edge (0, 1) has weight inf; weights must be positive and finite"),
+        ("0 1 1.0\n\n1 2\n", None, "{path}, line 3: graph line needs 'i j w', got '1 2'"),
+        ("0 1 1.0 7\n", None, "{path}, line 1: graph line needs 'i j w', got '0 1 1.0 7'"),
+        ("0 1.5 1.0\n", None, "{path}, line 1: graph line needs 'i j w', got '0 1.5 1.0'"),
+        ("# only\n", None, "cannot infer vertex count from an empty graph file"),
+    ],
+    ids=["self-loop", "out-of-range", "out-of-range-reversed", "negative-vertex", "duplicate",
+         "duplicate-reversed", "zero-weight", "negative-weight", "nan-weight", "inf-weight",
+         "two-tokens", "four-tokens", "float-vertex", "empty"],
+)
+def test_malformed_graph_file(tmp_path, text, n, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(InputError) as info:
+        fileio.read_graph(path, n)
+    assert str(info.value) == message.format(path=path)
+
+
 def test_field_round_trip(tmp_path):
     path = tmp_path / "field.csv"
     grid = QuantileGrid(8)
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet(
         [
             (0, quantile_from_histogram([0.0], [1.0], grid)),
@@ -197,6 +247,13 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_public_names_resolve_once():
+    names = wassprop.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(wassprop, name)]
+    assert missing == []
 
 
 def p2_files(tmp_path, grid_size=8):
@@ -658,13 +715,19 @@ def _bad_input_cases(tmp_path):
                             "--output", str(tmp_path / "f.csv")], f"{bad_graph}, line 2"),
         "config-bad-line": ([*stab, "--epsilon", "0.5", "--config", str(config)],
                             f"{config}, line 2"),
+        # margin 2 * 0.1 * 2 - 1 = -0.6 leaves the bounds out, not the check
+        "epsilon-nan-margin-negative": ([*stab, "--gamma", "0.1", "--epsilon", "nan"], "epsilon"),
+        "output-dir-missing": (["solve-tikhonov", *training, "--gamma", "1.0",
+                                "--output", str(tmp_path / "nodir" / "f.csv")],
+                               f"cannot write {tmp_path / 'nodir' / 'f.csv'}"),
     }
 
 
 @pytest.mark.parametrize(
     "case",
     ["epsilon-nan", "gamma-inf", "gamma-nan", "missing-hypergraph", "missing-config",
-     "truth-class-a", "graph-bad-line", "config-bad-line"],
+     "truth-class-a", "graph-bad-line", "config-bad-line", "epsilon-nan-margin-negative",
+     "output-dir-missing"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]
@@ -686,9 +749,11 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,0.5\n", 3),
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,one\n", 2),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n1\n", 3),
+        (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n0,1\n1,1\n", 3),
         (lambda p: fileio.read_categorical_csv(p), "f,class\na,x\nb\n", 3),
     ],
-    ids=["hist-params", "vertex", "hypergraph", "field-width", "field-value", "truth", "table"],
+    ids=["hist-params", "vertex", "hypergraph", "field-width", "field-value", "truth",
+         "truth-duplicate", "table"],
 )
 def test_readers_name_file_and_line(tmp_path, reader, text, line):
     path = tmp_path / "input.txt"

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from wassprop import (
     Hypergraph,
     InputError,
+    NumericalError,
     QuantileGrid,
     StructureError,
     TikhonovOperator,
@@ -22,11 +24,12 @@ from wassprop import (
     spectral_gap,
     w2_squared_quantile,
 )
-from conftest import random_histogram_label, random_hypergraph
+from wassprop import hypergraph
+from conftest import dict_graph, edge_dict, random_histogram_label, random_hypergraph
 
 
 def complete_graph(n):
-    return WeightedGraph(n, {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)})
+    return dict_graph(n, {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)})
 
 
 def test_hypergraph_invariants():
@@ -44,11 +47,33 @@ def test_hypergraph_invariants():
 
 def test_weighted_graph_invariants():
     with pytest.raises(InputError):
-        WeightedGraph(2, {(0, 0): 1.0})
+        dict_graph(2, {(0, 0): 1.0})
     with pytest.raises(InputError):
-        WeightedGraph(2, {(0, 1): 0.0})
+        dict_graph(2, {(0, 1): 0.0})
     with pytest.raises(InputError):
-        WeightedGraph(2, {(1, 0): 1.0, (0, 1): 1.0})
+        dict_graph(2, {(1, 0): 1.0, (0, 1): 1.0})
+
+
+def test_weighted_graph_arrays():
+    # pairs keep their input order, each turned to i < j; both arrays are read-only
+    g = WeightedGraph(4, [(3, 1), (0, 2), (1, 0)], [0.5, 2, 1.25])
+    assert g.pairs.dtype == np.intp and g.pairs.tolist() == [[1, 3], [0, 2], [0, 1]]
+    assert g.weights.dtype == np.float64 and g.weights.tolist() == [0.5, 2.0, 1.25]
+    assert not g.pairs.flags.writeable and not g.weights.flags.writeable
+    empty = WeightedGraph(3, [], [])
+    assert empty.pairs.shape == (0, 2) and empty.weights.shape == (0,)
+    # each check names its first offender, in the order the checks run
+    cases = [
+        ([(0, 1), (2, 2), (1, 1)], [1.0, 1.0, 1.0], "self-loop at vertex 2"),
+        ([(0, 1), (4, 1), (0, 5)], [1.0, 1.0, 1.0], r"edge \(4,1\) outside \[0, 4\)"),
+        ([(0, 1), (2, 3), (3, 2), (1, 0)], [1.0] * 4, r"duplicate edge \(2, 3\)"),
+        ([(0, 1), (1, 2), (2, 3)], [1.0, -0.0, np.nan], r"edge \(1, 2\) has weight -0.0"),
+        ([(0, 1)], [1.0, 2.0], "one weight per pair"),
+        ([(0, 2**70)], [1.0], "out of range"),
+    ]
+    for pairs, weights, message in cases:
+        with pytest.raises(InputError, match=message):
+            WeightedGraph(4, pairs, weights)
 
 
 def test_incidence_matrix():
@@ -61,25 +86,25 @@ def test_incidence_matrix():
 
 def test_clique_expand_triangle():
     g = clique_expand(Hypergraph(3, [(0, 1, 2)]))
-    assert set(g.edges) == {(0, 1), (0, 2), (1, 2)}
-    for w in g.edges.values():
+    assert set(edge_dict(g)) == {(0, 1), (0, 2), (1, 2)}
+    for w in edge_dict(g).values():
         assert w == pytest.approx(1.0 / 9.0)
 
 
 def test_clique_expand_pair():
     g = clique_expand(Hypergraph(2, [(0, 1)]))
-    assert g.edges[(0, 1)] == pytest.approx(0.25)
+    assert edge_dict(g)[(0, 1)] == pytest.approx(0.25)
 
 
 def test_clique_expand_accumulates():
-    g = clique_expand(Hypergraph(3, [(0, 1, 2), (1, 2)]))
-    assert g.edges[(1, 2)] == pytest.approx(1.0 / 9.0 + 0.25)
-    assert g.edges[(0, 1)] == pytest.approx(1.0 / 9.0)
+    g = edge_dict(clique_expand(Hypergraph(3, [(0, 1, 2), (1, 2)])))
+    assert g[(1, 2)] == pytest.approx(1.0 / 9.0 + 0.25)
+    assert g[(0, 1)] == pytest.approx(1.0 / 9.0)
 
 
 def test_clique_expand_duplicate_hyperedges():
     g = clique_expand(Hypergraph(2, [(0, 1), (0, 1)]))
-    assert g.edges[(0, 1)] == pytest.approx(0.5)
+    assert edge_dict(g)[(0, 1)] == pytest.approx(0.5)
 
 
 def test_clique_expand_additive():
@@ -88,19 +113,19 @@ def test_clique_expand_additive():
         h1 = random_hypergraph(rng, 6)
         h2 = random_hypergraph(rng, 6)
         merged = Hypergraph(6, h1.edges + h2.edges)
-        g1, g2, gm = clique_expand(h1), clique_expand(h2), clique_expand(merged)
-        keys = set(g1.edges) | set(g2.edges)
-        assert set(gm.edges) == keys
+        g1, g2, gm = (edge_dict(clique_expand(x)) for x in (h1, h2, merged))
+        keys = set(g1) | set(g2)
+        assert set(gm) == keys
         for k in keys:
-            expected = g1.edges.get(k, 0.0) + g2.edges.get(k, 0.0)
-            assert gm.edges[k] == pytest.approx(expected, abs=1e-15)
+            expected = g1.get(k, 0.0) + g2.get(k, 0.0)
+            assert gm[k] == pytest.approx(expected, abs=1e-15)
 
 
 def test_sparse_builds_match_loop_references():
     # clique_expand adds each pair's terms in hyperedge order, as this loop
-    # does, so the weights are equal to the last bit; its keys are sorted
+    # does, so the weights are equal to the last bit; its pairs are sorted
     # (i, j) pairs, not in order of first appearance.  laplacian adds each
-    # degree in the order of g.edges.
+    # degree in the order of g.pairs.
     rng = np.random.default_rng(47)
     for _ in range(20):
         h = random_hypergraph(rng, 12, max_edges=15, max_size=6)
@@ -110,10 +135,10 @@ def test_sparse_builds_match_loop_references():
                 for b in range(a + 1, len(e)):
                     weights[(e[a], e[b])] = weights.get((e[a], e[b]), 0.0) + 1.0 / len(e) ** 2
         g = clique_expand(h)
-        assert g.edges == weights
-        assert list(g.edges) == sorted(weights)
+        assert edge_dict(g) == weights
+        assert list(edge_dict(g)) == sorted(weights)
         deg = np.zeros(g.n)
-        for (i, j), w in g.edges.items():
+        for (i, j), w in edge_dict(g).items():
             deg[i] += w
             deg[j] += w
         assert np.array_equal(laplacian(g).diagonal(), deg)
@@ -131,13 +156,13 @@ def test_objective_equivalence_random_instances():
         g = clique_expand(h)
         pairwise = sum(
             w * w2_squared_quantile(labels[i], labels[j])
-            for (i, j), w in g.edges.items()
+            for (i, j), w in edge_dict(g).items()
         )
         assert abs(hyper - pairwise) <= 1e-10
 
 
 def test_laplacian_path2():
-    lap = laplacian(WeightedGraph(2, {(0, 1): 1.0}))
+    lap = laplacian(dict_graph(2, {(0, 1): 1.0}))
     assert np.allclose(lap.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -169,7 +194,7 @@ def test_laplacian_positive_semidefinite():
 
 
 def test_spectral_gap_edge():
-    assert spectral_gap(WeightedGraph(2, {(0, 1): 1.0})) == pytest.approx(2.0, abs=1e-10)
+    assert spectral_gap(dict_graph(2, {(0, 1): 1.0})) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_spectral_gap_complete():
@@ -177,7 +202,7 @@ def test_spectral_gap_complete():
 
 
 def test_spectral_gap_path3():
-    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    g = dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
     assert spectral_gap(g) == pytest.approx(1.0, abs=1e-8)
     # dense oracle: full spectrum is {0, 1, 3}
     evals = np.linalg.eigvalsh(laplacian(g).toarray())
@@ -200,9 +225,20 @@ def test_spectral_gap_iterative_path():
     n = 520
     weights = {(i, i + 1): 1.0 for i in range(n - 1)}
     weights[(0, n - 1)] = 1.0
-    g = WeightedGraph(n, weights)
+    g = dict_graph(n, weights)
     exact = 2.0 - 2.0 * math.cos(2.0 * math.pi / n)
     assert spectral_gap(g) == pytest.approx(exact, rel=1e-8)
+
+
+def test_spectral_gap_no_convergence_is_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
+
+    monkeypatch.setattr(hypergraph.spla, "eigsh", no_convergence)
+    n = hypergraph.DENSE_EIG_LIMIT + 1  # the iterative path
+    g = dict_graph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    with pytest.raises(NumericalError, match="eigsh did not converge"):
+        spectral_gap(g)
 
 
 def test_spectral_gap_iterative_rerun_identical():
@@ -217,9 +253,9 @@ def test_spectral_gap_iterative_rerun_identical():
 
 
 def test_is_connected():
-    assert is_connected(WeightedGraph(2, {(0, 1): 1.0}))
-    assert not is_connected(WeightedGraph(2, {}))
-    assert not is_connected(WeightedGraph(4, {(0, 1): 1.0, (2, 3): 1.0}))
+    assert is_connected(dict_graph(2, {(0, 1): 1.0}))
+    assert not is_connected(dict_graph(2, {}))
+    assert not is_connected(dict_graph(4, {(0, 1): 1.0, (2, 3): 1.0}))
 
 
 @pytest.mark.parametrize(
@@ -233,7 +269,7 @@ def test_is_connected():
     ],
 )
 def test_connectivity_agrees(n, edges, connected):
-    g = WeightedGraph(n, edges)
+    g = dict_graph(n, edges)
     ts = TrainingSet([(0, quantile_from_histogram([0.0], [1.0], QuantileGrid(4)))])
     assert is_connected(g) is connected
     if connected:
@@ -249,20 +285,20 @@ def test_connectivity_agrees(n, edges, connected):
 def test_laplacian_of_edgeless_graph_is_float():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lap = laplacian(WeightedGraph(3, {}))
+        lap = laplacian(dict_graph(3, {}))
     assert lap.dtype == np.float64
     assert not lap.toarray().any()
 
 
 def test_spectral_gap_disconnected_rejected():
     with pytest.raises(StructureError):
-        spectral_gap(WeightedGraph(2, {}))
+        spectral_gap(dict_graph(2, {}))
 
 
 def test_incident_edges():
+    # column v of the incidence lists the hyperedges holding vertex v
     h = Hypergraph(4, [(0, 1, 2), (1, 2), (2, 3)])
-    inc = h.incident_edges()
-    assert inc[0] == [0]
-    assert inc[1] == [0, 1]
-    assert inc[2] == [0, 1, 2]
-    assert inc[3] == [2]
+    inc = [[k for k, e in enumerate(h.edges) if v in e] for v in range(h.n)]
+    assert inc == [[0], [0, 1], [0, 1, 2], [2]]
+    csc = h.incidence().tocsc()
+    assert [csc.indices[a:b].tolist() for a, b in zip(csc.indptr[:-1], csc.indptr[1:])] == inc

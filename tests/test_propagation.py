@@ -14,7 +14,6 @@ from wassprop import (
     QuantileBackend,
     QuantileGrid,
     TrainingSet,
-    WeightedGraph,
     barycenter_gaussian,
     barycenter_quantile,
     classify,
@@ -30,7 +29,7 @@ from wassprop import (
 )
 from wassprop import propagation
 from wassprop.propagation import _Context
-from conftest import random_histogram_label, random_hypergraph
+from conftest import dict_graph, random_histogram_label, random_hypergraph
 
 
 def delta(grid, c):
@@ -52,8 +51,8 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: WeightedGraph(2, {(0, 1): float("nan")}),
-        lambda: WeightedGraph(2, {(0, 1): float("inf")}),
+        lambda: dict_graph(2, {(0, 1): float("nan")}),
+        lambda: dict_graph(2, {(0, 1): float("inf")}),
         lambda: PropagationConfig(alpha=float("nan"), gamma=1.0),
         lambda: PropagationConfig(alpha=float("inf"), gamma=1.0),
         lambda: PropagationConfig(alpha=2.0, gamma=float("nan")),
@@ -201,7 +200,10 @@ def test_loss_independent_of_gather_block(grid32, monkeypatch):
 
 
 def _has_unreached(h, known):
-    incident = h.incident_edges()
+    incident = [[] for _ in range(h.n)]
+    for e, edge in enumerate(h.edges):
+        for v in edge:
+            incident[v].append(e)
     reached = np.zeros(h.n, dtype=bool)
     stack = list(known.vertices)
     reached[stack] = True

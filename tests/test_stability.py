@@ -15,7 +15,6 @@ from wassprop import (
     QuantileLabel,
     StabilityInputs,
     TrainingSet,
-    WeightedGraph,
     beta,
     bounds_from_beta,
     empirical_stability,
@@ -34,7 +33,7 @@ from wassprop.stability import (
     _random_dominated_label,
 )
 from wassprop.tikhonov import TikhonovOperator
-from conftest import random_connected_graph, random_monotone_label
+from conftest import dict_graph, random_connected_graph, random_monotone_label
 
 
 def delta(grid, c):
@@ -61,7 +60,7 @@ def test_inputs_validation():
 
 
 def test_inputs_from_instance(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 1.0))])
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     si = StabilityInputs.from_instance(g, ts, 1.0, env)
@@ -171,7 +170,7 @@ def test_self_swap_is_exactly_zero(grid32):
 
 
 def test_p2_hand_swap(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     base = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 1.0))])
     swapped = base.replaced(1, 1, delta(grid4, 0.0))
     f0 = solve_field(g, base, gamma=1.0)
@@ -207,7 +206,7 @@ def test_empirical_stability_random_graph(grid32):
 
 
 def test_empirical_stability_envelope_violation(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     base = TrainingSet([(0, delta(grid4, 5.0)), (1, delta(grid4, 0.0))])
     with pytest.raises(InputError):
@@ -215,7 +214,7 @@ def test_empirical_stability_envelope_violation(grid4):
 
 
 def test_empirical_stability_margin_violation(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     base = TrainingSet([(0, delta(grid4, 0.0))])
     # m=1, gamma=0.4: margin = 1*0.4*2 - 1 < 0
@@ -224,7 +223,7 @@ def test_empirical_stability_margin_violation(grid4):
 
 
 def test_empirical_stability_swaps_validated(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     base = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 0.5))])
     with pytest.raises(InputError):

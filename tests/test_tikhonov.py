@@ -1,4 +1,4 @@
-"""Closed-form graph solver: assembly, slice solves, field guarantees."""
+"""Closed-form graph solver: operator, slice columns of the field, field guarantees."""
 
 import math
 
@@ -13,8 +13,6 @@ from wassprop import (
     StructureError,
     TikhonovOperator,
     TrainingSet,
-    WeightedGraph,
-    assemble_system,
     check_apriori,
     check_maximum_principle,
     clique_expand,
@@ -23,11 +21,12 @@ from wassprop import (
     invertibility_margin,
     quantile_from_histogram,
     solve_field,
-    solve_slice,
     spectral_gap,
     tight_envelope,
 )
 from conftest import (
+    dict_graph,
+    edge_dict,
     random_connected_graph,
     random_histogram_label,
     random_monotone_label,
@@ -48,7 +47,7 @@ def lstsq_minimizer(g, ts, gamma, s_index):
         r[v] = 1.0
         rows.append(r)
         targets.append(lab.values[s_index])
-    for (i, j), w in g.edges.items():
+    for (i, j), w in edge_dict(g).items():
         r = np.zeros(g.n)
         c = math.sqrt(ts.m * gamma * w)
         r[i] = c
@@ -60,56 +59,63 @@ def lstsq_minimizer(g, ts, gamma, s_index):
 
 
 def p2_instance(grid):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid, 0.0)), (1, delta(grid, 1.0))])
     return g, ts
 
 
 def test_assembly_p2_single_sample(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.7))])
-    sys = assemble_system(g, ts, gamma=1.0, s_index=2)
-    assert np.allclose(sys.operator.matrix.toarray(), [[2.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(sys.y, [0.7, 0.0])
+    op = TikhonovOperator(g, ts, gamma=1.0)
+    assert np.allclose(op.matrix.toarray(), [[2.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(ts.rhs_matrix(2)[:, 2], [0.7, 0.0])
+    # [[2, -1], [-1, 1]] x = (0.7, 0) gives x = (0.7, 0.7)
+    assert np.allclose(solve_field(g, ts, gamma=1.0).values[:, 2], [0.7, 0.7], atol=1e-12)
 
 
 def test_assembly_multiplicity_doubles(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.7)), (0, delta(grid4, 0.7))])
-    sys = assemble_system(g, ts, gamma=0.5, s_index=0)
-    assert np.allclose(sys.operator.matrix.toarray(), [[3.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(sys.y, [1.4, 0.0])
+    op = TikhonovOperator(g, ts, gamma=0.5)
+    assert np.allclose(op.matrix.toarray(), [[3.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(ts.rhs_matrix(2)[:, 0], [1.4, 0.0])
+    # [[3, -1], [-1, 1]] x = (1.4, 0) gives x = (0.7, 0.7)
+    assert np.allclose(solve_field(g, ts, gamma=0.5).values[:, 0], [0.7, 0.7], atol=1e-12)
 
 
 def test_assembly_centering_invariant(grid32):
+    # the right-hand side centered on the sample mean, y - ybar * T 1, sums
+    # to zero at every grid node, because the multiplicities sum to m
     rng = np.random.default_rng(43)
     for _ in range(20):
         n = int(rng.integers(2, 9))
-        g = random_connected_graph(rng, n)
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, 6)))
-        sys = assemble_system(g, ts, gamma=0.7, s_index=int(rng.integers(0, 32)))
         t = ts.multiplicities(n)
-        assert abs(np.sum(sys.y - sys.ybar * t)) <= 1e-12 * max(1.0, np.abs(sys.y).sum())
+        assert t.sum() == ts.m
+        y = ts.rhs_matrix(n)[:, int(rng.integers(0, 32))]
+        ybar = y.sum() / ts.m
+        assert abs(np.sum(y - ybar * t)) <= 1e-12 * max(1.0, np.abs(y).sum())
 
 
 def test_assembly_disconnected_rejected(grid4):
-    g = WeightedGraph(3, {(0, 1): 1.0})
+    g = dict_graph(3, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.0))])
     with pytest.raises(StructureError):
-        assemble_system(g, ts, gamma=1.0, s_index=0)
+        solve_field(g, ts, gamma=1.0)
 
 
 def test_solve_slice_p2_hand_value(grid4):
     g, ts = p2_instance(grid4)
+    field = solve_field(g, ts, gamma=1.0)
     for s_index in range(4):
-        sol = solve_slice(assemble_system(g, ts, gamma=1.0, s_index=s_index))
-        assert np.allclose(sol, [0.4, 0.6], atol=1e-12)
+        assert np.allclose(field.values[:, s_index], [0.4, 0.6], atol=1e-12)
 
 
 def test_solve_slice_consensus(grid4):
     g = random_connected_graph(np.random.default_rng(47), 5)
     ts = TrainingSet([(0, delta(grid4, 2.5)), (3, delta(grid4, 2.5))])
-    sol = solve_slice(assemble_system(g, ts, gamma=3.0, s_index=1))
+    sol = solve_field(g, ts, gamma=3.0).values[:, 1]
     assert np.allclose(sol, 2.5, atol=1e-10)
 
 
@@ -118,9 +124,9 @@ def test_solve_slice_matches_dense_direct(grid32):
     g = random_connected_graph(rng, 6)
     ts = random_training_set(rng, grid32, 6, 4)
     s_index = 7
-    sys = assemble_system(g, ts, gamma=0.9, s_index=s_index)
-    sol = solve_slice(sys)
-    dense = np.linalg.solve(sys.operator.matrix.toarray(), sys.y)
+    op = TikhonovOperator(g, ts, gamma=0.9)
+    sol = solve_field(g, ts, gamma=0.9, operator=op).values[:, s_index]
+    dense = np.linalg.solve(op.matrix.toarray(), ts.rhs_matrix(g.n)[:, s_index])
     assert np.max(np.abs(sol - dense)) <= 1e-9
 
 
@@ -132,13 +138,13 @@ def test_solve_slice_matches_lstsq_oracle(grid32):
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, 7)))
         gamma = float(rng.uniform(0.1, 3.0))
         s_index = int(rng.integers(0, 32))
-        sol = solve_slice(assemble_system(g, ts, gamma, s_index))
+        sol = solve_field(g, ts, gamma).values[:, s_index]
         oracle = lstsq_minimizer(g, ts, gamma, s_index)
         assert np.max(np.abs(sol - oracle)) <= 1e-8
 
 
 def test_solve_field_constant_training(grid32):
-    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    g = dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
     lab = gaussian_quantile_label(0.0, 1.0, grid32)
     ts = TrainingSet([(0, lab), (1, lab), (2, lab)])
     field = solve_field(g, ts, gamma=0.8)
@@ -157,7 +163,7 @@ def test_solve_field_p2_rows(grid4):
 
 
 def test_solve_field_uniform_rows_strictly_increasing(grid32):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     u01 = QuantileLabel(grid32, grid32.nodes)
     u23 = QuantileLabel(grid32, 2.0 + grid32.nodes)
     ts = TrainingSet([(0, u01), (1, u23)])
@@ -203,7 +209,7 @@ def test_max_principle_nonnegative_training(grid32):
 
 
 def test_max_principle_star_center_between_leaves(grid4):
-    g = WeightedGraph(4, {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0})
+    g = dict_graph(4, {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0})
     ts = TrainingSet([(1, delta(grid4, 0.0)), (2, delta(grid4, 1.0)), (3, delta(grid4, 2.0))])
     field = solve_field(g, ts, gamma=1.0)
     leaves = field.values[[1, 2, 3], 0]
@@ -238,7 +244,7 @@ def test_check_apriori(grid32):
 
 
 def test_check_apriori_constant_delta_equality(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, -1.5)), (1, delta(grid4, -1.5))])
     field = solve_field(g, ts, gamma=2.0)
     env = DominatedQuantileEnvelope(grid4, np.full(4, 1.5))
@@ -246,7 +252,7 @@ def test_check_apriori_constant_delta_equality(grid4):
 
 
 def test_check_apriori_rejects_undominated_training(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 5.0)), (1, delta(grid4, 0.0))])
     field = solve_field(g, ts, gamma=1.0)
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
@@ -261,7 +267,7 @@ def test_invertibility_margin_p2(grid4):
 
 
 def test_invertibility_margin_boundary_warns(grid4):
-    g = WeightedGraph(2, {(0, 1): 1.0})
+    g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.0))])
     # m*gamma*lambda1 = 1*0.5*2 = 1 = T
     with pytest.warns(UserWarning):
@@ -297,17 +303,17 @@ def test_operator_shared_across_slices(grid32):
     g = random_connected_graph(rng, 6)
     ts = random_training_set(rng, grid32, 6, 3)
     op = TikhonovOperator(g, ts, gamma=1.2)
-    s0 = solve_slice(assemble_system(g, ts, 1.2, 0, operator=op))
-    s1 = solve_slice(assemble_system(g, ts, 1.2, 31, operator=op))
+    shared = solve_field(g, ts, 1.2, operator=op)
     field = solve_field(g, ts, gamma=1.2)
-    assert np.allclose(field.values[:, 0], s0, atol=1e-12)
-    assert np.allclose(field.values[:, 31], s1, atol=1e-12)
+    for s in (0, 31):
+        assert np.allclose(field.values[:, s], shared.values[:, s], atol=1e-12)
+        assert np.allclose(op.solve(ts.rhs_matrix(g.n)[:, s]), shared.values[:, s], atol=1e-12)
 
 
 def test_cg_path_large_graph():
     # above the dense-factorization cutoff the solver switches to iterations
     n = 2100
-    g = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    g = dict_graph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
     grid = QuantileGrid(4)
     ts = TrainingSet(
         [
@@ -316,12 +322,12 @@ def test_cg_path_large_graph():
             (n - 1, gaussian_quantile_label(2.0, 1.0, grid)),
         ]
     )
-    field = solve_field(g, ts, gamma=5.0)
+    op = TikhonovOperator(g, ts, gamma=5.0)
+    field = solve_field(g, ts, gamma=5.0, operator=op)
     assert field.values.shape == (n, 4)
     assert np.all(np.diff(field.values, axis=1) >= -1e-9)
     # spot-check one slice against the oracle on the tridiagonal system
-    sys = assemble_system(g, ts, 5.0, 2)
-    dense = np.linalg.solve(sys.operator.matrix.toarray(), sys.y)
+    dense = np.linalg.solve(op.matrix.toarray(), ts.rhs_matrix(n)[:, 2])
     assert np.max(np.abs(field.values[:, 2] - dense)) <= 1e-8
 
 
@@ -342,23 +348,26 @@ def test_training_set_invariants(grid4):
 
 
 def test_slice_rhs_is_column_of_rhs_matrix(grid32):
-    # per-sample loop: the former body of assemble_system, kept as the reference
+    # per-sample loop: a slice right-hand side built one sample at a time,
+    # kept as the reference
     rng = np.random.default_rng(89)
     g = random_connected_graph(rng, 5)
     labs = [random_monotone_label(rng, grid32) for _ in range(4)]
     ts = TrainingSet([(1, labs[0]), (3, labs[1]), (1, labs[2]), (0, labs[3])])
     op = TikhonovOperator(g, ts, gamma=0.8)
     rhs = ts.rhs_matrix(g.n)
+    fields = (solve_field(g, ts, 0.8), solve_field(g, ts, 0.8, operator=op))
     for s in (0, 7, 31):
         ref = np.zeros(g.n)
         for v, lab in ts.samples:
             ref[v] += lab.values[s]
-        for sys in (assemble_system(g, ts, 0.8, s), assemble_system(g, ts, 0.8, s, operator=op)):
-            assert sys.y.tobytes() == rhs[:, s].tobytes() == ref.tobytes()
+        assert rhs[:, s].tobytes() == ref.tobytes()
+        for field in fields:
+            op.check_residual(field.values[:, s], ref)
     # with a shared operator the sample range is still checked
     outside = TrainingSet([(1, labs[0]), (5, labs[1])])
     with pytest.raises(InputError, match="sample vertex 5 outside"):
-        assemble_system(g, outside, 0.8, 0, operator=op)
+        solve_field(g, outside, 0.8, operator=op)
 
 
 def test_counts_match_per_sample_loop(grid4):
@@ -382,7 +391,7 @@ def test_counts_match_per_sample_loop(grid4):
 
 
 def test_training_dominance_one_error(grid4):
-    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    g = dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.5)), (2, delta(grid4, 3.0)), (1, delta(grid4, 4.0))])
     field = solve_field(g, ts, gamma=1.0)
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
