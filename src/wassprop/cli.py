@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import fileio
 from .errors import InputError, WasspropError
@@ -37,7 +37,7 @@ from .propagation import (
     propagate,
 )
 from .stability import StabilityInputs, check_epsilon, empirical_stability, generalization_bounds
-from .tikhonov import TrainingSet, invertibility_margin, solve_field
+from .tikhonov import TikhonovOperator, TrainingSet, invertibility_margin
 
 
 def _apply_config(argv: List[str]) -> List[str]:
@@ -69,8 +69,19 @@ def _propagation_config(args) -> PropagationConfig:
     )
 
 
-def _read_training(args):
-    """Shared solve-tikhonov/stability input path: graph + labels file."""
+def _blocks(args) -> Tuple[int, ...]:
+    """The block sizes of --blocks, shared by gen-sbm and experiment."""
+    try:
+        return tuple(int(b) for b in args.blocks.split(","))
+    except ValueError:
+        raise InputError(
+            f"--blocks must be comma-separated integers, got {args.blocks!r}"
+        ) from None
+
+
+def _read_instance(args) -> TikhonovOperator:
+    """Shared solve-tikhonov/stability input path: the Tikhonov instance of
+    the graph file, the labels file and --gamma."""
     g = fileio.read_graph(args.graph, args.n)
     grid = QuantileGrid(args.grid_size)
     kind, targets = fileio.read_labels(args.labels, grid)
@@ -85,7 +96,7 @@ def _read_training(args):
                 )
             label = gaussian_quantile_label(float(label.mean[0]), float(label.std[0]), grid)
         samples.append((v, label))
-    return g, TrainingSet(samples), grid
+    return TikhonovOperator(g, TrainingSet(samples), args.gamma)
 
 
 def _write_hypergraph(args, h, classes) -> None:
@@ -98,8 +109,7 @@ def _write_hypergraph(args, h, classes) -> None:
 
 
 def cmd_gen_sbm(args) -> int:
-    blocks = tuple(int(b) for b in args.blocks.split(","))
-    cfg = SbmConfig(blocks, args.k, args.p_in, args.p_out, seed=args.seed)
+    cfg = SbmConfig(_blocks(args), args.k, args.p_in, args.p_out, seed=args.seed)
     sample = gen_sbm(cfg)
     counts = expected_sbm_counts(cfg)
     _write_hypergraph(args, sample.hypergraph, sample.blocks)
@@ -144,18 +154,17 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_solve_tikhonov(args) -> int:
-    g, ts, _ = _read_training(args)
-    field = solve_field(g, ts, args.gamma)
-    fileio.write_field(_require_output(args), field)
-    margin = invertibility_margin(ts, g, args.gamma)
-    print(f"n={g.n} m={ts.m} margin={margin!r}")
+    op = _read_instance(args)
+    fileio.write_field(_require_output(args), op.field())
+    margin = invertibility_margin(op)
+    print(f"n={op.graph.n} m={op.m} margin={margin!r}")
     return 0
 
 
 def cmd_stability(args) -> int:
-    g, ts, _ = _read_training(args)
-    envelope = tight_envelope([label for _, label in ts.samples])
-    si = StabilityInputs.from_instance(g, ts, args.gamma, envelope)
+    op = _read_instance(args)
+    envelope = tight_envelope([label for _, label in op.training.samples])
+    si = StabilityInputs.from_instance(op, envelope)
     check_epsilon(args.epsilon)  # also when a non-positive margin leaves the bounds out
     lines = [
         f"m={si.m}",
@@ -179,9 +188,7 @@ def cmd_stability(args) -> int:
             f"sample_size_ok={report.sample_size_ok}",
         ]
         if args.empirical:
-            emp = empirical_stability(
-                g, ts, args.swaps, args.gamma, envelope, seed=args.seed, inputs=si
-            )
+            emp = empirical_stability(op, args.swaps, envelope, seed=args.seed)
             lines += [
                 f"swaps={args.swaps}",
                 f"worst_slice_ratio={emp.worst_slice_ratio!r}",
@@ -208,8 +215,7 @@ def cmd_experiment(args) -> int:
     elif args.blocks is not None:
         if args.p_in is None or args.p_out is None:
             raise InputError("--blocks requires --p-in and --p-out")
-        blocks = tuple(int(b) for b in args.blocks.split(","))
-        sample = gen_sbm(SbmConfig(blocks, args.k, args.p_in, args.p_out, seed=args.seed))
+        sample = gen_sbm(SbmConfig(_blocks(args), args.k, args.p_in, args.p_out, seed=args.seed))
         h, truth = sample.hypergraph, sample.blocks
     else:
         raise InputError("provide either --hypergraph/--truth or --blocks/--p-in/--p-out")

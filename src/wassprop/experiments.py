@@ -221,8 +221,8 @@ class AnchorSpec:
     def __post_init__(self):
         if self.kind not in ("onehot", "sign"):
             raise InputError(f"anchor kind must be 'onehot' or 'sign', got {self.kind!r}")
-        if self.variance < 0:
-            raise InputError(f"variance must be non-negative, got {self.variance}")
+        if not 0 <= self.variance < math.inf:
+            raise InputError(f"variance must be non-negative and finite, got {self.variance}")
 
 
 @dataclass(frozen=True)

@@ -163,25 +163,25 @@ def is_connected(g: WeightedGraph) -> bool:
     return single_component(laplacian(g))
 
 
-def spectral_gap(g: WeightedGraph) -> float:
-    """Smallest non-zero Laplacian eigenvalue of a connected weighted graph.
+def spectral_gap(lap: sp.spmatrix) -> float:
+    """Smallest non-zero eigenvalue of the Laplacian `lap` of a connected
+    weighted graph.
 
     Dense eigendecomposition up to DENSE_EIG_LIMIT vertices; above that, an
     iterative smallest-eigenvalue solve on the Laplacian with the constant
     nullvector deflated by a rank-one shift, started from a fixed seeded
     vector so that reruns return the same float.
     """
-    lap = laplacian(g)
     if not single_component(lap):
         raise StructureError("spectral gap undefined: graph is disconnected")
-    if g.n == 1:
+    n = lap.shape[0]
+    if n == 1:
         raise StructureError("spectral gap undefined on a single vertex")
-    if g.n <= DENSE_EIG_LIMIT:
+    if n <= DENSE_EIG_LIMIT:
         eigvals = np.linalg.eigvalsh(lap.toarray())
         return float(eigvals[1])
     # Shift the constant eigenvector's eigenvalue from 0 up to c > lambda_max
     # (Gershgorin: lambda_max <= 2 max degree), leaving lambda_1 the minimum.
-    n = g.n
     c = 2.0 * float(lap.diagonal().max()) + 1.0
     ones = np.ones(n) / np.sqrt(n)
 

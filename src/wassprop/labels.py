@@ -163,10 +163,10 @@ def quantile_from_histogram(
         raise InputError("bin_values and masses must be equal-length non-empty vectors")
     if np.any(np.diff(b) <= 0):
         raise InputError("bin_values must be strictly increasing")
-    if np.any(w < 0):
-        raise InputError("masses must be non-negative")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise InputError("masses must be non-negative and finite")
     total = float(w.sum())
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:  # NaN fails it too
         raise NormalizationError(f"masses sum to {total}, expected 1 within {MASS_TOL}")
     cum = np.cumsum(w / total)
     # first index with cumulative mass strictly above the node

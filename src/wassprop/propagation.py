@@ -51,8 +51,8 @@ class PropagationConfig:
             raise InputError(f"gamma must be positive and finite, got {self.gamma}")
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise InputError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0 < self.rel_tol < math.inf:
+            raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
 

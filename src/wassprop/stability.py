@@ -15,34 +15,27 @@ Bounds above 1 are vacuous and are reported flagged, never clipped.
 The empirical harness replaces single training labels and verifies, on each
 swap, that the measured per-slice solution shift and the measured cost shift
 stay below their theoretical bounds.  A swap keeps the vertex, so the
-operator A = T + m*gamma*L is factored once: each swapped field is the base
-field plus a rank-1 update through one cached column solve per swapped
-vertex, and passes the same residual and monotonicity checks as a fresh
-solve.  Each swap's probe labels are drawn and checked as one block.
+instance's operator A = T + m*gamma*L is factored once: each swapped field
+is `TikhonovOperator.swapped_field`, a rank-1 update of the base field that
+passes the same residual and monotonicity checks as a fresh solve.  Each
+swap's probe labels are drawn and checked as one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import HypothesisError, InputError, NumericalError
-from .hypergraph import WeightedGraph, spectral_gap
 from .labels import (
     DominatedQuantileEnvelope,
     QuantileLabel,
     check_quantile_samples,
 )
-from .tikhonov import (
-    QuantileField,
-    TikhonovOperator,
-    TrainingSet,
-    monotone_field,
-    solve_field,
-)
+from .tikhonov import TikhonovOperator
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
 PROBES_PER_VERTEX = 10
@@ -76,17 +69,13 @@ class StabilityInputs:
 
     @classmethod
     def from_instance(
-        cls,
-        g: WeightedGraph,
-        ts: TrainingSet,
-        gamma: float,
-        envelope: DominatedQuantileEnvelope,
+        cls, op: TikhonovOperator, envelope: DominatedQuantileEnvelope
     ) -> "StabilityInputs":
         return cls(
-            m=ts.m,
-            gamma=gamma,
-            lambda1=spectral_gap(g),
-            T=ts.max_multiplicity(),
+            m=op.m,
+            gamma=op.gamma,
+            lambda1=op.lambda1,
+            T=op.training.max_multiplicity(),
             phi_l2_squared=envelope.phi_l2_squared,
         )
 
@@ -237,68 +226,25 @@ def _probe_costs(values: np.ndarray, probe_vertex: np.ndarray, probes: np.ndarra
     return np.sum(d, axis=1) / probes.shape[1]
 
 
-class SwapSolver:
-    """The solved field of a training set and of its single-label swaps.
-
-    A swap keeps the sample's vertex v, so T and A = T + m*gamma*L do not
-    change and only row v of the right-hand side moves, by
-    delta = new - old.  The swapped field is base + (A^{-1} e_v) delta^T:
-    one factorization serves every swap, with one cached column solve per
-    distinct swapped vertex.  Each swapped field passes the checks of a
-    fresh solve: the residual against its own right-hand side, and the
-    monotonicity check with its roundoff clamp.
-    """
-
-    def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
-        self.training = ts
-        self.operator = TikhonovOperator(g, ts, gamma)
-        self.rhs = ts.rhs_matrix(g.n)
-        self.base = solve_field(g, ts, gamma, operator=self.operator)
-        self._columns: Dict[int, np.ndarray] = {}
-
-    def swapped(self, index: int, label: QuantileLabel) -> QuantileField:
-        """Field after sample `index` takes `label` at the same vertex."""
-        vertex, old = self.training.samples[index]
-        if label.grid.size != old.grid.size:
-            raise InputError("all training labels must share one grid")
-        delta = label.values - old.values
-        column = self._columns.get(vertex)
-        if column is None:
-            column = self._columns[vertex] = self.operator.unit_response(vertex)
-        values = self.base.values + np.outer(column, delta)
-        rhs = self.rhs.copy()
-        rhs[vertex] += delta
-        self.operator.check_residual(values, rhs)
-        return monotone_field(self.base.grid, values)
-
-
 def empirical_stability(
-    g: WeightedGraph,
-    base: TrainingSet,
+    op: TikhonovOperator,
     swaps: int,
-    gamma: float,
     envelope: DominatedQuantileEnvelope,
     seed: int = 0,
-    inputs: Optional[StabilityInputs] = None,
 ) -> EmpiricalStabilityReport:
     """Stress-test the bounds on `swaps` random single-label replacements.
 
     Each trial replaces one training label (same vertex) with a fresh
     envelope-dominated label, obtains the swapped field by the rank-1 update
-    of `SwapSolver`, and measures (a) the worst per-slice solution shift
-    relative to its bound and (b) the worst cost shift over random probe
-    labels at every vertex relative to beta.  A measured value beyond its
-    proven bound raises, since that indicates a solver defect.  `inputs` may
-    be shared with the caller, which saves a second spectral gap.
+    of `TikhonovOperator.swapped_field`, and measures (a) the worst per-slice
+    solution shift relative to its bound and (b) the worst cost shift over
+    random probe labels at every vertex relative to beta.  A measured value
+    beyond its proven bound raises, since that indicates a solver defect.
     """
     if swaps < 1:
         raise InputError(f"swaps must be >= 1, got {swaps}")
-    base.check_dominated(envelope)
-    si = StabilityInputs.from_instance(g, base, gamma, envelope) if inputs is None else inputs
-    if (si.m, si.gamma, si.T, si.phi_l2_squared) != (
-        base.m, gamma, base.max_multiplicity(), envelope.phi_l2_squared
-    ):
-        raise InputError("stability inputs do not match the training set, gamma and envelope")
+    op.training.check_dominated(envelope)
+    si = StabilityInputs.from_instance(op, envelope)
     if not si.hypothesis_holds:
         raise HypothesisError(f"margin {si.margin:.6g} <= 0: bounds do not apply")
 
@@ -306,17 +252,17 @@ def empirical_stability(
     beta_value = beta(si)
     S = envelope.grid.size
     bound = coeff * envelope.phi
-    probe_count = g.n * PROBES_PER_VERTEX
-    probe_vertex = np.repeat(np.arange(g.n), PROBES_PER_VERTEX)
+    n = op.graph.n
+    probe_count = n * PROBES_PER_VERTEX
+    probe_vertex = np.repeat(np.arange(n), PROBES_PER_VERTEX)
 
     rng = np.random.default_rng(seed)
-    solver = SwapSolver(g, base, gamma)
-    base_field = solver.base.values
+    base_field = op.field().values
 
     trials: List[SwapTrial] = []
     for k in range(swaps):
-        idx = int(rng.integers(0, base.m))
-        other_field = solver.swapped(idx, _random_dominated_label(rng, envelope)).values
+        idx = int(rng.integers(0, op.m))
+        other_field = op.swapped_field(idx, _random_dominated_label(rng, envelope)).values
 
         # (a) per-slice shift against coeff * M_s with M_s = phi(s_j)
         shift = np.max(np.abs(base_field - other_field), axis=0)

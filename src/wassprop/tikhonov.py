@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -126,25 +127,45 @@ class TrainingSet:
 
 
 class TikhonovOperator:
-    """The shared slice operator A = T + m*gamma*L with a reusable factorization."""
+    """One Tikhonov instance: a connected graph, a training set and gamma.
+
+    It holds the Laplacian L, built once, the slice operator
+    A = T + m*gamma*L and the right-hand sides of all slices.  A is factored
+    on the first solve (Cholesky up to DENSE_SOLVE_LIMIT vertices, conjugate
+    gradients above), lambda_1 of L is computed on first use, and the solved
+    field and the unit-response columns are kept once computed.
+    """
 
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
         if not 0 < gamma < np.inf:
             raise InputError(f"gamma must be positive and finite, got {gamma}")
-        lap = laplacian(g)
-        if not single_component(lap):
+        self.laplacian = laplacian(g)
+        if not single_component(self.laplacian):
             raise StructureError("Tikhonov solve requires a connected graph")
         self.graph = g
+        self.training = ts
         self.gamma = float(gamma)
         self.m = ts.m
         self.t = ts.multiplicities(g.n)
-        self.matrix = (sp.diags(self.t) + self.m * self.gamma * lap).tocsr()
-        self._cho = None
-        if g.n <= DENSE_SOLVE_LIMIT:
-            try:
-                self._cho = sla.cho_factor(self.matrix.toarray())
-            except sla.LinAlgError as exc:
-                raise NumericalError(f"operator not positive definite: {exc}") from exc
+        self.rhs = ts.rhs_matrix(g.n)
+        self.matrix = (sp.diags(self.t) + self.m * self.gamma * self.laplacian).tocsr()
+        self._field: Optional[QuantileField] = None
+        self._columns: Dict[int, np.ndarray] = {}
+
+    @cached_property
+    def lambda1(self) -> float:
+        """Smallest non-zero eigenvalue of L."""
+        return spectral_gap(self.laplacian)
+
+    @cached_property
+    def _cho(self):
+        """Cholesky factorization of A, or None above DENSE_SOLVE_LIMIT."""
+        if self.graph.n > DENSE_SOLVE_LIMIT:
+            return None
+        try:
+            return sla.cho_factor(self.matrix.toarray())
+        except sla.LinAlgError as exc:
+            raise NumericalError(f"operator not positive definite: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs for a vector or an (n, k) block, with residual check."""
@@ -173,12 +194,42 @@ class TikhonovOperator:
                 f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}"
             )
 
+    def field(self) -> QuantileField:
+        """All S slices solved with one factorization; the rows pass the
+        `monotone_field` check."""
+        if self._field is None:
+            self._field = monotone_field(self.training.grid, self.solve(self.rhs))
+            self._field.values.flags.writeable = False  # every caller shares it
+        return self._field
+
     def unit_response(self, vertex: int) -> np.ndarray:
         """The column A^{-1} e_vertex: how the solution moves per unit change
         of the right-hand side at one vertex."""
-        e = np.zeros(self.graph.n)
-        e[vertex] = 1.0
-        return self.solve(e)
+        column = self._columns.get(vertex)
+        if column is None:
+            e = np.zeros(self.graph.n)
+            e[vertex] = 1.0
+            column = self._columns[vertex] = self.solve(e)
+        return column
+
+    def swapped_field(self, index: int, label: QuantileLabel) -> QuantileField:
+        """Field after sample `index` takes `label` at the same vertex v.
+
+        T and A do not change, and only row v of the right-hand side moves,
+        by delta = new - old, so the swapped field is
+        field + (A^{-1} e_v) delta^T: one factorization serves every swap.
+        It passes the checks of a fresh solve: the residual against its own
+        right-hand side, and the monotonicity check with its roundoff clamp.
+        """
+        vertex, old = self.training.samples[index]
+        if label.grid.size != old.grid.size:
+            raise InputError("all training labels must share one grid")
+        delta = label.values - old.values
+        values = self.field().values + np.outer(self.unit_response(vertex), delta)
+        rhs = self.rhs.copy()
+        rhs[vertex] += delta
+        self.check_residual(values, rhs)
+        return monotone_field(self.training.grid, values)
 
 
 @dataclass(frozen=True)
@@ -213,17 +264,9 @@ def monotone_field(grid: QuantileGrid, phi: np.ndarray) -> QuantileField:
     return QuantileField(grid=grid, values=phi)
 
 
-def solve_field(
-    g: WeightedGraph,
-    ts: TrainingSet,
-    gamma: float,
-    operator: Optional[TikhonovOperator] = None,
-) -> QuantileField:
-    """Solve all S slice systems with one shared factorization; `operator`
-    may be shared.  The rows pass the `monotone_field` check."""
-    if operator is None:
-        operator = TikhonovOperator(g, ts, gamma)
-    return monotone_field(ts.grid, operator.solve(ts.rhs_matrix(g.n)))
+def solve_field(g: WeightedGraph, ts: TrainingSet, gamma: float) -> QuantileField:
+    """The field of one instance: `TikhonovOperator(g, ts, gamma).field()`."""
+    return TikhonovOperator(g, ts, gamma).field()
 
 
 @dataclass(frozen=True)
@@ -289,11 +332,11 @@ def check_apriori(
     return bool(np.all(np.abs(field.values) <= envelope.phi[None, :] + 1e-9))
 
 
-def invertibility_margin(ts: TrainingSet, g: WeightedGraph, gamma: float) -> float:
+def invertibility_margin(op: TikhonovOperator) -> float:
     """m*gamma*lambda_1 - max multiplicity; positive means the stability
     hypothesis holds.  Non-positive values only void the stability bound,
     not the solve, so they warn instead of raising."""
-    margin = ts.m * gamma * spectral_gap(g) - ts.max_multiplicity()
+    margin = op.m * op.gamma * op.lambda1 - op.training.max_multiplicity()
     if margin <= 0:
         warnings.warn(
             f"invertibility margin {margin:.6g} <= 0: the stability bound is vacuous "

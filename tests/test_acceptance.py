@@ -21,6 +21,7 @@ from wassprop import (
     QuantileLabel,
     SbmConfig,
     StabilityInputs,
+    TikhonovOperator,
     TrainingSet,
     barycenter_energy,
     beta,
@@ -32,6 +33,7 @@ from wassprop import (
     fileio,
     gen_sbm,
     ingest_categorical,
+    laplacian,
     quantile_from_histogram,
     run_experiment,
     solve_field,
@@ -198,8 +200,9 @@ def test_criterion_05_stability_bounds_hold(capsys):
             for _ in vertices
         ]
         base = TrainingSet(list(zip(vertices, labels)))
-        gamma = max(1.0, 2.0 / (base.m * spectral_gap(g)))
-        report = empirical_stability(g, base, swaps=10, gamma=gamma, envelope=envelope, seed=gi)
+        gamma = max(1.0, 2.0 / (base.m * spectral_gap(laplacian(g))))
+        op = TikhonovOperator(g, base, gamma)
+        report = empirical_stability(op, swaps=10, envelope=envelope, seed=gi)
         total_swaps += len(report.trials)
         worst_slice = max(worst_slice, report.worst_slice_ratio)
         worst_cost = max(worst_cost, report.worst_cost_ratio)

@@ -169,8 +169,9 @@ def test_anchor_spec_validation():
     AnchorSpec(kind="sign", variance=0.0)
     with pytest.raises(InputError):
         AnchorSpec(kind="gauss", variance=0.05)
-    with pytest.raises(InputError):
-        AnchorSpec(kind="sign", variance=-0.1)
+    for variance in (-0.1, math.nan, math.inf):
+        with pytest.raises(InputError, match="variance"):
+            AnchorSpec(kind="sign", variance=variance)
 
 
 def small_sbm(seed=0):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wassprop
-from wassprop import cli, fileio, stability
+from wassprop import cli, fileio, tikhonov
 from wassprop import (
     DiagGaussianLabel,
     Hypergraph,
@@ -473,8 +473,8 @@ def test_cli_propagate_gauss_rerun_identical(tmp_path):
 
 def test_cli_stability_report(tmp_path, monkeypatch):
     gap_calls = []
-    gap = stability.spectral_gap
-    monkeypatch.setattr(stability, "spectral_gap", lambda g: gap_calls.append(1) or gap(g))
+    gap = tikhonov.spectral_gap
+    monkeypatch.setattr(tikhonov, "spectral_gap", lambda lap: gap_calls.append(1) or gap(lap))
     graph, labels = p2_files(tmp_path)
     out = tmp_path / "report.txt"
     ratios = tmp_path / "ratios.csv"
@@ -503,6 +503,49 @@ def test_cli_stability_report(tmp_path, monkeypatch):
     assert ratio_lines[0] == "swap,sample_index,slice_ratio,cost_ratio"
     assert len(ratio_lines) == 4
     assert len(gap_calls) == 1  # the report and the swap harness share one spectral gap
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("solve-tikhonov", []),
+        ("stability", ["--epsilon", "0.5", "--empirical", "--swaps", "3"]),
+    ],
+)
+def test_cli_builds_one_instance(tmp_path, monkeypatch, command, extra):
+    # one operator, one Laplacian and one spectral gap per run
+    calls = {}
+    for owner, name in ((tikhonov, "laplacian"), (tikhonov, "spectral_gap"),
+                        (tikhonov.TikhonovOperator, "__init__")):
+        _count_calls(monkeypatch, owner, name, calls)
+    graph, labels = p2_files(tmp_path)
+    argv = [command, "--graph", str(graph), "--labels", str(labels), "--gamma", "1.0",
+            "--grid-size", "8", "--output", str(tmp_path / "out.txt"), *extra]
+    assert cli.main(argv) == 0
+    assert calls == {"laplacian": 1, "spectral_gap": 1, "__init__": 1}
+
+
+def test_cli_stability_without_empirical_factors_nothing(tmp_path, monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, tikhonov.sla, "cho_factor", calls)
+    graph, labels = p2_files(tmp_path)
+    argv = ["stability", "--graph", str(graph), "--labels", str(labels), "--gamma", "1.0",
+            "--epsilon", "0.5", "--grid-size", "8", "--output", str(tmp_path / "r.txt")]
+    assert cli.main(argv) == 0
+    assert calls == {}
+    argv.append("--empirical")
+    assert cli.main(argv) == 0
+    assert calls == {"cho_factor": 1}
 
 
 def test_cli_stability_stdout_without_output(tmp_path, capsys):
@@ -695,8 +738,17 @@ def _bad_input_cases(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("gamma=1.0\nepsilon\n")
     missing = tmp_path / "missing.txt"
+    nan_mass = tmp_path / "nan_mass.csv"
+    nan_mass.write_text("vertex,kind,params\n0,hist,0.0:nan;1.0:1.0\n")
+    outside = tmp_path / "outside.csv"
+    outside.write_text("vertex,kind,params\n0,hist,0.0:1.0\n5,hist,1.0:1.0\n")
     training = ["--graph", str(graph), "--labels", str(labels), "--grid-size", "8"]
     stab = ["stability", *training]
+    prop = ["propagate", "--hypergraph", str(hyper), "--alpha", "2", "--gamma", "1",
+            "--output", str(tmp_path / "p.csv")]
+    sbm = ["--p-in", "0.5", "--p-out", "0.1", "--output", str(tmp_path / "s.txt")]
+    experiment = ["experiment", "--labels-per-class", "1", "--alpha", "2", "--gamma", "1",
+                  "--output", str(tmp_path / "m.csv")]
     return {
         "epsilon-nan": ([*stab, "--gamma", "1.0", "--epsilon", "nan"], "epsilon"),
         "gamma-inf": ([*stab, "--gamma", "inf", "--epsilon", "0.5"], "gamma"),
@@ -720,6 +772,19 @@ def _bad_input_cases(tmp_path):
         "output-dir-missing": (["solve-tikhonov", *training, "--gamma", "1.0",
                                 "--output", str(tmp_path / "nodir" / "f.csv")],
                                f"cannot write {tmp_path / 'nodir' / 'f.csv'}"),
+        "hist-mass-nan-propagate": ([*prop, "--labels", str(nan_mass)], f"{nan_mass}, line 2"),
+        "hist-mass-nan-solve": (["solve-tikhonov", "--graph", str(graph), "--labels", str(nan_mass),
+                                 "--grid-size", "8", "--gamma", "1.0",
+                                 "--output", str(tmp_path / "f.csv")], "finite"),
+        "tol-nan": ([*prop, "--labels", str(labels), "--tol", "nan"], "rel_tol"),
+        "anchor-variance-nan": ([*experiment, "--blocks", "5,5", *sbm[:4],
+                                 "--anchor-variance", "nan"], "variance"),
+        "blocks-not-int": (["gen-sbm", "--blocks", "5,x", *sbm], "--blocks"),
+        "blocks-empty": ([*experiment, "--blocks", "5,,5", *sbm[:4]], "--blocks"),
+        # the report reads the same instance as the solve, so the range is checked
+        "stability-sample-outside": (["stability", "--graph", str(graph), "--labels", str(outside),
+                                      "--gamma", "1.0", "--epsilon", "0.5", "--grid-size", "8"],
+                                     "sample vertex 5 outside [0, 2)"),
     }
 
 
@@ -727,7 +792,8 @@ def _bad_input_cases(tmp_path):
     "case",
     ["epsilon-nan", "gamma-inf", "gamma-nan", "missing-hypergraph", "missing-config",
      "truth-class-a", "graph-bad-line", "config-bad-line", "epsilon-nan-margin-negative",
-     "output-dir-missing"],
+     "output-dir-missing", "hist-mass-nan-propagate", "hist-mass-nan-solve", "tol-nan",
+     "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]

@@ -194,16 +194,16 @@ def test_laplacian_positive_semidefinite():
 
 
 def test_spectral_gap_edge():
-    assert spectral_gap(dict_graph(2, {(0, 1): 1.0})) == pytest.approx(2.0, abs=1e-10)
+    assert spectral_gap(laplacian(dict_graph(2, {(0, 1): 1.0}))) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_spectral_gap_complete():
-    assert spectral_gap(complete_graph(4)) == pytest.approx(4.0, abs=1e-8)
+    assert spectral_gap(laplacian(complete_graph(4))) == pytest.approx(4.0, abs=1e-8)
 
 
 def test_spectral_gap_path3():
     g = dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
-    assert spectral_gap(g) == pytest.approx(1.0, abs=1e-8)
+    assert spectral_gap(laplacian(g)) == pytest.approx(1.0, abs=1e-8)
     # dense oracle: full spectrum is {0, 1, 3}
     evals = np.linalg.eigvalsh(laplacian(g).toarray())
     assert np.allclose(evals, [0.0, 1.0, 3.0], atol=1e-12)
@@ -217,7 +217,7 @@ def test_spectral_gap_matches_dense():
         n = int(rng.integers(3, 51))
         g = random_connected_graph(rng, n, extra_edges=5)
         dense = np.linalg.eigvalsh(laplacian(g).toarray())
-        assert spectral_gap(g) == pytest.approx(dense[1], abs=1e-8)
+        assert spectral_gap(laplacian(g)) == pytest.approx(dense[1], abs=1e-8)
 
 
 def test_spectral_gap_iterative_path():
@@ -227,7 +227,7 @@ def test_spectral_gap_iterative_path():
     weights[(0, n - 1)] = 1.0
     g = dict_graph(n, weights)
     exact = 2.0 - 2.0 * math.cos(2.0 * math.pi / n)
-    assert spectral_gap(g) == pytest.approx(exact, rel=1e-8)
+    assert spectral_gap(laplacian(g)) == pytest.approx(exact, rel=1e-8)
 
 
 def test_spectral_gap_no_convergence_is_numerical_error(monkeypatch):
@@ -238,7 +238,7 @@ def test_spectral_gap_no_convergence_is_numerical_error(monkeypatch):
     n = hypergraph.DENSE_EIG_LIMIT + 1  # the iterative path
     g = dict_graph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
     with pytest.raises(NumericalError, match="eigsh did not converge"):
-        spectral_gap(g)
+        spectral_gap(laplacian(g))
 
 
 def test_spectral_gap_iterative_rerun_identical():
@@ -246,8 +246,8 @@ def test_spectral_gap_iterative_rerun_identical():
     from conftest import random_connected_graph
 
     g = random_connected_graph(np.random.default_rng(43), 600, extra_edges=600)
-    first = spectral_gap(g)
-    assert spectral_gap(g) == first
+    first = spectral_gap(laplacian(g))
+    assert spectral_gap(laplacian(g)) == first
     dense = np.linalg.eigvalsh(laplacian(g).toarray())
     assert first == pytest.approx(dense[1], abs=1e-8)
 
@@ -273,11 +273,11 @@ def test_connectivity_agrees(n, edges, connected):
     ts = TrainingSet([(0, quantile_from_histogram([0.0], [1.0], QuantileGrid(4)))])
     assert is_connected(g) is connected
     if connected:
-        assert spectral_gap(g) > 0
+        assert spectral_gap(laplacian(g)) > 0
         assert TikhonovOperator(g, ts, 1.0).matrix.shape == (n, n)
     else:
         with pytest.raises(StructureError, match="disconnected"):
-            spectral_gap(g)
+            spectral_gap(laplacian(g))
         with pytest.raises(StructureError, match="connected graph"):
             TikhonovOperator(g, ts, 1.0)
 
@@ -292,7 +292,7 @@ def test_laplacian_of_edgeless_graph_is_float():
 
 def test_spectral_gap_disconnected_rejected():
     with pytest.raises(StructureError):
-        spectral_gap(dict_graph(2, {}))
+        spectral_gap(laplacian(dict_graph(2, {})))
 
 
 def test_incident_edges():

@@ -88,6 +88,10 @@ def test_histogram_errors(grid4):
         quantile_from_histogram([1.0, 0.0], [0.5, 0.5], grid4)
     with pytest.raises(InputError):
         quantile_from_histogram([0.0, 1.0], [1.5, -0.5], grid4)
+    # a NaN mass makes every comparison false, so it is rejected by name
+    for masses in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(InputError, match="finite"):
+            quantile_from_histogram([0.0, 1.0], masses, grid4)
     with pytest.raises(InputError):
         quantile_from_histogram([0.0, 1.0], [1.0], grid4)
 

@@ -57,13 +57,18 @@ def test_config_validation():
         lambda: PropagationConfig(alpha=float("inf"), gamma=1.0),
         lambda: PropagationConfig(alpha=2.0, gamma=float("nan")),
         lambda: PropagationConfig(alpha=2.0, gamma=float("inf")),
+        lambda: PropagationConfig(alpha=2.0, gamma=1.0, rel_tol=float("nan")),
+        lambda: PropagationConfig(alpha=2.0, gamma=1.0, rel_tol=float("inf")),
+        lambda: quantile_from_histogram([0.0, 1.0], [float("nan"), 1.0], QuantileGrid(4)),
+        lambda: quantile_from_histogram([0.0, 1.0], [float("inf"), 1.0], QuantileGrid(4)),
         lambda: DiagGaussianLabel([float("nan")], [1.0]),
         lambda: DiagGaussianLabel([0.0], [float("inf")]),
         lambda: DiagGaussianLabel([0.0], [float("nan")]),
     ],
     ids=[
         "graph-weight-nan", "graph-weight-inf", "alpha-nan", "alpha-inf", "gamma-nan",
-        "gamma-inf", "gauss-mean-nan", "gauss-std-inf", "gauss-std-nan",
+        "gamma-inf", "rel-tol-nan", "rel-tol-inf", "hist-mass-nan", "hist-mass-inf",
+        "gauss-mean-nan", "gauss-std-inf", "gauss-std-nan",
     ],
 )
 def test_non_finite_input_rejected(build):

@@ -19,6 +19,7 @@ from wassprop import (
     bounds_from_beta,
     empirical_stability,
     generalization_bounds,
+    laplacian,
     quantile_from_histogram,
     slice_shift_coefficient,
     solve_field,
@@ -28,7 +29,6 @@ from wassprop import stability, tikhonov
 from wassprop.labels import check_quantile_samples
 from wassprop.stability import (
     PROBES_PER_VERTEX,
-    SwapSolver,
     _dominated_samples,
     _random_dominated_label,
 )
@@ -63,7 +63,7 @@ def test_inputs_from_instance(grid4):
     g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 1.0))])
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
-    si = StabilityInputs.from_instance(g, ts, 1.0, env)
+    si = StabilityInputs.from_instance(TikhonovOperator(g, ts, 1.0), env)
     assert si.m == 2 and si.T == 1
     assert si.lambda1 == pytest.approx(2.0)
     assert si.margin == pytest.approx(3.0)
@@ -195,9 +195,10 @@ def test_empirical_stability_random_graph(grid32):
     ]
     vertices = [0, 3, 6, 9]
     base = TrainingSet(list(zip(vertices, labels)))
-    gap = spectral_gap(g)
+    gap = spectral_gap(laplacian(g))
     gamma = max(1.0, 2.0 / (base.m * gap))
-    report = empirical_stability(g, base, swaps=20, gamma=gamma, envelope=env, seed=7)
+    op = TikhonovOperator(g, base, gamma)
+    report = empirical_stability(op, swaps=20, envelope=env, seed=7)
     assert len(report.trials) == 20
     assert report.ok
     assert report.worst_slice_ratio <= 1.0 + 1e-9
@@ -210,7 +211,7 @@ def test_empirical_stability_envelope_violation(grid4):
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     base = TrainingSet([(0, delta(grid4, 5.0)), (1, delta(grid4, 0.0))])
     with pytest.raises(InputError):
-        empirical_stability(g, base, swaps=1, gamma=10.0, envelope=env)
+        empirical_stability(TikhonovOperator(g, base, 10.0), swaps=1, envelope=env)
 
 
 def test_empirical_stability_margin_violation(grid4):
@@ -219,7 +220,7 @@ def test_empirical_stability_margin_violation(grid4):
     base = TrainingSet([(0, delta(grid4, 0.0))])
     # m=1, gamma=0.4: margin = 1*0.4*2 - 1 < 0
     with pytest.raises(HypothesisError):
-        empirical_stability(g, base, swaps=1, gamma=0.4, envelope=env)
+        empirical_stability(TikhonovOperator(g, base, 0.4), swaps=1, envelope=env)
 
 
 def test_empirical_stability_swaps_validated(grid4):
@@ -227,7 +228,7 @@ def test_empirical_stability_swaps_validated(grid4):
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     base = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 0.5))])
     with pytest.raises(InputError):
-        empirical_stability(g, base, swaps=0, gamma=1.0, envelope=env)
+        empirical_stability(TikhonovOperator(g, base, 1.0), swaps=0, envelope=env)
 
 
 def _swap_instance(seed, grid, n, vertices):
@@ -247,11 +248,11 @@ def test_swap_update_matches_fresh_solve(grid32, monkeypatch, cg_path):
     for seed in range(4):
         # vertex 2 carries two samples: multiplicity 2 in T
         rng, g, base = _swap_instance(seed, grid32, 12, [0, 2, 2, 7, 11])
-        solver = SwapSolver(g, base, gamma=0.8)
-        assert (solver.operator._cho is None) == cg_path
+        op = TikhonovOperator(g, base, gamma=0.8)
+        assert (op._cho is None) == cg_path
         for idx in range(base.m):
             label = random_monotone_label(rng, grid32)
-            updated = solver.swapped(idx, label).values
+            updated = op.swapped_field(idx, label).values
             fresh = solve_field(g, base.replaced(idx, base.samples[idx][0], label), 0.8).values
             assert np.max(np.abs(updated - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
@@ -290,7 +291,7 @@ def test_corrupt_probe_block_rejected(grid32, monkeypatch):
     monkeypatch.setattr(stability, "_dominated_samples", corrupt)
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
     with pytest.raises(InputError, match="finite"):
-        empirical_stability(g, base, swaps=1, gamma=5.0, envelope=env, seed=0)
+        empirical_stability(TikhonovOperator(g, base, 5.0), swaps=1, envelope=env, seed=0)
 
 
 @pytest.mark.parametrize("swaps", [1, 6])
@@ -304,10 +305,14 @@ def test_empirical_stability_builds_one_operator(grid32, monkeypatch, swaps):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(TikhonovOperator, "__init__", counting)
+    factor = tikhonov.sla.cho_factor
+    monkeypatch.setattr(tikhonov.sla, "cho_factor", lambda a: calls.append(2) or factor(a))
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
-    report = empirical_stability(g, base, swaps=swaps, gamma=5.0, envelope=env, seed=2)
+    op = TikhonovOperator(g, base, 5.0)
+    assert calls == [1]  # factored on the first solve, not on construction
+    report = empirical_stability(op, swaps=swaps, envelope=env, seed=2)
     assert len(report.trials) == swaps and report.ok
-    assert len(calls) == 1
+    assert calls == [1, 2]  # one operator, one factorization for every swap
 
 
 def test_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
@@ -318,27 +323,31 @@ def test_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
     )
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
     with pytest.raises(NumericalError, match="residual"):
-        empirical_stability(g, base, swaps=2, gamma=5.0, envelope=env, seed=0)
+        empirical_stability(TikhonovOperator(g, base, 5.0), swaps=2, envelope=env, seed=0)
 
 
 def test_swapped_fields_pass_monotonicity_check(grid32, monkeypatch):
     _, g, base = _swap_instance(7, grid32, 10, [0, 3, 9])
     checked = []
-    original = stability.monotone_field
+    original = tikhonov.monotone_field
     monkeypatch.setattr(
-        stability, "monotone_field", lambda grid, phi: checked.append(1) or original(grid, phi)
+        tikhonov, "monotone_field", lambda grid, phi: checked.append(1) or original(grid, phi)
     )
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
-    empirical_stability(g, base, swaps=3, gamma=5.0, envelope=env, seed=0)
-    assert len(checked) == 3
+    empirical_stability(TikhonovOperator(g, base, 5.0), swaps=3, envelope=env, seed=0)
+    assert len(checked) == 1 + 3  # the base field, then each swapped field
 
 
-def test_empirical_stability_shared_inputs(grid32):
+def test_empirical_stability_shared_inputs(grid32, monkeypatch):
+    # the report and the harness share the operator, so lambda_1 is computed once
     _, g, base = _swap_instance(8, grid32, 10, [2, 5, 9])
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
-    si = StabilityInputs.from_instance(g, base, 5.0, env)
-    own = empirical_stability(g, base, swaps=3, gamma=5.0, envelope=env, seed=4)
-    shared = empirical_stability(g, base, swaps=3, gamma=5.0, envelope=env, seed=4, inputs=si)
+    gaps = []
+    gap = tikhonov.spectral_gap
+    monkeypatch.setattr(tikhonov, "spectral_gap", lambda lap: gaps.append(1) or gap(lap))
+    op = TikhonovOperator(g, base, 5.0)
+    si = StabilityInputs.from_instance(op, env)
+    shared = empirical_stability(op, swaps=3, envelope=env, seed=4)
+    assert len(gaps) == 1 and si.lambda1 == op.lambda1
+    own = empirical_stability(TikhonovOperator(g, base, 5.0), swaps=3, envelope=env, seed=4)
     assert shared == own
-    with pytest.raises(InputError):
-        empirical_stability(g, base, swaps=3, gamma=4.0, envelope=env, seed=4, inputs=si)

@@ -21,6 +21,7 @@ from wassprop import (
     invertibility_margin,
     quantile_from_histogram,
     solve_field,
+    laplacian,
     spectral_gap,
     tight_envelope,
 )
@@ -125,7 +126,7 @@ def test_solve_slice_matches_dense_direct(grid32):
     ts = random_training_set(rng, grid32, 6, 4)
     s_index = 7
     op = TikhonovOperator(g, ts, gamma=0.9)
-    sol = solve_field(g, ts, gamma=0.9, operator=op).values[:, s_index]
+    sol = op.field().values[:, s_index]
     dense = np.linalg.solve(op.matrix.toarray(), ts.rhs_matrix(g.n)[:, s_index])
     assert np.max(np.abs(sol - dense)) <= 1e-9
 
@@ -263,7 +264,7 @@ def test_check_apriori_rejects_undominated_training(grid4):
 def test_invertibility_margin_p2(grid4):
     g, ts = p2_instance(grid4)
     # lambda_1 = 2, m = 2, gamma = 1, T = 1
-    assert invertibility_margin(ts, g, 1.0) == pytest.approx(3.0, abs=1e-9)
+    assert invertibility_margin(TikhonovOperator(g, ts, 1.0)) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_invertibility_margin_boundary_warns(grid4):
@@ -271,7 +272,7 @@ def test_invertibility_margin_boundary_warns(grid4):
     ts = TrainingSet([(0, delta(grid4, 0.0))])
     # m*gamma*lambda1 = 1*0.5*2 = 1 = T
     with pytest.warns(UserWarning):
-        margin = invertibility_margin(ts, g, 0.5)
+        margin = invertibility_margin(TikhonovOperator(g, ts, 0.5))
     assert margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -287,7 +288,7 @@ def test_slice_stability_bound_random_pairs(grid32):
         other = base.replaced(idx, v, random_histogram_label(rng, grid32))
         gamma = float(rng.uniform(1.0, 3.0))
         T = max(base.max_multiplicity(), other.max_multiplicity())
-        margin = m * gamma * spectral_gap(g) - T
+        margin = m * gamma * spectral_gap(laplacian(g)) - T
         if margin <= 0:
             continue
         env = tight_envelope([lab for _, lab in base.samples + other.samples])
@@ -303,11 +304,31 @@ def test_operator_shared_across_slices(grid32):
     g = random_connected_graph(rng, 6)
     ts = random_training_set(rng, grid32, 6, 3)
     op = TikhonovOperator(g, ts, gamma=1.2)
-    shared = solve_field(g, ts, 1.2, operator=op)
+    shared = op.field()
+    assert op.field() is shared  # solved once
     field = solve_field(g, ts, gamma=1.2)
     for s in (0, 31):
         assert np.allclose(field.values[:, s], shared.values[:, s], atol=1e-12)
         assert np.allclose(op.solve(ts.rhs_matrix(g.n)[:, s]), shared.values[:, s], atol=1e-12)
+
+
+def test_operator_solves_each_column_once(grid32, monkeypatch):
+    rng = np.random.default_rng(85)
+    g = random_connected_graph(rng, 6)
+    ts = random_training_set(rng, grid32, 6, 3)
+    op = TikhonovOperator(g, ts, gamma=1.2)
+    solves = []
+    original = TikhonovOperator.solve
+    monkeypatch.setattr(
+        TikhonovOperator, "solve", lambda self, rhs: solves.append(1) or original(self, rhs)
+    )
+    assert op.field() is op.field()
+    column = op.unit_response(4)
+    assert op.unit_response(4) is column
+    assert len(solves) == 2
+    e = np.zeros(6)
+    e[4] = 1.0
+    op.check_residual(column, e)
 
 
 def test_cg_path_large_graph():
@@ -323,7 +344,8 @@ def test_cg_path_large_graph():
         ]
     )
     op = TikhonovOperator(g, ts, gamma=5.0)
-    field = solve_field(g, ts, gamma=5.0, operator=op)
+    field = op.field()
+    assert op._cho is None  # the conjugate-gradient path
     assert field.values.shape == (n, 4)
     assert np.all(np.diff(field.values, axis=1) >= -1e-9)
     # spot-check one slice against the oracle on the tridiagonal system
@@ -356,18 +378,19 @@ def test_slice_rhs_is_column_of_rhs_matrix(grid32):
     ts = TrainingSet([(1, labs[0]), (3, labs[1]), (1, labs[2]), (0, labs[3])])
     op = TikhonovOperator(g, ts, gamma=0.8)
     rhs = ts.rhs_matrix(g.n)
-    fields = (solve_field(g, ts, 0.8), solve_field(g, ts, 0.8, operator=op))
+    fields = (solve_field(g, ts, 0.8), op.field())
     for s in (0, 7, 31):
         ref = np.zeros(g.n)
         for v, lab in ts.samples:
             ref[v] += lab.values[s]
         assert rhs[:, s].tobytes() == ref.tobytes()
+        assert op.rhs[:, s].tobytes() == ref.tobytes()
         for field in fields:
             op.check_residual(field.values[:, s], ref)
-    # with a shared operator the sample range is still checked
+    # the operator checks the sample range of its training set
     outside = TrainingSet([(1, labs[0]), (5, labs[1])])
     with pytest.raises(InputError, match="sample vertex 5 outside"):
-        solve_field(g, outside, 0.8, operator=op)
+        TikhonovOperator(g, outside, 0.8)
 
 
 def test_counts_match_per_sample_loop(grid4):
@@ -398,7 +421,7 @@ def test_training_dominance_one_error(grid4):
     messages = []
     for check in (
         lambda: check_apriori(field, env, ts),
-        lambda: empirical_stability(g, ts, 1, 1.0, env),
+        lambda: empirical_stability(TikhonovOperator(g, ts, 1.0), 1, env),
         lambda: ts.check_dominated(env),
     ):
         with pytest.raises(InputError) as info:
