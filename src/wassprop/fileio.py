@@ -308,10 +308,13 @@ def read_truth(path) -> np.ndarray:
         values[vertex] = cls
     if not values:
         raise InputError(f"no truth rows found in {path}")
-    n = max(values) + 1
-    if sorted(values) != list(range(n)):
+    # the vertices are distinct, so these two bounds make them exactly 0..n-1
+    if min(values) < 0 or max(values) != len(values) - 1:
         raise InputError("truth file must cover vertices 0..n-1")
-    return np.array([values[v] for v in range(n)], dtype=np.intp)
+    try:
+        return np.array([values[v] for v in range(len(values))], dtype=np.intp)
+    except OverflowError:
+        raise InputError(f"{path}: truth class out of range") from None
 
 
 def write_predictions(path, predicted: np.ndarray, state) -> None:

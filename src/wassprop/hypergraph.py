@@ -33,6 +33,8 @@ class Hypergraph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 1:
             raise InputError(f"vertex count must be >= 1, got {n}")
+        if n > np.iinfo(np.intp).max:  # every vertex is below n, so it fits intp too
+            raise InputError(f"vertex count {n} out of range")
         canon = []
         for e in edges:
             t = tuple(sorted(int(v) for v in e))

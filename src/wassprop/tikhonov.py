@@ -8,8 +8,11 @@ into one quadratic problem per grid node s: minimize
 whose stationarity condition is the linear system (T + m*gamma*L) Phi_s = y_s,
 with T the diagonal matrix of per-vertex sample multiplicities and y_s the
 per-vertex sums of training quantiles at s.  On a connected graph with at
-least one sample the matrix is symmetric positive definite, so each slice is
-solved directly; the operator is shared across slices and factored once.
+least one sample the matrix is a symmetric positive definite M-matrix.  Only
+the k labeled vertices carry data, so all slices are Phi = G Y_L with one
+block of Green's columns G = A^{-1} E_L (E_L: unit columns at those vertices;
+Y_L: their right-hand-side rows).  G >= 0 entrywise, so monotone rows of Y_L
+give monotone rows of Phi; the same G serves every same-vertex swap.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -119,8 +122,15 @@ class TrainingSet:
             if not check_dominated(lab, envelope):
                 raise InputError(f"training label at vertex {v} is not dominated by the envelope")
 
+    def sample(self, index: int) -> Tuple[int, QuantileLabel]:
+        """Sample `index` as (vertex, label); the index must lie in [0, m)."""
+        if not 0 <= index < self.m:
+            raise InputError(f"sample index {index} outside [0, {self.m})")
+        return self.samples[index]
+
     def replaced(self, index: int, vertex: int, label: QuantileLabel) -> "TrainingSet":
         """Copy with sample `index` swapped for (vertex, label)."""
+        self.sample(index)
         new = list(self.samples)
         new[index] = (int(vertex), label)
         return TrainingSet(new)
@@ -132,8 +142,8 @@ class TikhonovOperator:
     It holds the Laplacian L, built once, the slice operator
     A = T + m*gamma*L and the right-hand sides of all slices.  A is factored
     on the first solve (Cholesky up to DENSE_SOLVE_LIMIT vertices, conjugate
-    gradients above), lambda_1 of L is computed on first use, and the solved
-    field and the unit-response columns are kept once computed.
+    gradients above); lambda_1 of L, the Green's columns at the labeled
+    vertices and the solved field are computed on first use and kept.
     """
 
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
@@ -146,11 +156,10 @@ class TikhonovOperator:
         self.training = ts
         self.gamma = float(gamma)
         self.m = ts.m
-        self.t = ts.multiplicities(g.n)
         self.rhs = ts.rhs_matrix(g.n)
-        self.matrix = (sp.diags(self.t) + self.m * self.gamma * self.laplacian).tocsr()
+        self.labeled = np.array(ts.labeled_vertices, dtype=np.intp)
+        self.matrix = (sp.diags(ts.multiplicities(g.n)) + self.m * self.gamma * self.laplacian).tocsr()
         self._field: Optional[QuantileField] = None
-        self._columns: Dict[int, np.ndarray] = {}
 
     @cached_property
     def lambda1(self) -> float:
@@ -167,21 +176,26 @@ class TikhonovOperator:
         except sla.LinAlgError as exc:
             raise NumericalError(f"operator not positive definite: {exc}") from exc
 
+    @cached_property
+    def green(self) -> np.ndarray:
+        """G = A^{-1} E_L, shape (n, k), read-only: column i is the response
+        to a unit right-hand side at the i-th labeled vertex."""
+        units = np.zeros((self.graph.n, self.labeled.size))
+        units[self.labeled, np.arange(self.labeled.size)] = 1.0
+        g = self.solve(units)
+        g.flags.writeable = False
+        return g
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a vector or an (n, k) block, with residual check."""
+        """Solve A X = rhs for an (n, k) block, with residual check."""
         if self._cho is not None:
             x = sla.cho_solve(self._cho, rhs)
         else:
-            rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
-            cols = []
-            for j in range(rhs2.shape[1]):
-                xj, info = spla.cg(self.matrix, rhs2[:, j], rtol=CG_RELATIVE_RESIDUAL, atol=0.0)
+            x = np.empty(rhs.shape)
+            for j in range(rhs.shape[1]):
+                x[:, j], info = spla.cg(self.matrix, rhs[:, j], rtol=CG_RELATIVE_RESIDUAL, atol=0.0)
                 if info != 0:
                     raise NumericalError(f"conjugate gradient did not converge (info={info})")
-                cols.append(xj)
-            x = np.stack(cols, axis=1)
-            if rhs.ndim == 1:
-                x = x[:, 0]
         self.check_residual(x, rhs)
         return x
 
@@ -194,42 +208,33 @@ class TikhonovOperator:
                 f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}"
             )
 
-    def field(self) -> QuantileField:
-        """All S slices solved with one factorization; the rows pass the
-        `monotone_field` check."""
-        if self._field is None:
-            self._field = monotone_field(self.training.grid, self.solve(self.rhs))
-            self._field.values.flags.writeable = False  # every caller shares it
-        return self._field
+    def _green_field(self, rhs: np.ndarray) -> QuantileField:
+        """The field G Y_L for an (n, S) right-hand side E_L Y_L, which is zero
+        off the labeled rows Y_L, checked like a fresh solve: its residual,
+        then `monotone_field`."""
+        values = self.green @ rhs[self.labeled]
+        self.check_residual(values, rhs)
+        return monotone_field(self.training.grid, values)
 
-    def unit_response(self, vertex: int) -> np.ndarray:
-        """The column A^{-1} e_vertex: how the solution moves per unit change
-        of the right-hand side at one vertex."""
-        column = self._columns.get(vertex)
-        if column is None:
-            e = np.zeros(self.graph.n)
-            e[vertex] = 1.0
-            column = self._columns[vertex] = self.solve(e)
-        return column
+    def field(self) -> QuantileField:
+        """All S slices as G Y_L; kept and read-only, since callers share it."""
+        if self._field is None:
+            self._field = self._green_field(self.rhs)
+            self._field.values.flags.writeable = False
+        return self._field
 
     def swapped_field(self, index: int, label: QuantileLabel) -> QuantileField:
         """Field after sample `index` takes `label` at the same vertex v.
 
-        T and A do not change, and only row v of the right-hand side moves,
-        by delta = new - old, so the swapped field is
-        field + (A^{-1} e_v) delta^T: one factorization serves every swap.
-        It passes the checks of a fresh solve: the residual against its own
-        right-hand side, and the monotonicity check with its roundoff clamp.
+        A does not change and only row v of the right-hand side moves, by
+        delta = new - old, so the swapped field is G times the shifted Y_L.
         """
-        vertex, old = self.training.samples[index]
+        vertex, old = self.training.sample(index)
         if label.grid.size != old.grid.size:
             raise InputError("all training labels must share one grid")
-        delta = label.values - old.values
-        values = self.field().values + np.outer(self.unit_response(vertex), delta)
         rhs = self.rhs.copy()
-        rhs[vertex] += delta
-        self.check_residual(values, rhs)
-        return monotone_field(self.training.grid, values)
+        rhs[vertex] += label.values - old.values
+        return self._green_field(rhs)
 
 
 @dataclass(frozen=True)

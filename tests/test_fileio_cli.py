@@ -737,6 +737,13 @@ def _bad_input_cases(tmp_path):
     bad_graph.write_text("0 1 1.0\n1 x 1.0\n")
     config = tmp_path / "bad.cfg"
     config.write_text("gamma=1.0\nepsilon\n")
+    huge = "99999999999999999999"  # past intp
+    huge_truth = tmp_path / "huge_truth.csv"
+    huge_truth.write_text(f"vertex,class\n0,0\n{huge},1\n")
+    huge_class = tmp_path / "huge_class.csv"
+    huge_class.write_text(f"vertex,class\n0,0\n1,{huge}\n2,1\n")
+    huge_hyper = tmp_path / "huge_h.txt"
+    huge_hyper.write_text(f"0 1\n0 {huge}\n")
     missing = tmp_path / "missing.txt"
     nan_mass = tmp_path / "nan_mass.csv"
     nan_mass.write_text("vertex,kind,params\n0,hist,0.0:nan;1.0:1.0\n")
@@ -785,6 +792,13 @@ def _bad_input_cases(tmp_path):
         "stability-sample-outside": (["stability", "--graph", str(graph), "--labels", str(outside),
                                       "--gamma", "1.0", "--epsilon", "0.5", "--grid-size", "8"],
                                      "sample vertex 5 outside [0, 2)"),
+        "truth-vertex-huge": ([*experiment, "--hypergraph", str(hyper), "--truth", str(huge_truth)],
+                              "truth file must cover vertices"),
+        "truth-class-huge": ([*experiment, "--hypergraph", str(hyper), "--truth", str(huge_class)],
+                             "truth class out of range"),
+        "hypergraph-vertex-huge": (["propagate", "--hypergraph", str(huge_hyper), "--labels",
+                                    str(labels), "--alpha", "2", "--gamma", "1",
+                                    "--output", str(tmp_path / "p.csv")], "vertex count"),
     }
 
 
@@ -793,7 +807,8 @@ def _bad_input_cases(tmp_path):
     ["epsilon-nan", "gamma-inf", "gamma-nan", "missing-hypergraph", "missing-config",
      "truth-class-a", "graph-bad-line", "config-bad-line", "epsilon-nan-margin-negative",
      "output-dir-missing", "hist-mass-nan-propagate", "hist-mass-nan-solve", "tol-nan",
-     "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside"],
+     "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside",
+     "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]

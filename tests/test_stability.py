@@ -266,6 +266,27 @@ def test_probe_block_equals_sequential_label_draws(grid32):
     assert np.array_equal(block, np.stack(rows))
 
 
+def test_cost_ratios_match_per_probe_costs(grid32):
+    # replay the harness's draws and take each probe cost, (1/S)||x_v - p||^2,
+    # one probe at a time against the field row of its vertex
+    _, g, base = _swap_instance(10, grid32, 9, [1, 4, 4, 7])
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    op = TikhonovOperator(g, base, 5.0)
+    report = empirical_stability(op, swaps=3, envelope=env, seed=6)
+    rng = np.random.default_rng(6)
+    x = op.field().values
+    for trial in report.trials:
+        idx = int(rng.integers(0, op.m))
+        other = op.swapped_field(idx, _random_dominated_label(rng, env)).values
+        probes = _dominated_samples(rng, env, g.n * PROBES_PER_VERTEX)
+        worst = 0.0
+        for row, p in enumerate(probes):
+            v = row // PROBES_PER_VERTEX
+            worst = max(worst, abs(np.mean((x[v] - p) ** 2) - np.mean((other[v] - p) ** 2)))
+        assert trial.sample_index == idx
+        assert math.isclose(trial.cost_shift_ratio, worst / report.beta, rel_tol=1e-12)
+
+
 def test_quantile_block_check():
     good = np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, (5, 8)), axis=1)
     check_quantile_samples(good, (5, 8))
@@ -317,13 +338,26 @@ def test_empirical_stability_builds_one_operator(grid32, monkeypatch, swaps):
 
 def test_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
     _, g, base = _swap_instance(6, grid32, 10, [0, 3, 9])
-    original = TikhonovOperator.unit_response
-    monkeypatch.setattr(
-        TikhonovOperator, "unit_response", lambda self, v: original(self, v) + 1e-3
-    )
+    op = TikhonovOperator(g, base, 5.0)
+    op.field()
+    # corrupt one Green's column after it passed its own solve check: the
+    # swapped field built from it must fail the residual check
+    corrupt = op.green.copy()
+    corrupt[:, 1] += 1e-3
+    monkeypatch.setitem(vars(op), "green", corrupt)
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
     with pytest.raises(NumericalError, match="residual"):
-        empirical_stability(TikhonovOperator(g, base, 5.0), swaps=2, envelope=env, seed=0)
+        empirical_stability(op, swaps=2, envelope=env, seed=0)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_swap_index_outside_samples_rejected(grid32, index):
+    _, g, base = _swap_instance(6, grid32, 10, [0, 3, 9])
+    label = base.samples[0][1]
+    with pytest.raises(InputError, match=rf"sample index {index} outside \[0, 3\)"):
+        TikhonovOperator(g, base, 5.0).swapped_field(index, label)
+    with pytest.raises(InputError, match=rf"sample index {index} outside \[0, 3\)"):
+        base.replaced(index, 0, label)
 
 
 def test_swapped_fields_pass_monotonicity_check(grid32, monkeypatch):

@@ -25,6 +25,7 @@ from wassprop import (
     spectral_gap,
     tight_envelope,
 )
+from wassprop import tikhonov
 from conftest import (
     dict_graph,
     edge_dict,
@@ -309,7 +310,7 @@ def test_operator_shared_across_slices(grid32):
     field = solve_field(g, ts, gamma=1.2)
     for s in (0, 31):
         assert np.allclose(field.values[:, s], shared.values[:, s], atol=1e-12)
-        assert np.allclose(op.solve(ts.rhs_matrix(g.n)[:, s]), shared.values[:, s], atol=1e-12)
+        assert np.allclose(op.solve(ts.rhs_matrix(g.n)[:, [s]])[:, 0], shared.values[:, s], atol=1e-12)
 
 
 def test_operator_solves_each_column_once(grid32, monkeypatch):
@@ -323,12 +324,45 @@ def test_operator_solves_each_column_once(grid32, monkeypatch):
         TikhonovOperator, "solve", lambda self, rhs: solves.append(1) or original(self, rhs)
     )
     assert op.field() is op.field()
-    column = op.unit_response(4)
-    assert op.unit_response(4) is column
-    assert len(solves) == 2
-    e = np.zeros(6)
-    e[4] = 1.0
-    op.check_residual(column, e)
+    label = random_monotone_label(rng, grid32)
+    for index in range(ts.m):
+        op.swapped_field(index, label)
+    # one (n, k) block of Green's columns serves the field and every swap
+    assert len(solves) == 1 and op.green.shape == (6, len(ts.labeled_vertices))
+    units = np.zeros_like(op.green)
+    units[ts.labeled_vertices, np.arange(units.shape[1])] = 1.0
+    op.check_residual(op.green, units)
+
+
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_green_columns_nonnegative(grid32, monkeypatch, cg_path):
+    # A = T + m*gamma*L is a Stieltjes matrix, so A^{-1} >= 0 entrywise
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(86)
+    for _ in range(6):
+        n = int(rng.integers(6, 30))
+        g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
+        ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
+        op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
+        assert (op._cho is None) == cg_path
+        assert op.green.shape == (n, len(ts.labeled_vertices))
+        assert np.all(op.green >= 0.0)
+
+
+@pytest.mark.parametrize("cg_path, tol", [(False, 1e-12), (True, 1e-8)])
+def test_field_matches_block_solve_of_rhs(grid32, monkeypatch, cg_path, tol):
+    # G Y_L and the direct solve of all S columns are the same field
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(87)
+    for _ in range(4):
+        n = int(rng.integers(6, 30))
+        g = random_connected_graph(rng, n, extra_edges=n)
+        ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
+        op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
+        assert (op._cho is None) == cg_path
+        assert np.max(np.abs(op.field().values - op.solve(op.rhs))) <= tol
 
 
 def test_cg_path_large_graph():
