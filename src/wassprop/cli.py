@@ -320,6 +320,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:  # readers raise InputError, so this is an output file
         print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a vertex index that implies a huge n
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -167,15 +167,21 @@ def is_connected(g: WeightedGraph) -> bool:
 
 def spectral_gap(lap: sp.spmatrix) -> float:
     """Smallest non-zero eigenvalue of the Laplacian `lap` of a connected
-    weighted graph.
+    weighted graph; a disconnected graph raises StructureError."""
+    if not single_component(lap):
+        raise StructureError("spectral gap undefined: graph is disconnected")
+    return connected_spectral_gap(lap)
+
+
+def connected_spectral_gap(lap: sp.spmatrix) -> float:
+    """`spectral_gap` for a Laplacian whose graph the caller has already
+    checked connected, so its components are not scanned again.
 
     Dense eigendecomposition up to DENSE_EIG_LIMIT vertices; above that, an
     iterative smallest-eigenvalue solve on the Laplacian with the constant
     nullvector deflated by a rank-one shift, started from a fixed seeded
     vector so that reruns return the same float.
     """
-    if not single_component(lap):
-        raise StructureError("spectral gap undefined: graph is disconnected")
     n = lap.shape[0]
     if n == 1:
         raise StructureError("spectral gap undefined on a single vertex")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wassprop
-from wassprop import cli, fileio, tikhonov
+from wassprop import cli, fileio, hypergraph, tikhonov
 from wassprop import (
     DiagGaussianLabel,
     Hypergraph,
@@ -523,16 +523,17 @@ def _count_calls(monkeypatch, owner, name, calls):
     ],
 )
 def test_cli_builds_one_instance(tmp_path, monkeypatch, command, extra):
-    # one operator, one Laplacian and one spectral gap per run
+    # one operator, one Laplacian, one connectivity scan and one spectral gap per run
     calls = {}
     for owner, name in ((tikhonov, "laplacian"), (tikhonov, "spectral_gap"),
-                        (tikhonov.TikhonovOperator, "__init__")):
+                        (tikhonov.TikhonovOperator, "__init__"),
+                        (hypergraph, "connected_components")):
         _count_calls(monkeypatch, owner, name, calls)
     graph, labels = p2_files(tmp_path)
     argv = [command, "--graph", str(graph), "--labels", str(labels), "--gamma", "1.0",
             "--grid-size", "8", "--output", str(tmp_path / "out.txt"), *extra]
     assert cli.main(argv) == 0
-    assert calls == {"laplacian": 1, "spectral_gap": 1, "__init__": 1}
+    assert calls == {"laplacian": 1, "spectral_gap": 1, "__init__": 1, "connected_components": 1}
 
 
 def test_cli_stability_without_empirical_factors_nothing(tmp_path, monkeypatch):
@@ -818,6 +819,22 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and names in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 931. GiB for an array", ""])
+def test_cli_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, message):
+    # a vertex index near 1e12 fits intp but sizes an n-long array past memory
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fileio, "read_hypergraph", exhausted)
+    argv = ["propagate", "--hypergraph", str(tmp_path / "h.txt"), "--labels",
+            str(tmp_path / "l.csv"), "--alpha", "2", "--gamma", "1",
+            "--output", str(tmp_path / "p.csv")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: out of memory: {message or 'allocation failed'}"]
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
 """Closed-form graph solver: operator, slice columns of the field, field guarantees."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from wassprop import (
     DominatedQuantileEnvelope,
     InputError,
+    NumericalError,
     QuantileGrid,
     QuantileLabel,
     StructureError,
@@ -385,6 +388,97 @@ def test_cg_path_large_graph():
     # spot-check one slice against the oracle on the tridiagonal system
     dense = np.linalg.solve(op.matrix.toarray(), ts.rhs_matrix(n)[:, 2])
     assert np.max(np.abs(field.values[:, 2] - dense)) <= 1e-8
+
+
+def _per_column_cg(op, b):
+    """Reference block solve: scipy's cg on one column at a time, with the
+    solver's own stop rule."""
+    x = np.empty(b.shape)
+    for j in range(b.shape[1]):
+        x[:, j], info = spla.cg(op.matrix, b[:, j], rtol=tikhonov.CG_RELATIVE_RESIDUAL, atol=0.0)
+        assert info == 0
+    return x
+
+
+def _unit_columns(op):
+    units = np.zeros((op.graph.n, op.labeled.size))
+    units[op.labeled, np.arange(op.labeled.size)] = 1.0
+    return units
+
+
+def _path_instance(n):
+    """Path graph with three Gaussian samples, at both ends and the middle."""
+    grid = QuantileGrid(4)
+    g = dict_graph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    ts = TrainingSet([(v, gaussian_quantile_label(float(c), 1.0, grid))
+                      for c, v in enumerate((0, n // 2, n - 1))])
+    return TikhonovOperator(g, ts, gamma=5.0)
+
+
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_block_solve_matches_per_column_cg(grid32, monkeypatch, cg_path):
+    # Cholesky below the crossover and batched PCG above it both agree with
+    # per-column cg on the Green's block and on the full right-hand side
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(88)
+    for _ in range(6):
+        n = int(rng.integers(6, 40))
+        g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
+        ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
+        op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
+        assert (op._cho is None) == cg_path
+        for b in (_unit_columns(op), op.rhs):
+            ref = _per_column_cg(op, b)
+            assert np.max(np.abs(op.solve(b) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_block_solve_matches_per_column_cg_on_path():
+    # the n=2100 path graph of test_cg_path_large_graph: far more iterations
+    op = _path_instance(2100)
+    assert op._cho is None
+    ref = _per_column_cg(op, _unit_columns(op))
+    assert np.max(np.abs(op.green - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_block_columns_stop_on_their_own(grid32, monkeypatch):
+    # each column stops, and is frozen, at its own rule: a column solved in
+    # one step gives the same bits whichever columns share its block, a
+    # doubled copy gives doubled bits, and a zero column stays zero
+    monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(90)
+    n = 40
+    g = random_connected_graph(rng, n, extra_edges=n)
+    op = TikhonovOperator(g, random_training_set(rng, grid32, n, 5), gamma=1.0)
+    # A y for an eigenvector y of D^{-1} A: Jacobi-PCG solves it in one step
+    s = 1.0 / np.sqrt(op.matrix.diagonal())
+    _, q = np.linalg.eigh(s[:, None] * op.matrix.toarray() * s)
+    easy = op.matrix @ (s * q[:, 0])
+    zero = np.zeros(n)
+    x = op.solve(np.column_stack([easy, 2.0 * easy, zero]))
+    y = op.solve(np.column_stack([easy, rng.standard_normal(n), zero]))
+    assert np.array_equal(x[:, 0], y[:, 0])
+    assert np.array_equal(x[:, 1], 2.0 * x[:, 0])
+    assert not x[:, 2].any() and not y[:, 2].any()
+
+
+@pytest.mark.parametrize("instance", ["path", "random"])
+def test_cg_without_convergence_raises(grid4, monkeypatch, instance):
+    # a zero tolerance is never met: the 8-vertex path runs into the iteration
+    # cap, the random graph's residual underflows until r.z vanishes; both end
+    # in NumericalError and neither divides by zero on the way
+    monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    monkeypatch.setattr(tikhonov, "CG_RELATIVE_RESIDUAL", 0.0)
+    if instance == "path":
+        op = _path_instance(8)
+    else:
+        rng = np.random.default_rng(89)
+        g = random_connected_graph(rng, 12, extra_edges=12)
+        op = TikhonovOperator(g, random_training_set(rng, grid4, 12, 3), gamma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="conjugate gradient"):
+            op.field()
 
 
 def test_training_set_invariants(grid4):
