@@ -317,13 +317,26 @@ def read_truth(path) -> np.ndarray:
         raise InputError(f"{path}: truth class out of range") from None
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer's QUOTE_MINIMAL writes it with `\n` line endings:
+    quoted, inner quotes doubled, when it holds a comma, a quote or a `\n`,
+    and as it is otherwise."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_predictions(path, predicted: np.ndarray, state) -> None:
-    """CSV rows `vertex,predicted_class,label_params` of a propagation state."""
+    """CSV rows `vertex,predicted_class,label_params` of a propagation state.
+
+    The same bytes as csv.writer; only the params field can need quoting
+    (Gaussian params hold commas), so each line is written directly."""
     with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "predicted_class", "label_params"])
-        for v, c in enumerate(predicted.tolist()):
-            writer.writerow([v, c, label_params(state.vertex_label(v))])
+        fh.write("vertex,predicted_class,label_params\n")
+        fh.writelines(
+            f"{v},{c},{_csv_field(label_params(state.vertex_label(v)))}\n"
+            for v, c in enumerate(predicted.tolist())
+        )
 
 
 def write_ratios(path, trials) -> None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionError, InputError, NormalizationError
 
@@ -175,11 +174,18 @@ def quantile_from_histogram(
     return QuantileLabel(grid, b[idx])
 
 
+def standard_normal_quantiles(grid: QuantileGrid) -> np.ndarray:
+    """The standard normal quantile function (inverse CDF) at the grid nodes."""
+    from scipy.special import ndtri  # loaded here: only Gaussian quantiles need it
+
+    return ndtri(grid.nodes)
+
+
 def gaussian_quantile_label(mean: float, std: float, grid: QuantileGrid) -> QuantileLabel:
     """Quantile samples of a univariate Gaussian N(mean, std^2) on the grid."""
     if std < 0:
         raise InputError("std must be non-negative")
-    return QuantileLabel(grid, mean + std * ndtri(grid.nodes))
+    return QuantileLabel(grid, mean + std * standard_normal_quantiles(grid))
 
 
 def w2_squared_quantile(a: QuantileLabel, b: QuantileLabel) -> float:

@@ -21,12 +21,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.special import ndtri
 
 from .errors import InputError
-from .hypergraph import Hypergraph
-from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel
+from .hypergraph import Hypergraph, components
+from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, standard_normal_quantiles
 
 DEFAULT_MAX_ITERS = 200
 DEFAULT_REL_TOL = 1e-6
@@ -82,7 +80,7 @@ class QuantileBackend:
     ) -> np.ndarray:
         # standard Gaussian shape with a uniformly drawn mean in [-1, 1] per row
         shifts = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
-        return ndtri(self.grid.nodes) + shifts[:, None]
+        return standard_normal_quantiles(self.grid) + shifts[:, None]
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=1, keepdims=True)
@@ -272,16 +270,12 @@ def initial_state(
 def _warn_unreached(ctx: _Context) -> None:
     """Warn about vertices no anchor reaches: those in no hyperedge, and those
     whose connected component of the bipartite vertex-hyperedge graph holds no
-    known vertex.  The bipartite graph has one link per incidence, so the scan
-    is linear in the size of the hyperedges."""
+    known vertex.  The bipartite graph has one link per incidence, so each
+    round of the scan is linear in the size of the hyperedges."""
     n = ctx.h.n
     members = ctx.edge_incidence.indices
-    nodes = n + len(ctx.h.edges)  # vertices first, then hyperedges
-    links = sp.csr_matrix(
-        (np.ones(members.size), (members, n + ctx.member_edges)), shape=(nodes, nodes)
-    )
-    _, component = connected_components(links, directed=False)
-    component = component[:n]
+    # vertices first, then hyperedges; each incidence links its two nodes
+    component = components(n + len(ctx.h.edges), members, n + ctx.member_edges)[:n]
     reached = np.isin(component, component[ctx.anchor_vertices])
     in_some_edge = np.bincount(members, minlength=n) > 0
     isolated = np.flatnonzero(~reached & ~in_some_edge).tolist()

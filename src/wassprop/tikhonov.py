@@ -23,14 +23,13 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError, StructureError
-# is_connected stays bound here: bench/traced.py times it under this name.
 # The operator scans connectivity once, in __init__, so lambda1 takes the gap
-# without a second scan, still under the name spectral_gap that is timed.
-from .hypergraph import WeightedGraph, is_connected, laplacian, single_component
+# without a second scan, still under the name spectral_gap that
+# bench/traced.py times.
+from .hypergraph import WeightedGraph, is_connected, laplacian
 from .hypergraph import connected_spectral_gap as spectral_gap
 from .labels import (
     DominatedQuantileEnvelope,
@@ -153,16 +152,23 @@ class TikhonovOperator:
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
         if not 0 < gamma < np.inf:
             raise InputError(f"gamma must be positive and finite, got {gamma}")
-        self.laplacian = laplacian(g)
-        if not single_component(self.laplacian):
+        if not is_connected(g):
             raise StructureError("Tikhonov solve requires a connected graph")
+        self.laplacian = laplacian(g)
         self.graph = g
         self.training = ts
         self.gamma = float(gamma)
         self.m = ts.m
         self.rhs = ts.rhs_matrix(g.n)
         self.labeled = np.array(ts.labeled_vertices, dtype=np.intp)
-        self.matrix = (sp.diags(ts.multiplicities(g.n)) + self.m * self.gamma * self.laplacian).tocsr()
+        t = sp.diags(ts.multiplicities(g.n))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            self.matrix = (t + self.m * self.gamma * self.laplacian).tocsr()
+        if not np.all(np.isfinite(self.matrix.data)):
+            raise NumericalError(
+                f"slice operator T + m*gamma*L overflows (m*gamma = {self.m * self.gamma:.3e}); "
+                "the edge weights or gamma are too large"
+            )
         self._field: Optional[QuantileField] = None
 
     @cached_property
@@ -175,6 +181,8 @@ class TikhonovOperator:
         """Cholesky factorization of A, or None above DENSE_SOLVE_LIMIT."""
         if self.graph.n > DENSE_SOLVE_LIMIT:
             return None
+        import scipy.linalg as sla  # loaded here: only the dense path uses it
+
         try:
             return sla.cho_factor(self.matrix.toarray())
         except sla.LinAlgError as exc:
@@ -192,7 +200,12 @@ class TikhonovOperator:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A X = rhs for an (n, k) block, with residual check."""
-        x = sla.cho_solve(self._cho, rhs) if self._cho is not None else self._pcg(rhs)
+        if self._cho is None:
+            x = self._pcg(rhs)
+        else:
+            import scipy.linalg as sla  # loaded by _cho already
+
+            x = sla.cho_solve(self._cho, rhs)
         self.check_residual(x, rhs)
         return x
 

@@ -7,18 +7,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import wassprop
 from wassprop import cli, fileio, hypergraph, tikhonov
 from wassprop import (
     DiagGaussianLabel,
+    GaussianBackend,
     Hypergraph,
     InputError,
+    LabeledSubset,
     NormalizationError,
+    PropagationConfig,
+    QuantileBackend,
     QuantileField,
     QuantileGrid,
     QuantileLabel,
     TrainingSet,
+    classify,
+    propagate,
     quantile_from_histogram,
     solve_field,
 )
@@ -206,6 +213,47 @@ def test_writers_match_per_value_reference(tmp_path):
     )
 
 
+@pytest.mark.parametrize("kind", ["hist", "gauss"])
+def test_predictions_match_csv_writer(tmp_path, kind):
+    import csv
+
+    grid = QuantileGrid(5)
+    if kind == "hist":
+        backend = QuantileBackend(grid)
+        targets = {0: quantile_from_histogram([-1.0, 0.5], [0.3, 0.7], grid),
+                   3: quantile_from_histogram([2.0], [1.0], grid)}
+    else:
+        backend = GaussianBackend(2)
+        targets = {0: DiagGaussianLabel([1.0, 0.0], [0.1, 0.2]),
+                   3: DiagGaussianLabel([0.0, 1.0], [1 / 3, 0.1])}
+    h = Hypergraph(4, [(0, 1, 2), (2, 3)])
+    state = propagate(h, LabeledSubset(targets), PropagationConfig(alpha=2.0, gamma=1.0, max_iters=3),
+                      backend)
+    predicted = classify(state)
+    path, ref = tmp_path / "pred.csv", tmp_path / "ref.csv"
+    fileio.write_predictions(path, predicted, state)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["vertex", "predicted_class", "label_params"])
+        for v, c in enumerate(predicted.tolist()):
+            writer.writerow([v, c, fileio.label_params(state.vertex_label(v))])
+    assert path.read_bytes() == ref.read_bytes()
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    # Gaussian params hold commas, so csv quotes them; quantile params never do
+    assert all(row.split(",", 2)[2].startswith('"') == (kind == "gauss") for row in rows)
+
+
+@pytest.mark.parametrize("text", ["", "1.5;2.0", "1.0,2.0|0.5,0.5", 'a"b', "a\nb", '",'])
+def test_predictions_field_quoting_matches_csv_writer(text):
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([7, -1, text])
+    assert buffer.getvalue() == f"7,-1,{fileio._csv_field(text)}\n"
+
+
 def test_truth_round_trip(tmp_path):
     path = tmp_path / "truth.csv"
     fileio.write_truth(path, [0, 1, 1, 0])
@@ -247,6 +295,34 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_commands_load_only_the_scipy_they_run(tmp_path):
+    # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
+    # together cost about a quarter of a second of start-up; the package and
+    # the experiment trials need only scipy.sparse
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
+    (tmp_path / "h.txt").write_text("0 1\n1 2\n")
+    fileio.write_hist_labels(tmp_path / "l.csv", {0: ([-1.0], [1.0]), 2: ([1.0], [1.0])})
+    experiment = ["experiment", "--blocks", "5,5", "--p-in", "0.8", "--p-out", "0.1",
+                  "--labels-per-class", "1", "--trials", "2", "--alpha", "2", "--gamma", "1",
+                  "--max-iters", "5", "--output", "m.csv"]
+    propagate_hist = ["propagate", "--hypergraph", "h.txt", "--labels", "l.csv", "--alpha", "2",
+                      "--gamma", "1", "--grid-size", "8", "--output", "p.csv"]
+    script = "\n".join([
+        "import sys",
+        f"def loaded(): print('loaded:', *[m for m in {heavy!r} if m in sys.modules])",
+        "import wassprop", "loaded()",
+        "from wassprop import cli", "loaded()",
+        f"assert cli.main({experiment!r}) == 0", "loaded()",
+        f"assert cli.main({propagate_hist!r}) == 0", "loaded()",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    reports = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    # quantile initialization takes the standard normal quantiles from scipy.special
+    assert reports == [[], [], [], ["scipy.special"]]
+    assert (tmp_path / "m.csv").is_file() and (tmp_path / "p.csv").is_file()
 
 
 def test_public_names_resolve_once():
@@ -527,18 +603,18 @@ def test_cli_builds_one_instance(tmp_path, monkeypatch, command, extra):
     calls = {}
     for owner, name in ((tikhonov, "laplacian"), (tikhonov, "spectral_gap"),
                         (tikhonov.TikhonovOperator, "__init__"),
-                        (hypergraph, "connected_components")):
+                        (hypergraph, "components")):
         _count_calls(monkeypatch, owner, name, calls)
     graph, labels = p2_files(tmp_path)
     argv = [command, "--graph", str(graph), "--labels", str(labels), "--gamma", "1.0",
             "--grid-size", "8", "--output", str(tmp_path / "out.txt"), *extra]
     assert cli.main(argv) == 0
-    assert calls == {"laplacian": 1, "spectral_gap": 1, "__init__": 1, "connected_components": 1}
+    assert calls == {"laplacian": 1, "spectral_gap": 1, "__init__": 1, "components": 1}
 
 
 def test_cli_stability_without_empirical_factors_nothing(tmp_path, monkeypatch):
     calls = {}
-    _count_calls(monkeypatch, tikhonov.sla, "cho_factor", calls)
+    _count_calls(monkeypatch, scipy.linalg, "cho_factor", calls)
     graph, labels = p2_files(tmp_path)
     argv = ["stability", "--graph", str(graph), "--labels", str(labels), "--gamma", "1.0",
             "--epsilon", "0.5", "--grid-size", "8", "--output", str(tmp_path / "r.txt")]
@@ -748,6 +824,10 @@ def _bad_input_cases(tmp_path):
     missing = tmp_path / "missing.txt"
     nan_mass = tmp_path / "nan_mass.csv"
     nan_mass.write_text("vertex,kind,params\n0,hist,0.0:nan;1.0:1.0\n")
+    huge_weight = tmp_path / "huge_weight.txt"
+    huge_weight.write_text("0 1 1.0\n1 2 1e300\n")
+    ends = tmp_path / "ends.csv"
+    fileio.write_hist_labels(ends, {0: ([0.0], [1.0]), 2: ([1.0], [1.0])})
     outside = tmp_path / "outside.csv"
     outside.write_text("vertex,kind,params\n0,hist,0.0:1.0\n5,hist,1.0:1.0\n")
     training = ["--graph", str(graph), "--labels", str(labels), "--grid-size", "8"]
@@ -800,6 +880,10 @@ def _bad_input_cases(tmp_path):
         "hypergraph-vertex-huge": (["propagate", "--hypergraph", str(huge_hyper), "--labels",
                                     str(labels), "--alpha", "2", "--gamma", "1",
                                     "--output", str(tmp_path / "p.csv")], "vertex count"),
+        # m * gamma * 1e300 = 2e310 overflows A = T + m*gamma*L to inf
+        "operator-overflow": (["solve-tikhonov", "--graph", str(huge_weight), "--labels", str(ends),
+                               "--grid-size", "8", "--gamma", "1e10",
+                               "--output", str(tmp_path / "f.csv")], "overflows"),
     }
 
 
@@ -809,7 +893,7 @@ def _bad_input_cases(tmp_path):
      "truth-class-a", "graph-bad-line", "config-bad-line", "epsilon-nan-margin-negative",
      "output-dir-missing", "hist-mass-nan-propagate", "hist-mass-nan-solve", "tol-nan",
      "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside",
-     "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge"],
+     "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from wassprop import (
     Hypergraph,
@@ -234,7 +236,7 @@ def test_spectral_gap_no_convergence_is_numerical_error(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
 
-    monkeypatch.setattr(hypergraph.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     n = hypergraph.DENSE_EIG_LIMIT + 1  # the iterative path
     g = dict_graph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
     with pytest.raises(NumericalError, match="eigsh did not converge"):
@@ -280,6 +282,68 @@ def test_connectivity_agrees(n, edges, connected):
             spectral_gap(laplacian(g))
         with pytest.raises(StructureError, match="connected graph"):
             TikhonovOperator(g, ts, 1.0)
+
+
+def _reference_components(n, heads, tails):
+    """Smallest node of each node's component, by scipy's connected_components."""
+    links = sp.coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+    _, labels = connected_components(links, directed=False)
+    first = np.unique(labels, return_index=True)[1]  # the smallest node of each label
+    return first[labels]
+
+
+def _check_components(n, heads, tails):
+    heads, tails = np.asarray(heads, dtype=np.intp), np.asarray(tails, dtype=np.intp)
+    got = hypergraph.components(n, heads, tails)
+    assert np.array_equal(got, _reference_components(n, heads, tails))
+    assert hypergraph.single_component(n, heads, tails) is bool(np.all(got == 0))
+
+
+def test_components_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 200))
+        m = int(rng.integers(0, 2 * n))  # from no links to well past the giant component
+        _check_components(n, rng.integers(0, n, m), rng.integers(0, n, m))
+
+
+@pytest.mark.parametrize("order", ["in order", "permuted"])
+def test_components_of_long_path(order):
+    n = 10_000
+    nodes = np.arange(n) if order == "in order" else np.random.default_rng(3).permutation(n)
+    _check_components(n, nodes[:-1], nodes[1:])
+    _check_components(n, nodes[1:], nodes[:-1])  # each link the other way round
+    assert hypergraph.single_component(n, nodes[:-1], nodes[1:])
+    _check_components(n, np.delete(nodes[:-1], n // 2), np.delete(nodes[1:], n // 2))  # cut once
+
+
+def test_components_of_star_with_largest_centre():
+    n = 50
+    leaves = np.arange(n - 1)
+    _check_components(n, np.full(n - 1, n - 1), leaves)
+    _check_components(n, leaves, np.full(n - 1, n - 1))
+    _check_components(n + 3, np.full(n - 1, n + 2), leaves)  # n-1 .. n+1 left isolated
+
+
+def test_components_of_isolated_nodes_and_no_links():
+    empty = np.array([], dtype=np.intp)
+    assert hypergraph.components(5, empty, empty).tolist() == [0, 1, 2, 3, 4]
+    assert hypergraph.single_component(1, empty, empty)
+    assert not hypergraph.single_component(2, empty, empty)
+    _check_components(6, [4, 4], [1, 4])  # a self-link joins nothing
+    _check_components(6, [5, 2], [3, 0])
+
+
+def test_components_of_vertex_hyperedge_graph():
+    # the reachability graph of propagation: vertices 0..n-1, then one node
+    # per hyperedge, and one link per incidence
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        h = random_hypergraph(rng, n, max_edges=8, max_size=5)
+        inc = h.incidence()
+        edge_of = np.repeat(np.arange(len(h.edges)), np.diff(inc.indptr))
+        _check_components(n + len(h.edges), inc.indices, n + edge_of)
 
 
 def test_laplacian_of_edgeless_graph_is_float():

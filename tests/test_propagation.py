@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
 
 from wassprop import (
     DiagGaussianLabel,
@@ -417,16 +416,18 @@ def test_reachability_scan_linear_in_incidences(grid4, monkeypatch):
     h = Hypergraph(6000, edges)
     seen = []
 
-    def recording(graph, **kwargs):
-        seen.append((graph.shape, graph.nnz))
-        return connected_components(graph, **kwargs)
+    scan = propagation.components
 
-    monkeypatch.setattr(propagation, "connected_components", recording)
+    def recording(n, heads, tails):
+        seen.append((n, heads.size, tails.size))
+        return scan(n, heads, tails)
+
+    monkeypatch.setattr(propagation, "components", recording)
     known = LabeledSubset({0: delta(grid4, 0.0)})
     cfg = PropagationConfig(alpha=1.0, gamma=1.0, max_iters=1)
     with pytest.warns(UserWarning) as record:
         propagate(h, known, cfg, QuantileBackend(grid4))
-    assert seen == [((6003, 6003), 6500)]
+    assert seen == [(6003, 6500, 6500)]  # 6000 vertices and 3 hyperedges, one link per incidence
     messages = [str(w.message) for w in record]
     assert any(m.startswith("500 vertices belong to no hyperedge") and "[5500," in m for m in messages)
     assert any(m.startswith("500 vertices are not reachable") and "[5000," in m for m in messages)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wassprop import (
     DimensionError,
@@ -326,8 +327,8 @@ def test_empirical_stability_builds_one_operator(grid32, monkeypatch, swaps):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(TikhonovOperator, "__init__", counting)
-    factor = tikhonov.sla.cho_factor
-    monkeypatch.setattr(tikhonov.sla, "cho_factor", lambda a: calls.append(2) or factor(a))
+    factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda a: calls.append(2) or factor(a))
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
     op = TikhonovOperator(g, base, 5.0)
     assert calls == [1]  # factored on the first solve, not on construction
