@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the seed check that
+every seeded entry point runs."""
+
+import numbers
 
 
 class WasspropError(Exception):
@@ -27,3 +30,14 @@ class NumericalError(WasspropError):
 
 class HypothesisError(WasspropError):
     """A mathematical hypothesis the computed quantity depends on does not hold."""
+
+
+def check_seed(seed) -> int:
+    """The seed as a Python int.  numpy integers are accepted and draw what
+    the equal int draws; a non-integral or negative seed is an InputError
+    here rather than a numpy error later."""
+    if not isinstance(seed, numbers.Integral):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return int(seed)

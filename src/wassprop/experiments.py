@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_seed
 from .hypergraph import Hypergraph
 from .labels import DiagGaussianLabel
 from .propagation import (
@@ -41,6 +41,7 @@ class SbmConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not self.block_sizes or any(b < 1 for b in self.block_sizes):
             raise InputError("block sizes must be positive integers")
         if self.k < 2:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
@@ -46,16 +47,23 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
 
-    def incidence(self) -> sp.csr_matrix:
-        """E x n 0/1 incidence matrix: row e holds ones at hyperedge e's members.
-
-        Built on each call, so graphs that never propagate never pay for it.
-        Row indices are sorted, and the stored entries run through the
-        hyperedges in order.
-        """
+    @cached_property
+    def _incidence_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         sizes = np.fromiter(map(len, self.edges), dtype=np.intp, count=len(self.edges))
         indptr = np.concatenate([[0], np.cumsum(sizes)])
         indices = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=indptr[-1])
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
+    def incidence(self) -> sp.csr_matrix:
+        """E x n 0/1 incidence matrix: row e holds ones at hyperedge e's members.
+
+        Its read-only index arrays are built on the first call and kept, so
+        graphs that never propagate never pay for them, and the trials of an
+        experiment on one graph pay once.  Row indices are sorted, and the
+        stored entries run through the hyperedges in order.
+        """
+        indptr, indices = self._incidence_arrays
         return sp.csr_matrix(
             (np.ones(indices.size), indices, indptr), shape=(len(self.edges), self.n)
         )

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import InputError, check_seed
 from .hypergraph import Hypergraph, components
 from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, standard_normal_quantiles
 
@@ -51,8 +51,112 @@ class PropagationConfig:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.rel_tol < math.inf:
             raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
+
+
+# numpy's SeedSequence hash constants and PCG64's LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _hashmix(lanes: np.ndarray, const: int, mult: int):
+    """SeedSequence's hashmix on uint32 lanes; returns the lanes and the next
+    hash constant, which is the same in every lane."""
+    lanes = lanes ^ np.uint32(const)
+    const = const * mult & _M32
+    lanes = lanes * np.uint32(const)
+    return lanes ^ (lanes >> np.uint32(16)), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 lanes."""
+    lanes = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return lanes ^ (lanes >> np.uint32(16))
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the product of uint64 lanes a and a 64-bit constant b,
+    from four 32 x 32-bit partial products."""
+    low, shift = np.uint64(_M32), np.uint64(32)
+    a0, a1 = a & low, a >> shift
+    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> shift) + (p01 & low) + (p10 & low)
+    return p11 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
+
+
+def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """state * multiplier + inc mod 2^128 on (hi, lo) uint64 lane pairs."""
+    m_hi, m_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
+    return _add128(_mulhi(lo, _PCG_MULT_LO) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi, a_lo) + (b_hi, b_lo) mod 2^128, carrying out of the low lanes."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def _vertex_uniforms(seed: int, n: int, draws: int, low: float, high: float) -> np.ndarray:
+    """Row v holds `uniform(low, high, draws)` of a numpy `default_rng`
+    seeded with the entropy list [seed, v], bit for bit, computed for all n
+    vertices at once.
+
+    The entropy words are those of numpy's `_coerce_to_uint32_array`: the
+    little-endian 32-bit words of seed, then the one word of v < 2^32.  They
+    go through SeedSequence's mixing and `generate_state(4, uint64)`, which
+    seed PCG64; each draw steps its 128-bit LCG and turns the XSL-RR output
+    into a double.  Integer lanes wrap as the C code does.
+    """
+    if n > 1 << 32:
+        raise InputError(f"vertex count {n} exceeds 2^32 seeded streams")
+    seed_words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(seed_words) + 1, n), dtype=np.uint32)
+    entropy[:-1] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(n, dtype=np.uint32)
+
+    # SeedSequence.mix_entropy, one lane per vertex
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word = entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32)
+        lanes, const = _hashmix(word, const, _MULT_A)
+        pool.append(lanes)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                lanes, const = _hashmix(pool[i_src], const, _MULT_A)
+                pool[i_dst] = _mix(pool[i_dst], lanes)
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            lanes, const = _hashmix(word, const, _MULT_A)
+            pool[i_dst] = _mix(pool[i_dst], lanes)
+
+    # generate_state(4, uint64): eight uint32 words, paired little-endian
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        lanes, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+        state.append(lanes.astype(np.uint64))
+    words = [state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(_POOL_SIZE)]
+
+    # pcg64_set_seed: inc = (words[2:4] << 1) | 1, state = (inc + words[0:2]) * M + inc
+    inc_hi = (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63))
+    inc_lo = (words[3] << np.uint64(1)) | np.uint64(1)
+    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, words[0], words[1]), inc_hi, inc_lo)
+
+    out = np.empty((n, draws))
+    for d in range(draws):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        rot = hi >> np.uint64(58)
+        xored = hi ^ lo
+        bits = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, d] = (bits >> np.uint64(11)) * 2.0**-53
+    return low + (high - low) * out
 
 
 class QuantileBackend:
@@ -75,12 +179,9 @@ class QuantileBackend:
     def decode(self, vec: np.ndarray) -> QuantileLabel:
         return QuantileLabel(self.grid, vec)
 
-    def random_init(
-        self, rngs: Sequence[np.random.Generator], anchors: Sequence[QuantileLabel]
-    ) -> np.ndarray:
+    def random_init(self, seed: int, n: int, anchors: Sequence[QuantileLabel]) -> np.ndarray:
         # standard Gaussian shape with a uniformly drawn mean in [-1, 1] per row
-        shifts = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
-        return standard_normal_quantiles(self.grid) + shifts[:, None]
+        return standard_normal_quantiles(self.grid) + _vertex_uniforms(seed, n, 1, -1.0, 1.0)
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=1, keepdims=True)
@@ -108,11 +209,9 @@ class GaussianBackend:
     def decode(self, vec: np.ndarray) -> DiagGaussianLabel:
         return DiagGaussianLabel(vec[: self.b], np.maximum(vec[self.b:], 0.0))
 
-    def random_init(
-        self, rngs: Sequence[np.random.Generator], anchors: Sequence[DiagGaussianLabel]
-    ) -> np.ndarray:
+    def random_init(self, seed: int, n: int, anchors: Sequence[DiagGaussianLabel]) -> np.ndarray:
         std = np.mean(np.stack([a.std for a in anchors]), axis=0)
-        means = np.stack([rng.uniform(0.0, 1.0, size=self.b) for rng in rngs])
+        means = _vertex_uniforms(seed, n, self.b, 0.0, 1.0)
         return np.hstack([means, np.broadcast_to(std, means.shape)])
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
@@ -209,8 +308,10 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
     rows = max(1, LOSS_BLOCK_VALUES // ctx.backend.dim)
     for start in range(0, members.size, rows):
         block = slice(start, start + rows)
-        diffs = vertex_values[members[block]] - edge_values[ctx.member_edges[block]]
-        sq_norms[block] = np.sum(diffs * diffs, axis=1)
+        diffs = np.take(vertex_values, members[block], axis=0)
+        diffs -= np.take(edge_values, ctx.member_edges[block], axis=0)
+        diffs *= diffs
+        sq_norms[block] = np.sum(diffs, axis=1)
     loss = float(ctx.vertex_incidence.data @ sq_norms)
     anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
     scale = ctx.backend.metric_scale
@@ -254,7 +355,8 @@ def initial_state(
     initial_labels: Optional[Sequence] = None,
 ) -> PropagationState:
     """Build the starting state, drawing per-vertex random labels from streams
-    seeded by (seed, vertex index) unless explicit labels are given."""
+    seeded by (seed, vertex index) unless explicit labels are given.  All n
+    rows come from one vectorized pass of `_vertex_uniforms`."""
     ctx = _Context(h, known, cfg, backend)
     anchors = [known.targets[v] for v in known.vertices]
     if initial_labels is not None:
@@ -262,8 +364,7 @@ def initial_state(
             raise InputError(f"expected {h.n} initial labels, got {len(initial_labels)}")
         values = np.stack([backend.encode(lab) for lab in initial_labels])
     else:
-        rngs = [np.random.default_rng([cfg.seed, v]) for v in range(h.n)]
-        values = backend.random_init(rngs, anchors)
+        values = backend.random_init(cfg.seed, h.n, anchors)
     return PropagationState(context=ctx, vertex_values=values)
 
 

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import HypothesisError, InputError, NumericalError
+from .errors import HypothesisError, InputError, NumericalError, check_seed
 from .labels import (
     DominatedQuantileEnvelope,
     QuantileLabel,
@@ -232,6 +232,7 @@ def empirical_stability(
     random probe labels at every vertex relative to beta.  A measured value
     beyond its proven bound raises, since that indicates a solver defect.
     """
+    seed = check_seed(seed)
     if swaps < 1:
         raise InputError(f"swaps must be >= 1, got {swaps}")
     op.training.check_dominated(envelope)

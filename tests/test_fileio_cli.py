@@ -289,19 +289,13 @@ def test_trace_and_incidence(tmp_path):
 # ---------------------------------------------------------------- CLI
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs close to a second of start-up on every CLI run
-    code = "import sys, wassprop.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
-
-
 def test_commands_load_only_the_scipy_they_run(tmp_path):
+    # scipy.stats costs close to a second of start-up and no command uses it;
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
-    # together cost about a quarter of a second of start-up; the package and
-    # the experiment trials need only scipy.sparse
-    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
+    # together cost about a quarter of a second; the package and the
+    # experiment trials need only scipy.sparse
+    heavy = ("scipy.stats", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+             "scipy.special")
     (tmp_path / "h.txt").write_text("0 1\n1 2\n")
     fileio.write_hist_labels(tmp_path / "l.csv", {0: ([-1.0], [1.0]), 2: ([1.0], [1.0])})
     experiment = ["experiment", "--blocks", "5,5", "--p-in", "0.8", "--p-out", "0.1",
@@ -884,6 +878,14 @@ def _bad_input_cases(tmp_path):
         "operator-overflow": (["solve-tikhonov", "--graph", str(huge_weight), "--labels", str(ends),
                                "--grid-size", "8", "--gamma", "1e10",
                                "--output", str(tmp_path / "f.csv")], "overflows"),
+        # numpy rejects a negative seed with its own ValueError
+        "gen-sbm-seed-negative": (["gen-sbm", "--blocks", "5,5", *sbm, "--seed", "-1"],
+                                  "seed must be non-negative, got -1"),
+        "experiment-seed-negative": ([*experiment, "--blocks", "5,5", *sbm[:4], "--seed", "-1"],
+                                     "seed must be non-negative, got -1"),
+        "stability-empirical-seed-negative": ([*stab, "--gamma", "1.0", "--epsilon", "0.5",
+                                               "--empirical", "--seed", "-1"],
+                                              "seed must be non-negative, got -1"),
     }
 
 
@@ -893,7 +895,8 @@ def _bad_input_cases(tmp_path):
      "truth-class-a", "graph-bad-line", "config-bad-line", "epsilon-nan-margin-negative",
      "output-dir-missing", "hist-mass-nan-propagate", "hist-mass-nan-solve", "tol-nan",
      "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside",
-     "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow"],
+     "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow",
+     "gen-sbm-seed-negative", "experiment-seed-negative", "stability-empirical-seed-negative"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]

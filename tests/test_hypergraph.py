@@ -84,6 +84,12 @@ def test_incidence_matrix():
     assert inc.shape == (3, 4)
     assert np.array_equal(inc.toarray(), [[1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     assert Hypergraph(2, []).incidence().shape == (0, 2)
+    # the index arrays are built once per graph and shared read-only
+    again = h.incidence()
+    assert again is not inc and np.array_equal(again.toarray(), inc.toarray())
+    indptr, indices = h._incidence_arrays
+    assert h._incidence_arrays[1] is indices
+    assert not indptr.flags.writeable and not indices.flags.writeable
 
 
 def test_clique_expand_triangle():

@@ -76,16 +76,52 @@ def test_non_finite_input_rejected(build):
 
 
 def test_random_init_uses_per_vertex_streams(grid4):
-    rngs = [np.random.default_rng([7, v]) for v in range(3)]
-    block = QuantileBackend(grid4).random_init(rngs, [])
+    block = QuantileBackend(grid4).random_init(7, 3, [])
     for v in range(3):
         shift = np.random.default_rng([7, v]).uniform(-1.0, 1.0)
         assert np.array_equal(block[v], gaussian_quantile_label(shift, 1.0, grid4).values)
     anchors = [DiagGaussianLabel([1.0, 0.0], [0.2, 0.4]), DiagGaussianLabel([0.0, 1.0], [0.4, 0.2])]
-    block = GaussianBackend(2).random_init([np.random.default_rng([7, 1])], anchors)
-    means = np.random.default_rng([7, 1]).uniform(0.0, 1.0, size=2)
-    assert np.array_equal(block[:, :2], [means])
+    block = GaussianBackend(2).random_init(7, 3, anchors)
+    for v in range(3):
+        means = np.random.default_rng([7, v]).uniform(0.0, 1.0, size=2)
+        assert np.array_equal(block[v, :2], means)
     assert np.allclose(block[:, 2:], 0.3, atol=1e-15)  # mean of the anchor stds
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30,
+     *np.random.default_rng(23).integers(0, 2**63, 4, dtype=np.int64).tolist()],
+)
+def test_vertex_uniforms_match_per_vertex_generators(seed):
+    # the quantile shift (one draw in [-1, 1)) and the Gaussian means (b draws in [0, 1))
+    for draws, low, high in [(1, -1.0, 1.0), (3, 0.0, 1.0), (5, 0.0, 1.0)]:
+        block = propagation._vertex_uniforms(seed, 40, draws, low, high)
+        expected = [np.random.default_rng([seed, v]).uniform(low, high, draws) for v in range(40)]
+        assert block.shape == (40, draws)
+        assert np.array_equal(block, expected)
+        assert np.all((low <= block) & (block < high))
+
+
+def test_vertex_uniforms_refuse_vertices_past_one_entropy_word():
+    # vertex 2^32 would take two words; refused before anything is allocated
+    with pytest.raises(InputError, match="2\\^32"):
+        propagation._vertex_uniforms(0, 2**32 + 1, 1, 0.0, 1.0)
+
+
+def test_seed_must_be_a_non_negative_integer(grid4):
+    for bad in (1.5, 2.0, np.float64(3.0), "3", -1, np.int64(-1)):
+        with pytest.raises(InputError, match="seed"):
+            PropagationConfig(alpha=2.0, gamma=1.0, seed=bad)
+    h = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
+    known = LabeledSubset({0: delta(grid4, 0.0)})
+    reference = initial_state(h, known, PropagationConfig(alpha=2.0, gamma=1.0, seed=7),
+                              QuantileBackend(grid4))
+    for seed in (np.int64(7), np.uint32(7), np.uint64(7)):
+        cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == 7
+        state = initial_state(h, known, cfg, QuantileBackend(grid4))
+        assert np.array_equal(state.vertex_values, reference.vertex_values)
 
 
 def test_labeled_subset_validation(grid4):
@@ -195,12 +231,19 @@ def test_loss_matches_per_incidence_sum(grid32):
 def test_loss_independent_of_gather_block(grid32, monkeypatch):
     rng = np.random.default_rng(19)
     h = random_hypergraph(rng, 8, max_edges=6)
-    known = LabeledSubset({0: random_histogram_label(rng, grid32)})
     cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=3)
-    state = initial_state(h, known, cfg, QuantileBackend(grid32))
-    whole = evaluate_loss(state)
-    monkeypatch.setattr(propagation, "LOSS_BLOCK_VALUES", 1)  # one incidence per block
-    assert evaluate_loss(state) == whole
+    gauss = DiagGaussianLabel(rng.uniform(-1.0, 1.0, 4), rng.uniform(0.1, 1.0, 4))
+    for backend, label in [(QuantileBackend(grid32), random_histogram_label(rng, grid32)),
+                           (GaussianBackend(4), gauss)]:
+        state = initial_state(h, LabeledSubset({0: label}), cfg, backend)
+        whole = evaluate_loss(state)
+        incidences = state.context.edge_incidence.indices.size
+        rows = incidences // 2 + 1  # a full block and a shorter last one
+        assert incidences > rows
+        for block_values in (1, rows * backend.dim):  # 1: one incidence per block
+            monkeypatch.setattr(propagation, "LOSS_BLOCK_VALUES", block_values)
+            assert evaluate_loss(state) == whole
+        monkeypatch.undo()
 
 
 def _has_unreached(h, known):
