@@ -289,13 +289,19 @@ def test_trace_and_incidence(tmp_path):
 # ---------------------------------------------------------------- CLI
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs close to a second of start-up on every CLI run
+    code = "import sys, wassprop.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
 def test_commands_load_only_the_scipy_they_run(tmp_path):
-    # scipy.stats costs close to a second of start-up and no command uses it;
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
-    # together cost about a quarter of a second; the package and the
-    # experiment trials need only scipy.sparse
-    heavy = ("scipy.stats", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
-             "scipy.special")
+    # together cost about a quarter of a second of start-up; the package and
+    # the experiment trials need only scipy.sparse
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
     (tmp_path / "h.txt").write_text("0 1\n1 2\n")
     fileio.write_hist_labels(tmp_path / "l.csv", {0: ([-1.0], [1.0]), 2: ([1.0], [1.0])})
     experiment = ["experiment", "--blocks", "5,5", "--p-in", "0.8", "--p-out", "0.1",
