@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -102,23 +101,36 @@ class SbmSample:
         return self.within_block + self.cross_block
 
 
+def k_subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) as a sorted row, in lexicographic order (the
+    order of `itertools.combinations`).  Each round extends every prefix by
+    each larger vertex in turn: the prefix repeated, plus a ramp of offsets."""
+    subsets = np.full((1, 1), -1, dtype=np.intp)  # the empty prefix, after vertex -1
+    for _ in range(k):
+        last = subsets[:, -1]
+        counts = n - 1 - last  # vertices above each prefix's last one
+        ramp = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        subsets = np.column_stack(
+            (np.repeat(subsets, counts, axis=0), np.repeat(last + 1, counts) + ramp)
+        )
+    return subsets[:, 1:]
+
+
 def gen_sbm(cfg: SbmConfig) -> SbmSample:
     """Draw a hypergraph by enumerating every k-subset of the vertices."""
     n, k = cfg.n, cfg.k
-    subsets = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)), dtype=np.int64
-    ).reshape(-1, k)
+    subsets = k_subsets(n, k)
     blocks = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
     member_blocks = blocks[subsets]
     same = (member_blocks == member_blocks[:, :1]).all(axis=1)
     prob = np.where(same, cfg.p_in, cfg.p_out)
     rng = np.random.default_rng(cfg.seed)
     keep = rng.random(len(subsets)) < prob
-    edges = [tuple(int(v) for v in row) for row in subsets[keep]]
+    edges = subsets[keep]
     blocks = blocks.copy()
     blocks.flags.writeable = False
     return SbmSample(
-        hypergraph=Hypergraph(n, edges),
+        hypergraph=Hypergraph.from_members(n, np.full(len(edges), k), edges.ravel()),
         blocks=blocks,
         within_block=int(np.count_nonzero(same & keep)),
         cross_block=int(np.count_nonzero(~same & keep)),

@@ -14,6 +14,7 @@ InputError naming the file, and the line for a line that does not parse.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,6 +32,7 @@ from .labels import (
 from .tikhonov import QuantileField
 
 LABELS_HEADER = ["vertex", "kind", "params"]
+GRAPH_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])  # one `i j w` line
 
 
 def format_float(x: float) -> str:
@@ -55,10 +57,10 @@ def _csv_rows(path) -> List[Tuple[int, List[str]]]:
     return [(reader.line_num, row) for row in reader if row]
 
 
-def _data_lines(path) -> List[Tuple[int, str]]:
+def _data_lines(lines: List[str]) -> List[Tuple[int, str]]:
     """(line number, stripped text) of each non-blank line that is no `#` comment."""
-    lines = enumerate((raw.strip() for raw in _read_lines(path)), start=1)
-    return [(number, text) for number, text in lines if text and not text.startswith("#")]
+    numbered = enumerate((raw.strip() for raw in lines), start=1)
+    return [(number, text) for number, text in numbered if text and not text.startswith("#")]
 
 
 def _joined(values: np.ndarray, sep: str) -> str:
@@ -179,9 +181,29 @@ def write_hist_labels(
 
 def read_hypergraph(path, n: Optional[int] = None) -> Hypergraph:
     """One hyperedge per line; `#` comments and blank lines ignored; the
-    vertex count defaults to one past the largest index seen."""
+    vertex count defaults to one past the largest index seen.
+
+    Every index is converted in one numpy pass, and the hypergraph checks
+    them as flat arrays.  A file holding a token that is no integer, or one
+    past intp, is parsed line by line, which names the bad line."""
+    rows = _data_lines(_read_lines(path))
+    try:  # int() of each token; joined, the stripped lines split into the same tokens
+        members = np.array(" ".join(text for _, text in rows).split(), dtype=np.intp)
+    except (ValueError, OverflowError):
+        return _hypergraph_by_line(path, rows, n)
+    if n is None:
+        if not rows:
+            raise InputError("cannot infer vertex count from an empty hypergraph file")
+        n = int(members.max()) + 1
+    # one line's tokens at a time, so the per-line lists never all live at once
+    sizes = np.fromiter((len(text.split()) for _, text in rows), dtype=np.intp, count=len(rows))
+    return Hypergraph.from_members(n, sizes, members)
+
+
+def _hypergraph_by_line(path, rows: List[Tuple[int, str]], n: Optional[int]) -> Hypergraph:
+    """`read_hypergraph` of the numbered data lines, one line at a time."""
     edges: List[Tuple[int, ...]] = []
-    for line, text in _data_lines(path):
+    for line, text in rows:
         try:
             edges.append(tuple(int(v) for v in text.split()))
         except ValueError:
@@ -201,8 +223,42 @@ def write_hypergraph(path, h: Hypergraph) -> None:
 
 def read_graph(path, n: Optional[int] = None) -> WeightedGraph:
     """Lines `i j w`; `#` comments ignored; a repeated pair, in either
-    orientation, is rejected naming its line."""
-    rows = _data_lines(path)
+    orientation, is rejected naming its line.
+
+    A file of `i j w` lines only is parsed whole, in one numpy pass.  Any
+    other file, and any whose graph fails a check, is parsed again line by
+    line, which names the bad line."""
+    lines = _read_lines(path)
+    g = _whole_graph(lines, n)
+    return g if g is not None else _graph_by_line(path, lines, n)
+
+
+def _whole_graph(lines: List[str], n: Optional[int]) -> Optional[WeightedGraph]:
+    """The graph of `lines` parsed in one `np.loadtxt` pass, or None when a
+    line is blank, a comment or no `i j w` row, or the graph fails a check.
+
+    loadtxt rejects every token that `int` and `float` reject, and reads the
+    ones it takes to the same numbers; some tokens those accept (`1_0`,
+    non-ASCII digits, integers past intp) it rejects, and the line-by-line
+    parse then reads them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" on an empty file
+            rows = np.loadtxt(lines, dtype=GRAPH_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != len(lines):  # loadtxt skips blank lines; leave them to the line parse
+        return None
+    pairs = np.column_stack((rows["i"], rows["j"]))
+    try:
+        return WeightedGraph(int(pairs.max()) + 1 if n is None else n, pairs, rows["w"])
+    except InputError:
+        return None
+
+
+def _graph_by_line(path, lines: List[str], n: Optional[int]) -> WeightedGraph:
+    """`read_graph` of the file's lines, one line at a time."""
+    rows = _data_lines(lines)
     heads: List[int] = []
     tails: List[int] = []
     weights: List[float] = []
@@ -352,7 +408,7 @@ def write_ratios(path, trials) -> None:
 def read_config_flags(path) -> List[str]:
     """CLI flag tokens from `key=value` lines; a true/false value toggles its flag."""
     flags: List[str] = []
-    for line, text in _data_lines(path):
+    for line, text in _data_lines(_read_lines(path)):
         if "=" not in text:
             raise InputError(f"{path}, line {line}: config line must be key=value, got {text!r}")
         key, _, value = text.partition("=")

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,51 +16,83 @@ from .errors import InputError, NumericalError, StructureError
 DENSE_EIG_LIMIT = 512
 
 
+def _edge_fault(edge: Tuple[int, ...], n: int) -> Optional[str]:
+    """What is wrong with a sorted hyperedge of a hypergraph on n vertices,
+    checked in this order, or None."""
+    if len(edge) < 2:
+        return f"hyperedge {edge} has fewer than 2 vertices"
+    if len(set(edge)) != len(edge):
+        return f"hyperedge {edge} contains duplicate vertices"
+    if edge[0] < 0 or edge[-1] >= n:
+        return f"hyperedge {edge} has vertices outside [0, {n})"
+    return None
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    if n > np.iinfo(np.intp).max:  # every vertex is below n, so it fits intp too
+        raise InputError(f"vertex count {n} out of range")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertex count plus a list of hyperedges (vertex subsets of size >= 2).
 
     Hyperedges are stored as sorted tuples. Duplicate hyperedges are allowed
     and act as a multiset (their contributions accumulate downstream);
-    duplicate vertices inside one hyperedge are rejected.
+    duplicate vertices inside one hyperedge are rejected.  The first hyperedge
+    that fails a check is named, by the first check it fails.
     """
 
     n: int
     edges: Tuple[Tuple[int, ...], ...]
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
-        if n < 1:
-            raise InputError(f"vertex count must be >= 1, got {n}")
-        if n > np.iinfo(np.intp).max:  # every vertex is below n, so it fits intp too
-            raise InputError(f"vertex count {n} out of range")
-        canon = []
-        for e in edges:
-            t = tuple(sorted(int(v) for v in e))
-            if len(t) < 2:
-                raise InputError(f"hyperedge {t} has fewer than 2 vertices")
-            if len(set(t)) != len(t):
-                raise InputError(f"hyperedge {t} contains duplicate vertices")
-            if t[0] < 0 or t[-1] >= n:
-                raise InputError(f"hyperedge {t} has vertices outside [0, {n})")
-            canon.append(t)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
+        _check_vertex_count(n)
+        edges = [[int(v) for v in e] for e in edges]
+        try:
+            members = np.array(list(chain.from_iterable(edges)), dtype=np.intp)
+        except OverflowError:  # an index past intp is outside [0, n): some hyperedge fails
+            raise InputError(next(filter(None, (_edge_fault(tuple(sorted(e)), n) for e in edges))))
+        self._build(n, np.fromiter(map(len, edges), dtype=np.intp, count=len(edges)), members)
 
-    @cached_property
-    def _incidence_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        sizes = np.fromiter(map(len, self.edges), dtype=np.intp, count=len(self.edges))
+    @classmethod
+    def from_members(cls, n: int, sizes: np.ndarray, members: np.ndarray) -> "Hypergraph":
+        """The hypergraph whose hyperedge e holds `sizes[e]` vertices, the
+        hyperedges laid end to end in the intp array `members`; checked and
+        stored as the constructor does, with no Python loop over vertices."""
+        _check_vertex_count(n)
+        h = cls.__new__(cls)
+        h._build(n, sizes, members)
+        return h
+
+    def _build(self, n: int, sizes: np.ndarray, members: np.ndarray) -> None:
+        """Check and store the hyperedges, and keep their incidence index
+        arrays: one lexsort on (hyperedge, vertex) sorts every hyperedge and
+        puts a repeated vertex next to its twin."""
         indptr = np.concatenate([[0], np.cumsum(sizes)])
-        indices = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=indptr[-1])
+        edge_of = np.repeat(np.arange(len(sizes)), sizes)
+        indices = members[np.lexsort((members, edge_of))]
+        bad = sizes < 2
+        bad[edge_of[1:][(indices[1:] == indices[:-1]) & (edge_of[1:] == edge_of[:-1])]] = True
+        bad[edge_of[(indices < 0) | (indices >= n)]] = True
+        if bad.any():
+            e = int(bad.argmax())
+            raise InputError(_edge_fault(tuple(indices[indptr[e]:indptr[e + 1]].tolist()), n))
+        flat, bounds = indices.tolist(), indptr.tolist()
+        edges = tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
         indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_incidence_arrays", (indptr, indices))
 
     def incidence(self) -> sp.csr_matrix:
         """E x n 0/1 incidence matrix: row e holds ones at hyperedge e's members.
 
-        Its read-only index arrays are built on the first call and kept, so
-        graphs that never propagate never pay for them, and the trials of an
-        experiment on one graph pay once.  Row indices are sorted, and the
-        stored entries run through the hyperedges in order.
+        It wraps the read-only index arrays the graph was built with, so the
+        trials of an experiment on one graph share them.  Row indices are
+        sorted, and the stored entries run through the hyperedges in order.
         """
         indptr, indices = self._incidence_arrays
         return sp.csr_matrix(

@@ -301,17 +301,24 @@ def _edge_phase(ctx: _Context, vertex_values: np.ndarray) -> np.ndarray:
 def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> float:
     """Sum over incidences (v, E) of ||x_v - y_E||^2 / |E|, plus the gamma-
     weighted anchor terms, in transport units.  The incidences are gathered
-    in blocks, which bounds the scratch memory; each squared norm is summed
-    whole, so the result does not depend on the block size."""
+    in blocks into two buffers made once per call, which bounds the scratch
+    memory; each squared norm is summed whole, so the result does not depend
+    on the block size."""
     members = ctx.edge_incidence.indices
     sq_norms = np.empty(members.size)
     rows = max(1, LOSS_BLOCK_VALUES // ctx.backend.dim)
+    shape = (min(rows, members.size), vertex_values.shape[1])
+    diffs, others = np.empty(shape, vertex_values.dtype), np.empty(shape, edge_values.dtype)
     for start in range(0, members.size, rows):
         block = slice(start, start + rows)
-        diffs = np.take(vertex_values, members[block], axis=0)
-        diffs -= np.take(edge_values, ctx.member_edges[block], axis=0)
-        diffs *= diffs
-        sq_norms[block] = np.sum(diffs, axis=1)
+        out = sq_norms[block]
+        d, e = diffs[:out.size], others[:out.size]
+        # the indices are valid, so "clip" only spares take a buffered copy
+        np.take(vertex_values, members[block], axis=0, out=d, mode="clip")
+        np.take(edge_values, ctx.member_edges[block], axis=0, out=e, mode="clip")
+        d -= e
+        d *= d
+        np.sum(d, axis=1, out=out)
     loss = float(ctx.vertex_incidence.data @ sq_norms)
     anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
     scale = ctx.backend.metric_scale

@@ -1,5 +1,6 @@
 """SBM generation, categorical ingestion, and the experiment protocol."""
 
+import itertools
 import math
 import warnings
 
@@ -47,6 +48,25 @@ def test_expected_counts_reference_parameters():
     # 392 within + 122500 * 0.002 = 245 cross
     assert counts.expected_total == pytest.approx(637.0, abs=1e-9)
     assert counts.variance_total > 0
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (12, 2), (9, 3), (7, 4), (6, 6), (1, 1), (4, 0), (3, 5), (0, 2)])
+def test_k_subsets_match_itertools_combinations(n, k):
+    expected = list(itertools.combinations(range(n), k))
+    got = experiments.k_subsets(n, k)
+    assert got.dtype == np.intp and got.shape == (len(expected), k)
+    assert [tuple(row) for row in got.tolist()] == expected
+
+
+def test_gen_sbm_edges_are_the_kept_subsets_in_order():
+    cfg = SbmConfig(block_sizes=(4, 5), k=3, p_in=0.6, p_out=0.3, seed=9)
+    subsets = list(itertools.combinations(range(9), 3))
+    blocks = np.repeat([0, 1], [4, 5])
+    same = np.array([len(set(blocks[list(s)])) == 1 for s in subsets])
+    keep = np.random.default_rng(9).random(len(subsets)) < np.where(same, 0.6, 0.3)
+    sample = gen_sbm(cfg)
+    assert sample.hypergraph.edges == tuple(s for s, kept in zip(subsets, keep) if kept)
+    assert (sample.within_block, sample.cross_block) == (int((same & keep).sum()), int((~same & keep).sum()))
 
 
 def test_gen_sbm_zero_probabilities():

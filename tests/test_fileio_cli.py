@@ -136,35 +136,70 @@ def test_graph_round_trip_unsorted(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "text, n, message",
-    [
-        ("# g\n0 1 1.0\n2 2 1.0\n", None, "self-loop at vertex 2"),
-        ("0 1 1.0\n1 3 1.0\n", 3, "edge (1,3) outside [0, 3)"),
-        ("0 1 1.0\n3 1 1.0\n", 3, "edge (1,3) outside [0, 3)"),
-        ("0 1 1.0\n-1 1 1.0\n", None, "edge (-1,1) outside [0, 2)"),
-        ("0 1 1.0\n# c\n0 1 2.0\n", None, "{path}, line 3: duplicate edge (0, 1) in graph file"),
-        ("0 1 1.0\n1 0 1.0\n", None, "{path}, line 2: duplicate edge (0, 1) in graph file"),
-        ("0 1 1.0\n1 2 0\n", None,
-         "edge (1, 2) has weight 0.0; weights must be positive and finite"),
-        ("0 1 -2.5\n", None, "edge (0, 1) has weight -2.5; weights must be positive and finite"),
-        ("0 1 1.0\n1 2 nan\n", None,
-         "edge (1, 2) has weight nan; weights must be positive and finite"),
-        ("0 1 inf\n", None, "edge (0, 1) has weight inf; weights must be positive and finite"),
-        ("0 1 1.0\n\n1 2\n", None, "{path}, line 3: graph line needs 'i j w', got '1 2'"),
-        ("0 1 1.0 7\n", None, "{path}, line 1: graph line needs 'i j w', got '0 1 1.0 7'"),
-        ("0 1.5 1.0\n", None, "{path}, line 1: graph line needs 'i j w', got '0 1.5 1.0'"),
-        ("# only\n", None, "cannot infer vertex count from an empty graph file"),
-    ],
-    ids=["self-loop", "out-of-range", "out-of-range-reversed", "negative-vertex", "duplicate",
-         "duplicate-reversed", "zero-weight", "negative-weight", "nan-weight", "inf-weight",
-         "two-tokens", "four-tokens", "float-vertex", "empty"],
-)
-def test_malformed_graph_file(tmp_path, text, n, message):
+# each case: file text, the vertex count given (or None), the reader's message
+MALFORMED_GRAPHS = {
+    "self-loop": ("# g\n0 1 1.0\n2 2 1.0\n", None, "self-loop at vertex 2"),
+    "out-of-range": ("0 1 1.0\n1 3 1.0\n", 3, "edge (1,3) outside [0, 3)"),
+    "out-of-range-reversed": ("0 1 1.0\n3 1 1.0\n", 3, "edge (1,3) outside [0, 3)"),
+    "negative-vertex": ("0 1 1.0\n-1 1 1.0\n", None, "edge (-1,1) outside [0, 2)"),
+    "duplicate": ("0 1 1.0\n# c\n0 1 2.0\n", None,
+                  "{path}, line 3: duplicate edge (0, 1) in graph file"),
+    "duplicate-reversed": ("0 1 1.0\n1 0 1.0\n", None,
+                           "{path}, line 2: duplicate edge (0, 1) in graph file"),
+    "zero-weight": ("0 1 1.0\n1 2 0\n", None,
+                    "edge (1, 2) has weight 0.0; weights must be positive and finite"),
+    "negative-weight": ("0 1 -2.5\n", None,
+                        "edge (0, 1) has weight -2.5; weights must be positive and finite"),
+    "nan-weight": ("0 1 1.0\n1 2 nan\n", None,
+                   "edge (1, 2) has weight nan; weights must be positive and finite"),
+    "inf-weight": ("0 1 inf\n", None,
+                   "edge (0, 1) has weight inf; weights must be positive and finite"),
+    "two-tokens": ("0 1 1.0\n\n1 2\n", None,
+                   "{path}, line 3: graph line needs 'i j w', got '1 2'"),
+    "four-tokens": ("0 1 1.0 7\n", None,
+                    "{path}, line 1: graph line needs 'i j w', got '0 1 1.0 7'"),
+    "float-vertex": ("0 1.5 1.0\n", None,
+                     "{path}, line 1: graph line needs 'i j w', got '0 1.5 1.0'"),
+    "empty": ("# only\n", None, "cannot infer vertex count from an empty graph file"),
+    "blank": ("\n  \r\n", None, "cannot infer vertex count from an empty graph file"),
+    "no-lines": ("", None, "cannot infer vertex count from an empty graph file"),
+}
+
+MALFORMED_HYPERGRAPHS = {
+    "bad-token": ("# edges\n0 1\n1 two\n", None, "{path}, line 3: bad hyperedge line '1 two'"),
+    "float-vertex": ("0 1\n\n1 2.0\n", None, "{path}, line 3: bad hyperedge line '1 2.0'"),
+    "one-vertex": ("0 1\n2\n", None, "hyperedge (2,) has fewer than 2 vertices"),
+    "repeated-vertex": ("0 1\n2 1 2\n", None, "hyperedge (1, 2, 2) contains duplicate vertices"),
+    "out-of-range": ("0 1\n3 1\n", 3, "hyperedge (1, 3) has vertices outside [0, 3)"),
+    "negative-vertex": ("0 1\n1 -1\n", None, "hyperedge (-1, 1) has vertices outside [0, 2)"),
+    "vertex-past-intp": ("0 1\n0 99999999999999999999\n", None,
+                         "vertex count 100000000000000000000 out of range"),
+    "negative-past-intp": ("0 1\n-99999999999999999999 1\n", None,
+                           "hyperedge (-99999999999999999999, 1) has vertices outside [0, 2)"),
+    "no-vertices": ("0 1\n", 0, "vertex count must be >= 1, got 0"),
+    "empty": ("# only\n\n", None, "cannot infer vertex count from an empty hypergraph file"),
+    "no-lines": ("", None, "cannot infer vertex count from an empty hypergraph file"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GRAPHS))
+def test_malformed_graph_file(tmp_path, recwarn, case):
+    text, n, message = MALFORMED_GRAPHS[case]
     path = tmp_path / "g.txt"
     path.write_text(text)
     with pytest.raises(InputError) as info:
         fileio.read_graph(path, n)
+    assert str(info.value) == message.format(path=path)
+    assert not recwarn.list  # e.g. loadtxt's "input contained no data" on blank lines
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_HYPERGRAPHS))
+def test_malformed_hypergraph_file(tmp_path, case):
+    text, n, message = MALFORMED_HYPERGRAPHS[case]
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    with pytest.raises(InputError) as info:
+        fileio.read_hypergraph(path, n)
     assert str(info.value) == message.format(path=path)
 
 
@@ -914,6 +949,45 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def _only_error_line(capsys, argv) -> str:
+    """The one stderr line of a CLI run that exits 2 and prints nothing else."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return line
+
+
+@pytest.mark.parametrize("command", ["solve-tikhonov", "stability"])
+@pytest.mark.parametrize("case", list(MALFORMED_GRAPHS))
+def test_cli_malformed_graph_is_the_readers_error(tmp_path, capsys, case, command):
+    text, n, message = MALFORMED_GRAPHS[case]
+    graph, labels = p2_files(tmp_path)
+    graph.write_text(text)
+    argv = [command, "--graph", str(graph), "--labels", str(labels), "--grid-size", "8",
+            "--gamma", "1.0", "--output", str(tmp_path / "out.txt")]
+    argv += ["--epsilon", "0.5"] if command == "stability" else []
+    argv += ["--n", str(n)] if n is not None else []
+    assert _only_error_line(capsys, argv) == "error: " + message.format(path=graph)
+
+
+@pytest.mark.parametrize("command", ["propagate", "experiment"])
+@pytest.mark.parametrize("case", list(MALFORMED_HYPERGRAPHS))
+def test_cli_malformed_hypergraph_is_the_readers_error(tmp_path, capsys, case, command):
+    text, n, message = MALFORMED_HYPERGRAPHS[case]
+    hyper = tmp_path / "h.txt"
+    hyper.write_text(text)
+    _, labels = p2_files(tmp_path)
+    truth = tmp_path / "truth.csv"
+    fileio.write_truth(truth, [0, 1])
+    sources = {"propagate": ["--labels", str(labels)],
+               "experiment": ["--truth", str(truth), "--labels-per-class", "1"]}
+    argv = [command, "--hypergraph", str(hyper), *sources[command], "--alpha", "2",
+            "--gamma", "1", "--output", str(tmp_path / "out.csv")]
+    argv += ["--n", str(n)] if n is not None else []
+    assert _only_error_line(capsys, argv) == "error: " + message.format(path=hyper)
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 931. GiB for an array", ""])
 def test_cli_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, message):
     # a vertex index near 1e12 fits intp but sizes an n-long array past memory
@@ -930,6 +1004,19 @@ def test_cli_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, mess
     assert captured.err.splitlines() == [f"error: out of memory: {message or 'allocation failed'}"]
 
 
+# good lines {edge} and {other} and a bad line {bad}, and the bad line's number
+LINE_ENDINGS = {
+    "crlf": ("{edge}\r\n{other}\r\n{bad}\r\n", 3),
+    "cr": ("{edge}\r{bad}\r{other}\r", 2),
+    "mixed": ("{edge}\r\n\r{bad}\n", 3),
+    "blank-lines": ("{edge}\n\n  \n\t\n{bad}\n", 5),
+    "blank-lines-crlf": ("\r\n{edge}\r\n\r\n{bad}\r\n", 4),
+    "comment": ("# edges\n{edge}\n#\n{bad}\n", 4),
+    "no-final-newline": ("{edge}\n{bad}", 2),
+    "no-final-newline-cr": ("{edge}\r{other}\r{bad}", 3),
+}
+
+
 @pytest.mark.parametrize(
     "reader, text, line",
     [
@@ -937,18 +1024,28 @@ def test_cli_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, mess
          "vertex,kind,params\n0,hist,0.0:1.0\n1,hist,0.0:x\n", 3),
         (lambda p: fileio.read_labels(p), "vertex,kind,params\n0,gauss,0.0|1.0\nv,gauss,0|1\n", 3),
         (lambda p: fileio.read_hypergraph(p), "# edges\n0 1\n1 two\n", 3),
+        *[(lambda p: fileio.read_hypergraph(p), text.format(edge="0 1", other="1 2", bad="1 two"), line)
+          for text, line in LINE_ENDINGS.values()],
+        *[(lambda p: fileio.read_graph(p), text.format(edge="0 1 1.0", other="1 2 1.0", bad="1 x 1.0"), line)
+          for text, line in LINE_ENDINGS.values()],
+        # every line parses, so the whole-file pass runs and the check sends it to the lines
+        *[(lambda p: fileio.read_graph(p), text.format(edge="0 1 1.0", other="1 2 1.0", bad="1 0 2.0"), line)
+          for text, line in LINE_ENDINGS.values()],
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,0.5\n", 3),
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,one\n", 2),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n1\n", 3),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n0,1\n1,1\n", 3),
         (lambda p: fileio.read_categorical_csv(p), "f,class\na,x\nb\n", 3),
     ],
-    ids=["hist-params", "vertex", "hypergraph", "field-width", "field-value", "truth",
-         "truth-duplicate", "table"],
+    ids=["hist-params", "vertex", "hypergraph",
+         *[f"hypergraph-{name}" for name in LINE_ENDINGS],
+         *[f"graph-{name}" for name in LINE_ENDINGS],
+         *[f"graph-duplicate-{name}" for name in LINE_ENDINGS],
+         "field-width", "field-value", "truth", "truth-duplicate", "table"],
 )
 def test_readers_name_file_and_line(tmp_path, reader, text, line):
     path = tmp_path / "input.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode())  # line endings as written
     with pytest.raises(InputError, match=f"^{path}, line {line}: "):
         reader(path)
     with pytest.raises(InputError, match=f"cannot read {tmp_path / 'absent.txt'}"):

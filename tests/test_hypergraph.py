@@ -47,6 +47,55 @@ def test_hypergraph_invariants():
         Hypergraph(0, [])
 
 
+def first_fault(n, edges):
+    """The hyperedge checks as one loop: the first faulty hyperedge, named by
+    its first failed check, or None."""
+    for e in edges:
+        t = tuple(sorted(int(v) for v in e))
+        if len(t) < 2:
+            return f"hyperedge {t} has fewer than 2 vertices"
+        if len(set(t)) != len(t):
+            return f"hyperedge {t} contains duplicate vertices"
+        if t[0] < 0 or t[-1] >= n:
+            return f"hyperedge {t} has vertices outside [0, {n})"
+    return None
+
+
+def test_hypergraph_checks_name_the_first_faulty_edge():
+    rng = np.random.default_rng(5)
+    far = [2**63, -2**63 - 1, 10**30]  # past intp
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        edges = []
+        for _ in range(int(rng.integers(0, 6))):
+            if rng.random() < 0.8:  # most hyperedges are valid
+                e = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist()
+            else:
+                e = rng.integers(-1, n + 2, size=int(rng.integers(0, 4))).tolist()
+                e += [far[int(rng.integers(0, 3))]] if rng.random() < 0.2 else []
+            edges.append(e)
+        fault = first_fault(n, edges)
+        seen.add(fault and next(k for k in ("fewer", "duplicate", "outside") if k in fault))
+        if fault is None:
+            h = Hypergraph(n, edges)
+            assert h.edges == tuple(tuple(sorted(e)) for e in edges)
+            indptr, indices = h._incidence_arrays
+            assert indptr.tolist() == [0, *np.cumsum([len(e) for e in edges]).tolist()]
+            assert indices.tolist() == [v for e in h.edges for v in e]
+            continue
+        with pytest.raises(InputError) as info:
+            Hypergraph(n, edges)
+        assert str(info.value) == fault
+        if not any(v in far for e in edges for v in e):
+            sizes = np.array([len(e) for e in edges], dtype=np.intp)
+            members = np.array([v for e in edges for v in e], dtype=np.intp)
+            with pytest.raises(InputError) as info:
+                Hypergraph.from_members(n, sizes, members)
+            assert str(info.value) == fault
+    assert seen == {None, "fewer", "duplicate", "outside"}
+
+
 def test_weighted_graph_invariants():
     with pytest.raises(InputError):
         dict_graph(2, {(0, 0): 1.0})
