@@ -42,7 +42,9 @@ class Hypergraph:
     Hyperedges are stored as sorted tuples. Duplicate hyperedges are allowed
     and act as a multiset (their contributions accumulate downstream);
     duplicate vertices inside one hyperedge are rejected.  The first hyperedge
-    that fails a check is named, by the first check it fails.
+    that fails a check is named, by the first check it fails.  `edge_of` is a
+    read-only intp array holding the hyperedge of each stored incidence, in
+    the storage order of `incidence()`.
     """
 
     n: int
@@ -82,10 +84,11 @@ class Hypergraph:
             raise InputError(_edge_fault(tuple(indices[indptr[e]:indptr[e + 1]].tolist()), n))
         flat, bounds = indices.tolist(), indptr.tolist()
         edges = tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-        indptr.flags.writeable = indices.flags.writeable = False
+        indptr.flags.writeable = indices.flags.writeable = edge_of.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_incidence_arrays", (indptr, indices))
+        object.__setattr__(self, "edge_of", edge_of)
 
     def incidence(self) -> sp.csr_matrix:
         """E x n 0/1 incidence matrix: row e holds ones at hyperedge e's members.
@@ -171,7 +174,7 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     """
     inc = h.incidence()
     sizes = np.diff(inc.indptr)
-    weights = 1.0 / np.repeat(sizes * sizes, sizes)
+    weights = 1.0 / (sizes * sizes)[h.edge_of]
     weighted = sp.csr_matrix((weights, inc.indices, inc.indptr), shape=inc.shape)
     pairs = sp.triu(inc.T.tocsr() @ weighted, k=1, format="csr")
     pairs.sort_indices()  # the product leaves each row's columns unordered

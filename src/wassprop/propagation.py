@@ -54,116 +54,13 @@ class PropagationConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-# numpy's SeedSequence hash constants and PCG64's LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_M32 = 0xFFFFFFFF
-
-
-def _hashmix(lanes: np.ndarray, const: int, mult: int):
-    """SeedSequence's hashmix on uint32 lanes; returns the lanes and the next
-    hash constant, which is the same in every lane."""
-    lanes = lanes ^ np.uint32(const)
-    const = const * mult & _M32
-    lanes = lanes * np.uint32(const)
-    return lanes ^ (lanes >> np.uint32(16)), const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 lanes."""
-    lanes = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return lanes ^ (lanes >> np.uint32(16))
-
-
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the product of uint64 lanes a and a 64-bit constant b,
-    from four 32 x 32-bit partial products."""
-    low, shift = np.uint64(_M32), np.uint64(32)
-    a0, a1 = a & low, a >> shift
-    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> shift) + (p01 & low) + (p10 & low)
-    return p11 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
-
-
-def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """state * multiplier + inc mod 2^128 on (hi, lo) uint64 lane pairs."""
-    m_hi, m_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
-    return _add128(_mulhi(lo, _PCG_MULT_LO) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """(a_hi, a_lo) + (b_hi, b_lo) mod 2^128, carrying out of the low lanes."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
-
-
-def _vertex_uniforms(seed: int, n: int, draws: int, low: float, high: float) -> np.ndarray:
-    """Row v holds `uniform(low, high, draws)` of a numpy `default_rng`
-    seeded with the entropy list [seed, v], bit for bit, computed for all n
-    vertices at once.
-
-    The entropy words are those of numpy's `_coerce_to_uint32_array`: the
-    little-endian 32-bit words of seed, then the one word of v < 2^32.  They
-    go through SeedSequence's mixing and `generate_state(4, uint64)`, which
-    seed PCG64; each draw steps its 128-bit LCG and turns the XSL-RR output
-    into a double.  Integer lanes wrap as the C code does.
-    """
-    if n > 1 << 32:
-        raise InputError(f"vertex count {n} exceeds 2^32 seeded streams")
-    seed_words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((len(seed_words) + 1, n), dtype=np.uint32)
-    entropy[:-1] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(n, dtype=np.uint32)
-
-    # SeedSequence.mix_entropy, one lane per vertex
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word = entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32)
-        lanes, const = _hashmix(word, const, _MULT_A)
-        pool.append(lanes)
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                lanes, const = _hashmix(pool[i_src], const, _MULT_A)
-                pool[i_dst] = _mix(pool[i_dst], lanes)
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            lanes, const = _hashmix(word, const, _MULT_A)
-            pool[i_dst] = _mix(pool[i_dst], lanes)
-
-    # generate_state(4, uint64): eight uint32 words, paired little-endian
-    const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        lanes, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-        state.append(lanes.astype(np.uint64))
-    words = [state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(_POOL_SIZE)]
-
-    # pcg64_set_seed: inc = (words[2:4] << 1) | 1, state = (inc + words[0:2]) * M + inc
-    inc_hi = (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63))
-    inc_lo = (words[3] << np.uint64(1)) | np.uint64(1)
-    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, words[0], words[1]), inc_hi, inc_lo)
-
-    out = np.empty((n, draws))
-    for d in range(draws):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> np.uint64(58)
-        xored = hi ^ lo
-        bits = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, d] = (bits >> np.uint64(11)) * 2.0**-53
-    return low + (high - low) * out
-
-
 class QuantileBackend:
     """Quantile labels as vectors of grid samples.
 
     Weighted vector averages realize the exact barycenter, and the squared
-    transport distance is the grid quadrature (1/S) * ||x - y||^2.
+    transport distance is the grid quadrature (1/S) * ||x - y||^2.  A random
+    start is the standard normal quantile function shifted by row v of one
+    seeded (n, 1) draw of U(-1, 1).
     """
 
     def __init__(self, grid: QuantileGrid):
@@ -180,8 +77,8 @@ class QuantileBackend:
         return QuantileLabel(self.grid, vec)
 
     def random_init(self, seed: int, n: int, anchors: Sequence[QuantileLabel]) -> np.ndarray:
-        # standard Gaussian shape with a uniformly drawn mean in [-1, 1] per row
-        return standard_normal_quantiles(self.grid) + _vertex_uniforms(seed, n, 1, -1.0, 1.0)
+        shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
+        return standard_normal_quantiles(self.grid) + shifts
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=1, keepdims=True)
@@ -191,7 +88,9 @@ class GaussianBackend:
     """Diagonal Gaussians as concatenated (mean, std) vectors.
 
     Averaging the concatenation averages means and stds coordinate-wise, and
-    the squared norm of a difference is the closed-form squared distance.
+    the squared norm of a difference is the closed-form squared distance.  A
+    random start takes row v of one seeded (n, b) draw of U(0, 1) as its
+    means and the mean of the anchor stds as its stds.
     """
 
     def __init__(self, dim: int):
@@ -211,7 +110,7 @@ class GaussianBackend:
 
     def random_init(self, seed: int, n: int, anchors: Sequence[DiagGaussianLabel]) -> np.ndarray:
         std = np.mean(np.stack([a.std for a in anchors]), axis=0)
-        means = _vertex_uniforms(seed, n, self.b, 0.0, 1.0)
+        means = np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
         return np.hstack([means, np.broadcast_to(std, means.shape)])
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
@@ -255,13 +154,10 @@ class _Context:
         self.anchor_values = np.stack([backend.encode(known.targets[v]) for v in known.vertices])
 
         inc = h.incidence()
-        sizes = np.diff(inc.indptr)
-        # the hyperedge of each stored incidence, in storage order
-        self.member_edges = np.repeat(np.arange(len(h.edges)), sizes)
         is_known = np.zeros(h.n, dtype=bool)
         is_known[self.anchor_vertices] = True
         alpha_weights = np.where(is_known[inc.indices], cfg.alpha, 1.0)
-        size_weights = 1.0 / sizes[self.member_edges]
+        size_weights = 1.0 / np.diff(inc.indptr)[h.edge_of]
         self.edge_incidence = sp.csr_matrix((alpha_weights, inc.indices, inc.indptr), inc.shape)
         self.vertex_incidence = sp.csr_matrix((size_weights, inc.indices, inc.indptr), inc.shape).T
         # a matvec adds each total in storage order; .sum(axis=1) would not
@@ -315,7 +211,7 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
         d, e = diffs[:out.size], others[:out.size]
         # the indices are valid, so "clip" only spares take a buffered copy
         np.take(vertex_values, members[block], axis=0, out=d, mode="clip")
-        np.take(edge_values, ctx.member_edges[block], axis=0, out=e, mode="clip")
+        np.take(edge_values, ctx.h.edge_of[block], axis=0, out=e, mode="clip")
         d -= e
         d *= d
         np.sum(d, axis=1, out=out)
@@ -345,13 +241,13 @@ def step(state: PropagationState) -> PropagationState:
     )
 
 
-def evaluate_loss(state_or_ctx, vertex_values: Optional[np.ndarray] = None) -> float:
-    """Loss functional of a fixed vertex labeling: hyperedge labels are the
-    barycenters of these labels, and the loss is summed without updating."""
-    ctx = state_or_ctx.context if isinstance(state_or_ctx, PropagationState) else state_or_ctx
+def evaluate_loss(state: PropagationState, vertex_values: Optional[np.ndarray] = None) -> float:
+    """Loss functional of a fixed vertex labeling, by default the state's own:
+    hyperedge labels are the barycenters of these labels, and the loss is
+    summed without updating."""
     if vertex_values is None:
-        vertex_values = state_or_ctx.vertex_values
-    return _loss(ctx, vertex_values, _edge_phase(ctx, vertex_values))
+        vertex_values = state.vertex_values
+    return _loss(state.context, vertex_values, _edge_phase(state.context, vertex_values))
 
 
 def initial_state(
@@ -361,9 +257,10 @@ def initial_state(
     backend,
     initial_labels: Optional[Sequence] = None,
 ) -> PropagationState:
-    """Build the starting state, drawing per-vertex random labels from streams
-    seeded by (seed, vertex index) unless explicit labels are given.  All n
-    rows come from one vectorized pass of `_vertex_uniforms`."""
+    """Build the starting state.  Unless explicit labels are given, row v of
+    the random start is row v of one `default_rng(seed)` draw of shape
+    (n, draws), so it does not depend on n: the start of n vertices is the
+    first n rows of the start of any larger n."""
     ctx = _Context(h, known, cfg, backend)
     anchors = [known.targets[v] for v in known.vertices]
     if initial_labels is not None:
@@ -383,7 +280,7 @@ def _warn_unreached(ctx: _Context) -> None:
     n = ctx.h.n
     members = ctx.edge_incidence.indices
     # vertices first, then hyperedges; each incidence links its two nodes
-    component = components(n + len(ctx.h.edges), members, n + ctx.member_edges)[:n]
+    component = components(n + len(ctx.h.edges), members, n + ctx.h.edge_of)[:n]
     reached = np.isin(component, component[ctx.anchor_vertices])
     in_some_edge = np.bincount(members, minlength=n) > 0
     isolated = np.flatnonzero(~reached & ~in_some_edge).tolist()

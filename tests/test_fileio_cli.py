@@ -582,6 +582,47 @@ def test_cli_propagate_gauss_rerun_identical(tmp_path):
     assert classes[0] == 0 and classes[3] == 1
 
 
+@pytest.mark.parametrize("kind", ["hist", "gauss"])
+def test_cli_propagate_extra_vertices_only_add_rows(tmp_path, capsys, kind):
+    # --n past the largest vertex adds isolated vertices; the seeded start of
+    # the others is a prefix of the longer start, so nothing else changes
+    h_path = tmp_path / "h.txt"
+    h_path.write_text("0 1 2\n2 3\n3 4 5\n")
+    labels = tmp_path / "labels.csv"
+    if kind == "hist":
+        fileio.write_hist_labels(labels, {0: ([-1.0], [1.0]), 5: ([1.0], [1.0])})
+    else:
+        fileio.write_gauss_labels(
+            labels,
+            {0: DiagGaussianLabel([1.0, 0.0], [0.1, 0.1]), 5: DiagGaussianLabel([0.0, 1.0], [0.1, 0.1])},
+        )
+    runs = []
+    for extra in ([], ["--n", "9"]):
+        out = tmp_path / f"pred{len(extra)}.csv"
+        argv = [
+            "propagate",
+            "--hypergraph", str(h_path),
+            "--labels", str(labels),
+            "--alpha", "2.0",
+            "--gamma", "5.0",
+            "--grid-size", "16",
+            "--max-iters", "7",
+            "--seed", "13",
+            "--output", str(out),
+            *extra,
+        ]
+        if extra:
+            with pytest.warns(UserWarning, match="3 vertices belong to no hyperedge"):
+                assert cli.main(argv) == 0
+        else:
+            assert cli.main(argv) == 0
+        runs.append((capsys.readouterr().out, out.read_text().splitlines()))
+    (stdout, lines), (stdout_n, lines_n) = runs
+    assert stdout_n == stdout
+    assert len(lines) == 7 and lines_n[:7] == lines
+    assert [line.split(",")[0] for line in lines_n[7:]] == ["6", "7", "8"]
+
+
 def test_cli_stability_report(tmp_path, monkeypatch):
     gap_calls = []
     gap = tikhonov.spectral_gap

@@ -122,7 +122,7 @@ def graph_key(g):
 
 def hypergraph_key(h):
     indptr, indices = h._incidence_arrays
-    return h.n, h.edges, indptr.tobytes(), indices.tobytes()
+    return h.n, h.edges, indptr.tobytes(), indices.tobytes(), h.edge_of.tobytes()
 
 
 FAST_PATH = settings(derandomize=True, max_examples=60, deadline=None, database=None,

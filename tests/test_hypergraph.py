@@ -83,6 +83,7 @@ def test_hypergraph_checks_name_the_first_faulty_edge():
             indptr, indices = h._incidence_arrays
             assert indptr.tolist() == [0, *np.cumsum([len(e) for e in edges]).tolist()]
             assert indices.tolist() == [v for e in h.edges for v in e]
+            assert h.edge_of.tolist() == [i for i, e in enumerate(edges) for _ in e]
             continue
         with pytest.raises(InputError) as info:
             Hypergraph(n, edges)
@@ -139,6 +140,7 @@ def test_incidence_matrix():
     indptr, indices = h._incidence_arrays
     assert h._incidence_arrays[1] is indices
     assert not indptr.flags.writeable and not indices.flags.writeable
+    assert h.edge_of.tolist() == [0, 0, 0, 1, 1, 2, 2] and not h.edge_of.flags.writeable
 
 
 def test_clique_expand_triangle():

@@ -17,7 +17,6 @@ from wassprop import (
     barycenter_quantile,
     classify,
     clique_expand,
-    gaussian_quantile_label,
     evaluate_loss,
     initial_state,
     propagate,
@@ -27,6 +26,7 @@ from wassprop import (
     w2_squared_quantile,
 )
 from wassprop import propagation
+from wassprop.labels import standard_normal_quantiles
 from wassprop.propagation import _Context
 from conftest import dict_graph, random_histogram_label, random_hypergraph
 
@@ -75,38 +75,23 @@ def test_non_finite_input_rejected(build):
         build()
 
 
-def test_random_init_uses_per_vertex_streams(grid4):
-    block = QuantileBackend(grid4).random_init(7, 3, [])
-    for v in range(3):
-        shift = np.random.default_rng([7, v]).uniform(-1.0, 1.0)
-        assert np.array_equal(block[v], gaussian_quantile_label(shift, 1.0, grid4).values)
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 10**30])
+def test_random_init_rows_come_from_one_generator(grid4, seed):
     anchors = [DiagGaussianLabel([1.0, 0.0], [0.2, 0.4]), DiagGaussianLabel([0.0, 1.0], [0.4, 0.2])]
-    block = GaussianBackend(2).random_init(7, 3, anchors)
-    for v in range(3):
-        means = np.random.default_rng([7, v]).uniform(0.0, 1.0, size=2)
-        assert np.array_equal(block[v, :2], means)
-    assert np.allclose(block[:, 2:], 0.3, atol=1e-15)  # mean of the anchor stds
-
-
-@pytest.mark.parametrize(
-    "seed",
-    [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30,
-     *np.random.default_rng(23).integers(0, 2**63, 4, dtype=np.int64).tolist()],
-)
-def test_vertex_uniforms_match_per_vertex_generators(seed):
+    quantile, gauss = QuantileBackend(grid4), GaussianBackend(2)
+    n = 6
     # the quantile shift (one draw in [-1, 1)) and the Gaussian means (b draws in [0, 1))
-    for draws, low, high in [(1, -1.0, 1.0), (3, 0.0, 1.0), (5, 0.0, 1.0)]:
-        block = propagation._vertex_uniforms(seed, 40, draws, low, high)
-        expected = [np.random.default_rng([seed, v]).uniform(low, high, draws) for v in range(40)]
-        assert block.shape == (40, draws)
-        assert np.array_equal(block, expected)
-        assert np.all((low <= block) & (block < high))
-
-
-def test_vertex_uniforms_refuse_vertices_past_one_entropy_word():
-    # vertex 2^32 would take two words; refused before anything is allocated
-    with pytest.raises(InputError, match="2\\^32"):
-        propagation._vertex_uniforms(0, 2**32 + 1, 1, 0.0, 1.0)
+    shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
+    assert np.array_equal(quantile.random_init(seed, n, []), standard_normal_quantiles(grid4) + shifts)
+    block = gauss.random_init(seed, n, anchors)
+    assert np.array_equal(block[:, :2], np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2)))
+    assert np.allclose(block[:, 2:], 0.3, atol=1e-15)  # mean of the anchor stds
+    for backend, labels in [(quantile, []), (gauss, anchors)]:
+        # row v does not depend on n, and the seed picks the rows
+        block = backend.random_init(seed, n, labels)
+        assert np.array_equal(backend.random_init(seed, n + 5, labels)[:n], block)
+        zero, one = backend.random_init(0, n, labels), backend.random_init(1, n, labels)
+        assert not np.any(zero[:, :1] == one[:, :1])
 
 
 def test_seed_must_be_a_non_negative_integer(grid4):
