@@ -36,7 +36,13 @@ from .propagation import (
     classify,
     propagate,
 )
-from .stability import StabilityInputs, check_epsilon, empirical_stability, generalization_bounds
+from .stability import (
+    StabilityInputs,
+    check_epsilon,
+    check_swap_plan,
+    empirical_stability,
+    generalization_bounds,
+)
 from .tikhonov import TikhonovOperator, TrainingSet, invertibility_margin
 
 
@@ -166,6 +172,8 @@ def cmd_stability(args) -> int:
     envelope = tight_envelope([label for _, label in op.training.samples])
     si = StabilityInputs.from_instance(op, envelope)
     check_epsilon(args.epsilon)  # also when a non-positive margin leaves the bounds out
+    if args.empirical:
+        check_swap_plan(args.swaps, args.seed)  # likewise when it leaves the swaps out
     lines = [
         f"m={si.m}",
         f"T={si.T}",

@@ -17,8 +17,10 @@ swap, that the measured per-slice solution shift and the measured cost shift
 stay below their theoretical bounds.  A swap keeps the vertex, so A does
 not change: each swapped field is `TikhonovOperator.swapped_field`, the
 instance's Green's columns applied to the shifted labeled right-hand side,
-checked like a fresh solve.  Each swap's probe labels are drawn and checked
-as one block, and their cost shifts come from one contraction.
+checked like a fresh solve.  The cost shift is measured over the probe
+class of monotone labels with values in [-c, c], c = min phi, all dominated
+by the envelope.  It is linear in the probe, so its supremum over that class
+is reached at a step probe and one prefix sum per swap gives it exactly.
 """
 
 from __future__ import annotations
@@ -30,15 +32,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import HypothesisError, InputError, NumericalError, check_seed
-from .labels import (
-    DominatedQuantileEnvelope,
-    QuantileLabel,
-    check_quantile_samples,
-)
+from .labels import DominatedQuantileEnvelope, QuantileLabel
 from .tikhonov import TikhonovOperator
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
-PROBES_PER_VERTEX = 10
 
 
 @dataclass(frozen=True)
@@ -198,23 +195,22 @@ class EmpiricalStabilityReport:
         )
 
 
-def _dominated_samples(
-    rng: np.random.Generator, envelope: DominatedQuantileEnvelope, rows: int
-) -> np.ndarray:
-    """(rows, S) block of sorted uniforms scaled into [-c, c] with c = min phi,
-    so every row is dominated at every node regardless of the envelope's
-    shape.  The generator draws doubles in sequence, so the block equals
-    `rows` successive one-row draws; it is sorted and scaled in place."""
-    block = rng.uniform(-1.0, 1.0, (rows, envelope.grid.size))
-    block.sort(axis=1)
-    block *= float(envelope.phi.min())
-    return block
-
-
 def _random_dominated_label(
     rng: np.random.Generator, envelope: DominatedQuantileEnvelope
 ) -> QuantileLabel:
-    return QuantileLabel(envelope.grid, _dominated_samples(rng, envelope, 1)[0])
+    """Sorted uniforms scaled into [-c, c] with c = min phi, so the label is
+    dominated at every node regardless of the envelope's shape."""
+    values = np.sort(rng.uniform(-1.0, 1.0, envelope.grid.size))
+    return QuantileLabel(envelope.grid, values * float(envelope.phi.min()))
+
+
+def check_swap_plan(swaps: int, seed) -> int:
+    """The seed as an int; raises unless it is valid and swaps >= 1.  The CLI
+    runs it before the margin decides whether any swap runs."""
+    seed = check_seed(seed)
+    if swaps < 1:
+        raise InputError(f"swaps must be >= 1, got {swaps}")
+    return seed
 
 
 def empirical_stability(
@@ -228,13 +224,13 @@ def empirical_stability(
     Each trial replaces one training label (same vertex) with a fresh
     envelope-dominated label, obtains the swapped field from
     `TikhonovOperator.swapped_field`, and measures (a) the worst per-slice
-    solution shift relative to its bound and (b) the worst cost shift over
-    random probe labels at every vertex relative to beta.  A measured value
-    beyond its proven bound raises, since that indicates a solver defect.
+    solution shift relative to its bound and (b) the worst cost shift at any
+    vertex relative to beta.  The cost shift's probe class is every monotone
+    label with values in [-c, c], c = min phi, and `cost_shift_ratio` is its
+    exact supremum over that class.  A measured value beyond its proven bound
+    raises, since that indicates a solver defect.
     """
-    seed = check_seed(seed)
-    if swaps < 1:
-        raise InputError(f"swaps must be >= 1, got {swaps}")
+    seed = check_swap_plan(swaps, seed)
     op.training.check_dominated(envelope)
     si = StabilityInputs.from_instance(op, envelope)
     if not si.hypothesis_holds:
@@ -244,8 +240,7 @@ def empirical_stability(
     beta_value = beta(si)
     S = envelope.grid.size
     bound = coeff * envelope.phi
-    n = op.graph.n
-    probe_count = n * PROBES_PER_VERTEX
+    c = float(envelope.phi.min())
 
     rng = np.random.default_rng(seed)
     base_field = op.field().values
@@ -254,25 +249,25 @@ def empirical_stability(
     for k in range(swaps):
         idx = int(rng.integers(0, op.m))
         other_field = op.swapped_field(idx, _random_dominated_label(rng, envelope)).values
+        d = base_field - other_field
 
         # (a) per-slice shift against coeff * M_s with M_s = phi(s_j)
-        shift = np.max(np.abs(base_field - other_field), axis=0)
+        shift = np.max(np.abs(d), axis=0)
         ratios = np.where(bound > 0, shift / np.where(bound > 0, bound, 1.0), 0.0)
         zero_bound = (bound == 0) & (shift > RATIO_SLACK)
         if zero_bound.any():
             raise NumericalError("solution shifted at a node where the envelope vanishes")
         slice_ratio = float(ratios.max())
 
-        # (b) cost shift over probe labels p at every vertex against beta, the
-        # block checked as each label would be, then rewritten in place into the
-        # factored (1/S)(||x - p||^2 - ||x' - p||^2) = (1/S)(x - x').(x + x' - 2p)
-        probes = _dominated_samples(rng, envelope, probe_count)
-        check_quantile_samples(probes, (probe_count, S))
-        probes = probes.reshape(n, PROBES_PER_VERTEX, S)
-        probes *= -2.0
-        probes += (base_field + other_field)[:, None, :]
-        shifts = np.einsum("vs,vps->vp", base_field - other_field, probes)
-        del probes  # freed before the next swap draws its block
+        # (b) cost shift (1/S)(||x - p||^2 - ||x' - p||^2) = (1/S)(x - x').(x + x' - 2p)
+        # against beta.  It is linear in p, so over monotone p in [-c, c] its
+        # extremes are at the S+1 step probes, -c before node t and +c from t
+        # on, where (x - x').p = c(D_S - 2 D_t) with D_t the prefix sum of x - x'.
+        prefix = np.zeros((d.shape[0], S + 1))
+        np.cumsum(d, axis=1, out=prefix[:, 1:])
+        shifts = np.einsum("vs,vs->v", d, base_field + other_field)[:, None] - 2.0 * c * (
+            prefix[:, -1:] - 2.0 * prefix
+        )
         worst_shift = float(np.max(np.abs(shifts))) / S
         cost_ratio = worst_shift / beta_value if beta_value > 0 else (0.0 if worst_shift == 0 else np.inf)
 

@@ -968,6 +968,13 @@ def _bad_input_cases(tmp_path):
         "stability-empirical-seed-negative": ([*stab, "--gamma", "1.0", "--epsilon", "0.5",
                                                "--empirical", "--seed", "-1"],
                                               "seed must be non-negative, got -1"),
+        # the swap flags are checked like --epsilon, also when no swap runs
+        "stability-empirical-swaps-zero-margin-negative": (
+            [*stab, "--gamma", "0.1", "--epsilon", "0.5", "--empirical", "--swaps", "0"],
+            "swaps must be >= 1, got 0"),
+        "stability-empirical-seed-negative-margin-negative": (
+            [*stab, "--gamma", "0.1", "--epsilon", "0.5", "--empirical", "--seed", "-1"],
+            "seed must be non-negative, got -1"),
     }
 
 
@@ -978,7 +985,9 @@ def _bad_input_cases(tmp_path):
      "output-dir-missing", "hist-mass-nan-propagate", "hist-mass-nan-solve", "tol-nan",
      "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside",
      "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow",
-     "gen-sbm-seed-negative", "experiment-seed-negative", "stability-empirical-seed-negative"],
+     "gen-sbm-seed-negative", "experiment-seed-negative", "stability-empirical-seed-negative",
+     "stability-empirical-swaps-zero-margin-negative",
+     "stability-empirical-seed-negative-margin-negative"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from wassprop import (
     DimensionError,
@@ -26,13 +27,9 @@ from wassprop import (
     solve_field,
     spectral_gap,
 )
-from wassprop import stability, tikhonov
+from wassprop import tikhonov
 from wassprop.labels import check_quantile_samples
-from wassprop.stability import (
-    PROBES_PER_VERTEX,
-    _dominated_samples,
-    _random_dominated_label,
-)
+from wassprop.stability import _random_dominated_label
 from wassprop.tikhonov import TikhonovOperator
 from conftest import dict_graph, random_connected_graph, random_monotone_label
 
@@ -258,34 +255,82 @@ def test_swap_update_matches_fresh_solve(grid32, monkeypatch, cg_path):
             assert np.max(np.abs(updated - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
 
-def test_probe_block_equals_sequential_label_draws(grid32):
-    env = DominatedQuantileEnvelope(grid32, np.linspace(0.5, 3.0, 32))
-    n = 7
-    block = _dominated_samples(np.random.default_rng(11), env, PROBES_PER_VERTEX * n)
-    rng = np.random.default_rng(11)
-    rows = [_random_dominated_label(rng, env).values for _ in range(PROBES_PER_VERTEX * n)]
-    assert np.array_equal(block, np.stack(rows))
-
-
-def test_cost_ratios_match_per_probe_costs(grid32):
-    # replay the harness's draws and take each probe cost, (1/S)||x_v - p||^2,
-    # one probe at a time against the field row of its vertex
-    _, g, base = _swap_instance(10, grid32, 9, [1, 4, 4, 7])
-    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
-    op = TikhonovOperator(g, base, 5.0)
-    report = empirical_stability(op, swaps=3, envelope=env, seed=6)
-    rng = np.random.default_rng(6)
+def _replayed_fields(op, env, report, seed):
+    """Each trial with the base field and its swapped field, from the harness's draws."""
+    rng = np.random.default_rng(seed)
     x = op.field().values
     for trial in report.trials:
         idx = int(rng.integers(0, op.m))
-        other = op.swapped_field(idx, _random_dominated_label(rng, env)).values
-        probes = _dominated_samples(rng, env, g.n * PROBES_PER_VERTEX)
-        worst = 0.0
-        for row, p in enumerate(probes):
-            v = row // PROBES_PER_VERTEX
-            worst = max(worst, abs(np.mean((x[v] - p) ** 2) - np.mean((other[v] - p) ** 2)))
         assert trial.sample_index == idx
-        assert math.isclose(trial.cost_shift_ratio, worst / report.beta, rel_tol=1e-12)
+        yield trial, x, op.swapped_field(idx, _random_dominated_label(rng, env)).values
+
+
+def _cost_shifts(x, other, probes):
+    """(1/S)||x - p||^2 - (1/S)||x' - p||^2 for each probe row p, unfactored."""
+    return np.array([np.mean((x - p) ** 2) - np.mean((other - p) ** 2) for p in probes])
+
+
+def _step_probes(S, c):
+    """The S+1 step probes: -c before node t and +c from t on."""
+    return np.where(np.arange(S) >= np.arange(S + 1)[:, None], c, -c)
+
+
+def test_cost_ratios_match_per_probe_costs(grid32):
+    # replay the harness's draws and take the cost shift of every step probe
+    # at every vertex, one probe at a time against the field rows
+    _, g, base = _swap_instance(10, grid32, 9, [1, 4, 4, 7])
+    env = DominatedQuantileEnvelope(grid32, np.linspace(2.0, 3.0, 32))
+    op = TikhonovOperator(g, base, 5.0)
+    report = empirical_stability(op, swaps=3, envelope=env, seed=6)
+    probes = _step_probes(32, 2.0)
+    for trial, x, other in _replayed_fields(op, env, report, seed=6):
+        worst = max(np.max(np.abs(_cost_shifts(x[v], other[v], probes))) for v in range(g.n))
+        assert math.isclose(trial.cost_shift_ratio * report.beta, worst, rel_tol=1e-12)
+
+
+def _probe_extremes(x, other, c):
+    """Largest and smallest cost shift over monotone p in [-c, c], each by a
+    linear program: the shift is (1/S)(x - x').(x + x' - 2p)."""
+    S = x.size
+    d = x - other
+    monotone = np.eye(S, k=0)[:-1] - np.eye(S, k=1)[:-1]  # p_s - p_{s+1} <= 0
+    a_ub, b_ub = (monotone, np.zeros(S - 1)) if S > 1 else (None, None)
+    extremes = []
+    for sign in (-1.0, 1.0):  # -1: minimize d.p for the largest shift
+        res = scipy.optimize.linprog(-sign * d, A_ub=a_ub, b_ub=b_ub, bounds=[(-c, c)] * S)
+        assert res.status == 0
+        extremes.append(_cost_shifts(x, other, [res.x])[0])
+    return extremes
+
+
+@pytest.mark.parametrize("S, c", [(1, 0.5), (4, 1.0), (8, 0.7), (8, 0.0)])
+def test_step_probe_is_the_supremum_over_monotone_probes(S, c):
+    grid = QuantileGrid(S)
+    rng = np.random.default_rng(S + int(10 * c))
+    phi = c + np.linspace(0.0, 1.0, S)  # min phi = c, and phi grows
+    env = DominatedQuantileEnvelope(grid, phi)
+    g = random_connected_graph(rng, 6)
+    # labels narrower than the swapped-in ones in [-c, c], so x - x' changes
+    # sign and the worst step is often inside the grid; at c = 0 they are
+    # zero where phi is, and grow with it
+    labels = [
+        QuantileLabel(grid, 0.25 * c * np.sort(rng.uniform(-1.0, 1.0, S)) if c > 0
+                      else phi * np.sort(rng.uniform(0.0, 1.0, S)))
+        for _ in range(3)
+    ]
+    base = TrainingSet(list(zip([0, 2, 5], labels)))
+    op = TikhonovOperator(g, base, max(1.0, 2.0 / (base.m * spectral_gap(laplacian(g)))))
+    report = empirical_stability(op, swaps=3, envelope=env, seed=S)
+    for trial, x, other in _replayed_fields(op, env, report, seed=S):
+        sups = []
+        for v in range(g.n):
+            step = np.max(np.abs(_cost_shifts(x[v], other[v], _step_probes(S, c))))
+            sup = max(abs(e) for e in _probe_extremes(x[v], other[v], c))
+            assert abs(step - sup) <= 1e-12 * max(1.0, sup)
+            probes = np.sort(rng.uniform(-c, c, (200, S)), axis=1)
+            assert np.max(np.abs(_cost_shifts(x[v], other[v], probes))) <= step * (1 + 1e-12)
+            sups.append(sup)
+        assert math.isclose(trial.cost_shift_ratio * report.beta, max(sups), rel_tol=1e-12)
 
 
 def test_quantile_block_check():
@@ -298,22 +343,6 @@ def test_quantile_block_check():
         bad[row, col] = value
         with pytest.raises(InputError):
             check_quantile_samples(bad, (5, 8))
-
-
-def test_corrupt_probe_block_rejected(grid32, monkeypatch):
-    _, g, base = _swap_instance(9, grid32, 10, [1, 6])
-    original = stability._dominated_samples
-
-    def corrupt(rng, envelope, rows):
-        block = original(rng, envelope, rows)
-        if rows > 1:
-            block[rows // 2, 5] = np.nan  # a probe row; swap labels stay intact
-        return block
-
-    monkeypatch.setattr(stability, "_dominated_samples", corrupt)
-    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
-    with pytest.raises(InputError, match="finite"):
-        empirical_stability(TikhonovOperator(g, base, 5.0), swaps=1, envelope=env, seed=0)
 
 
 @pytest.mark.parametrize("swaps", [1, 6])
