@@ -19,12 +19,12 @@ from .errors import InputError, WasspropError
 from .experiments import (
     AnchorSpec,
     SbmConfig,
-    emit_metrics,
     expected_sbm_counts,
     gen_sbm,
     ingest_categorical,
     run_experiment,
 )
+from .fileio import emit_metrics
 from .labels import DEFAULT_GRID_SIZE, QuantileGrid, gaussian_quantile_label, tight_envelope
 from .propagation import (
     DEFAULT_MAX_ITERS,
@@ -205,12 +205,10 @@ def cmd_stability(args) -> int:
             ]
             if args.ratios is not None:
                 fileio.write_ratios(args.ratios, emp.trials)
-    text = "\n".join(lines) + "\n"
     if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        fileio.write_lines(args.output, None, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -234,13 +232,21 @@ def cmd_experiment(args) -> int:
     emit_metrics(result, _require_output(args))
     print(
         f"trials={result.trials} labels_per_class={result.labels_per_class} "
-        f"mean={result.mean!r} stderr={result.stderr!r} evaluated={result.evaluated}"
+        f"mean={result.mean!r} stderr={result.stderr!r}"
     )
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag, also one from --config, is an InputError: one `error:` line
+    like every other bad input.  Subcommand parsers are made of this class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wassprop",
         description="Wasserstein soft-label propagation on graphs and hypergraphs",
     )

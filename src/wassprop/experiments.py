@@ -4,10 +4,8 @@ ingestion, and seeded classification trials with Gaussian soft-label anchors.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -249,10 +247,9 @@ class ExperimentResult:
     trials: int
     config: PropagationConfig
     anchors: AnchorSpec
-    evaluated: bool
 
     def __post_init__(self):
-        if self.evaluated and any(not (0.0 <= a <= 1.0) for a in self.accuracies):
+        if any(not (0.0 <= a <= 1.0) for a in self.accuracies):
             raise InputError("accuracies must lie in [0, 1]")
 
 
@@ -297,12 +294,16 @@ def run_experiment(
         raise InputError(
             f"labels_per_class={labels_per_class} exceeds the smallest class size {smallest}"
         )
+    if labels_per_class * n_classes == h.n:
+        raise InputError(
+            f"labels_per_class={labels_per_class} makes all {h.n} vertices known, "
+            "leaving none to score"
+        )
 
     backend = GaussianBackend(1 if anchors.kind == "sign" else n_classes)
     labels = [_anchor_label(anchors, int(c), n_classes) for c in class_ids]
 
     accuracies: List[float] = []
-    evaluated = True
     for t in range(trials):
         known_vertices = stratified_subsample(truth, labels_per_class, seed=[cfg.seed, t, 0])
         known = LabeledSubset({v: labels[truth[v]] for v in known_vertices.tolist()})
@@ -314,37 +315,16 @@ def run_experiment(
             predicted = (predicted + 1) // 2
         mask = np.ones(h.n, dtype=bool)
         mask[known_vertices] = False
-        if not mask.any():
-            evaluated = False
-            accuracies.append(float("nan"))
-        else:
-            accuracies.append(float(np.mean(predicted[mask] == truth[mask])))
+        accuracies.append(float(np.mean(predicted[mask] == truth[mask])))
 
     accs = np.array(accuracies)
-    if evaluated:
-        mean = float(accs.mean())
-        stderr = float(accs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    else:
-        mean = float("nan")
-        stderr = float("nan")
     return ExperimentResult(
         accuracies=tuple(accuracies),
-        mean=mean,
-        stderr=stderr,
+        mean=float(accs.mean()),
+        stderr=float(accs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
         labels_per_class=labels_per_class,
         trials=trials,
         config=cfg,
         anchors=anchors,
-        evaluated=evaluated,
     )
 
-
-def emit_metrics(result: ExperimentResult, path) -> None:
-    """Write `trial,accuracy` rows followed by one summary row holding the
-    mean; reruns with the same result are byte-identical."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "accuracy"])
-        for t, acc in enumerate(result.accuracies):
-            writer.writerow([t, repr(float(acc))])
-        writer.writerow(["mean", repr(float(result.mean))])

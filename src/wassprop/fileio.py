@@ -1,14 +1,18 @@
 """Plain-text formats: label tables, hypergraph and graph files, quantile
-field CSVs, categorical tables, truth tables, predictions, stability ratios,
-metric traces, and key=value config files.
+field CSVs, categorical tables, truth tables, predictions, stability ratios
+and reports, loss traces, incidence matrices, experiment metrics, and
+key=value config files.
 
 Label files are CSV with header `vertex,kind,params`.  kind "hist" encodes a
 histogram as `b1:m1;b2:m2;...` (bin:mass pairs); kind "gauss" encodes a
 diagonal Gaussian as `mu1,...,mub|sd1,...,sdb`.  Hypergraph files hold one
 hyperedge per line as whitespace-separated 0-based vertex indices; graph
 files hold lines `i j w`.  All floats are written with `.` decimals via repr
-(shortest round-trip) and all files use `\n` line endings.  Readers raise
-InputError naming the file, and the line for a line that does not parse.
+(shortest round-trip).  Every output file is written by `write_lines`, so
+every line ends in `\n` on every platform, and `_csv_field` is the one CSV
+quoting rule: a field holding `,`, `"` or a newline is quoted, its inner
+quotes doubled.  Readers raise InputError naming the file, and the line for
+a line that does not parse.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from __future__ import annotations
 import csv
 import warnings
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .experiments import CategoricalTable
+from .experiments import CategoricalTable, ExperimentResult
 from .hypergraph import Hypergraph, WeightedGraph, first_duplicate, vertex_array
 from .labels import (
     DiagGaussianLabel,
@@ -31,12 +35,32 @@ from .labels import (
 )
 from .tikhonov import QuantileField
 
-LABELS_HEADER = ["vertex", "kind", "params"]
+LABELS_HEADER = "vertex,kind,params"
 GRAPH_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])  # one `i j w` line
 
 
 def format_float(x: float) -> str:
     return repr(float(x))
+
+
+def write_lines(path, header: Optional[str], lines: Iterable[str]) -> None:
+    """Write `header` (unless None) and then each of `lines`, every one ended
+    in `\n`.  The file is opened with `newline=""`, so no platform line
+    separator is substituted; this is the only place an output file is
+    opened.  The lines are written one at a time, never joined whole."""
+    with open(Path(path), "w", newline="") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, inner quotes doubled, when it holds a
+    comma, a quote or a `\n`, and as it is otherwise (csv's QUOTE_MINIMAL
+    with `\n` line endings)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _read_lines(path) -> List[str]:
@@ -161,22 +185,16 @@ def read_labels(path, grid: Optional[QuantileGrid] = None):
 
 
 def write_gauss_labels(path, labels: Mapping[int, DiagGaussianLabel]) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LABELS_HEADER)
-        for v in sorted(labels):
-            writer.writerow([v, "gauss", gauss_params(labels[v])])
+    write_lines(path, LABELS_HEADER,
+                (f"{v},gauss,{_csv_field(gauss_params(labels[v]))}" for v in sorted(labels)))
 
 
 def write_hist_labels(
     path, hists: Mapping[int, Tuple[Sequence[float], Sequence[float]]]
 ) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LABELS_HEADER)
-        for v in sorted(hists):
-            bins, masses = hists[v]
-            writer.writerow([v, "hist", hist_params(bins, masses)])
+    # bin:mass pairs of float reprs hold no comma or quote, so need no quoting
+    write_lines(path, LABELS_HEADER,
+                (f"{v},hist,{hist_params(*hists[v])}" for v in sorted(hists)))
 
 
 def read_hypergraph(path, n: Optional[int] = None) -> Hypergraph:
@@ -216,9 +234,7 @@ def _hypergraph_by_line(path, rows: List[Tuple[int, str]], n: Optional[int]) -> 
 
 
 def write_hypergraph(path, h: Hypergraph) -> None:
-    with open(Path(path), "w") as fh:
-        for e in h.edges:
-            fh.write(" ".join(str(v) for v in e) + "\n")
+    write_lines(path, None, (" ".join(map(str, e)) for e in h.edges))
 
 
 def read_graph(path, n: Optional[int] = None) -> WeightedGraph:
@@ -286,20 +302,15 @@ def _graph_by_line(path, lines: List[str], n: Optional[int]) -> WeightedGraph:
 def write_graph(path, g: WeightedGraph) -> None:
     """Lines `i j w` in sorted pair order."""
     order = np.lexsort((g.pairs[:, 1], g.pairs[:, 0]))
-    with open(Path(path), "w") as fh:
-        for (i, j), w in zip(g.pairs[order].tolist(), g.weights[order].tolist()):
-            fh.write(f"{i} {j} {format_float(w)}\n")
+    pairs, weights = g.pairs[order].tolist(), g.weights[order].tolist()
+    write_lines(path, None, (f"{i} {j} {format_float(w)}" for (i, j), w in zip(pairs, weights)))
 
 
 def write_field(path, field: QuantileField) -> None:
     """CSV rows `vertex,s_1,...,s_S` of quantile samples."""
-    S = field.grid.size
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex"] + [f"s_{j}" for j in range(1, S + 1)])
-        # float reprs hold no delimiter or quote, so csv.writer would add no quoting
-        for v, row in enumerate(field.values):
-            fh.write(f"{v},{_joined(row, ',')}\n")
+    header = ",".join(["vertex"] + [f"s_{j}" for j in range(1, field.grid.size + 1)])
+    # float reprs hold no comma or quote, so need no quoting
+    write_lines(path, header, (f"{v},{_joined(row, ',')}" for v, row in enumerate(field.values)))
 
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:
@@ -342,11 +353,7 @@ def read_categorical_csv(path, class_column: str = "class") -> CategoricalTable:
 
 
 def write_truth(path, classes: Sequence[int]) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "class"])
-        for v, c in enumerate(classes):
-            writer.writerow([v, int(c)])
+    write_lines(path, "vertex,class", (f"{v},{int(c)}" for v, c in enumerate(classes)))
 
 
 def read_truth(path) -> np.ndarray:
@@ -373,45 +380,28 @@ def read_truth(path) -> np.ndarray:
         raise InputError(f"{path}: truth class out of range") from None
 
 
-def _csv_field(text: str) -> str:
-    """`text` as csv.writer's QUOTE_MINIMAL writes it with `\n` line endings:
-    quoted, inner quotes doubled, when it holds a comma, a quote or a `\n`,
-    and as it is otherwise."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_predictions(path, predicted: np.ndarray, state) -> None:
-    """CSV rows `vertex,predicted_class,label_params` of a propagation state.
-
-    The same bytes as csv.writer; only the params field can need quoting
-    (Gaussian params hold commas), so each line is written directly."""
-    with open(Path(path), "w", newline="") as fh:
-        fh.write("vertex,predicted_class,label_params\n")
-        fh.writelines(
-            f"{v},{c},{_csv_field(label_params(state.vertex_label(v)))}\n"
-            for v, c in enumerate(predicted.tolist())
-        )
+    """CSV rows `vertex,predicted_class,label_params` of a propagation state;
+    only the params field can need quoting (Gaussian params hold commas)."""
+    rows = (f"{v},{c},{_csv_field(label_params(state.vertex_label(v)))}"
+            for v, c in enumerate(predicted.tolist()))
+    write_lines(path, "vertex,predicted_class,label_params", rows)
 
 
 def write_ratios(path, trials) -> None:
     """CSV rows `swap,sample_index,slice_ratio,cost_ratio`, one per stability swap."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["swap", "sample_index", "slice_ratio", "cost_ratio"])
-        for t in trials:
-            ratios = [format_float(t.slice_shift_ratio), format_float(t.cost_shift_ratio)]
-            writer.writerow([t.swap_index, t.sample_index, *ratios])
+    rows = (f"{t.swap_index},{t.sample_index},{format_float(t.slice_shift_ratio)},"
+            f"{format_float(t.cost_shift_ratio)}" for t in trials)
+    write_lines(path, "swap,sample_index,slice_ratio,cost_ratio", rows)
 
 
 def read_config_flags(path) -> List[str]:
     """CLI flag tokens from `key=value` lines; a true/false value toggles its flag."""
     flags: List[str] = []
     for line, text in _data_lines(_read_lines(path)):
-        if "=" not in text:
-            raise InputError(f"{path}, line {line}: config line must be key=value, got {text!r}")
         key, _, value = text.partition("=")
+        if "=" not in text or not key.strip():
+            raise InputError(f"{path}, line {line}: config line must be key=value, got {text!r}")
         flag = "--" + key.strip().replace("_", "-")
         value = value.strip()
         if value.lower() == "true":
@@ -422,11 +412,7 @@ def read_config_flags(path) -> List[str]:
 
 
 def write_trace(path, losses: Sequence[float]) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "loss"])
-        for t, loss in enumerate(losses):
-            writer.writerow([t, format_float(loss)])
+    write_lines(path, "iter,loss", (f"{t},{format_float(loss)}" for t, loss in enumerate(losses)))
 
 
 def write_incidence(path, h: Hypergraph) -> None:
@@ -435,13 +421,21 @@ def write_incidence(path, h: Hypergraph) -> None:
     Rows are written one at a time from the sparse incidence, so no dense
     n x E matrix is held in memory."""
     m = len(h.edges)
-    row = np.zeros(m, dtype=int)
     inc = h.incidence().tocsc()  # column v lists the hyperedges holding vertex v
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex"] + [f"edge_{j}" for j in range(m)])
+
+    def lines():
+        row = np.zeros(m, dtype=int)
         for v in range(h.n):
             edges = inc.indices[inc.indptr[v]:inc.indptr[v + 1]]
             row[edges] = 1
-            writer.writerow([v] + row.tolist())
+            yield ",".join(map(str, [v] + row.tolist()))
             row[edges] = 0
+
+    write_lines(path, ",".join(["vertex"] + [f"edge_{j}" for j in range(m)]), lines())
+
+
+def emit_metrics(result: ExperimentResult, path) -> None:
+    """Write `trial,accuracy` rows followed by one summary row holding the
+    mean; reruns with the same result are byte-identical."""
+    rows = [f"{t},{format_float(acc)}" for t, acc in enumerate(result.accuracies)]
+    write_lines(path, "trial,accuracy", rows + [f"mean,{format_float(result.mean)}"])

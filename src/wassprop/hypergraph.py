@@ -31,7 +31,9 @@ def _edge_fault(edge: Tuple[int, ...], n: int) -> Optional[str]:
 def _check_vertex_count(n: int) -> None:
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
-    if n > np.iinfo(np.intp).max:  # every vertex is below n, so it fits intp too
+    # every vertex is below n, so fits intp; and numpy must size n 8-byte values,
+    # in doubles as np.arange does (2**60 - 64 rounds to 2**60, which it refuses)
+    if n > np.iinfo(np.intp).max or float(n) * 8 > np.iinfo(np.intp).max:
         raise InputError(f"vertex count {n} out of range")
 
 
@@ -134,8 +136,7 @@ class WeightedGraph:
     weights: np.ndarray
 
     def __init__(self, n: int, pairs, weights):
-        if n < 1:
-            raise InputError(f"vertex count must be >= 1, got {n}")
+        _check_vertex_count(n)
         pairs = vertex_array(pairs).reshape(-1, 2)
         weights = np.array(weights, dtype=float)
         if weights.shape != (len(pairs),):

@@ -141,8 +141,12 @@ class DominatedQuantileEnvelope:
             )
         if np.any(p < 0):
             raise InputError("envelope samples must be non-negative")
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            phi_l2_squared = self.grid.integrate(p * p)
+        if not np.isfinite(phi_l2_squared):
+            raise InputError(f"envelope's squared L2 norm overflows (largest sample {float(p.max())!r})")
         object.__setattr__(self, "phi", p)
-        object.__setattr__(self, "phi_l2_squared", self.grid.integrate(p * p))
+        object.__setattr__(self, "phi_l2_squared", phi_l2_squared)
 
 
 def quantile_from_histogram(
@@ -185,7 +189,9 @@ def gaussian_quantile_label(mean: float, std: float, grid: QuantileGrid) -> Quan
     """Quantile samples of a univariate Gaussian N(mean, std^2) on the grid."""
     if std < 0:
         raise InputError("std must be non-negative")
-    return QuantileLabel(grid, mean + std * standard_normal_quantiles(grid))
+    with np.errstate(over="ignore"):  # QuantileLabel rejects a quantile past the float range
+        values = mean + std * standard_normal_quantiles(grid)
+    return QuantileLabel(grid, values)
 
 
 def w2_squared_quantile(a: QuantileLabel, b: QuantileLabel) -> float:

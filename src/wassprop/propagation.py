@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, check_seed
+from .errors import InputError, NumericalError, check_seed
 from .hypergraph import Hypergraph, components
 from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, standard_normal_quantiles
 
@@ -199,26 +199,31 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
     weighted anchor terms, in transport units.  The incidences are gathered
     in blocks into two buffers made once per call, which bounds the scratch
     memory; each squared norm is summed whole, so the result does not depend
-    on the block size."""
+    on the block size.  A loss that is not finite (labels too large to
+    compare) raises NumericalError."""
     members = ctx.edge_incidence.indices
     sq_norms = np.empty(members.size)
     rows = max(1, LOSS_BLOCK_VALUES // ctx.backend.dim)
     shape = (min(rows, members.size), vertex_values.shape[1])
     diffs, others = np.empty(shape, vertex_values.dtype), np.empty(shape, edge_values.dtype)
-    for start in range(0, members.size, rows):
-        block = slice(start, start + rows)
-        out = sq_norms[block]
-        d, e = diffs[:out.size], others[:out.size]
-        # the indices are valid, so "clip" only spares take a buffered copy
-        np.take(vertex_values, members[block], axis=0, out=d, mode="clip")
-        np.take(edge_values, ctx.h.edge_of[block], axis=0, out=e, mode="clip")
-        d -= e
-        d *= d
-        np.sum(d, axis=1, out=out)
-    loss = float(ctx.vertex_incidence.data @ sq_norms)
-    anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
-    scale = ctx.backend.metric_scale
-    return loss * scale + ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
+        for start in range(0, members.size, rows):
+            block = slice(start, start + rows)
+            out = sq_norms[block]
+            d, e = diffs[:out.size], others[:out.size]
+            # the indices are valid, so "clip" only spares take a buffered copy
+            np.take(vertex_values, members[block], axis=0, out=d, mode="clip")
+            np.take(edge_values, ctx.h.edge_of[block], axis=0, out=e, mode="clip")
+            d -= e
+            d *= d
+            np.sum(d, axis=1, out=out)
+        loss = float(ctx.vertex_incidence.data @ sq_norms)
+        anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
+        scale = ctx.backend.metric_scale
+        total = loss * scale + ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
+    if not math.isfinite(total):
+        raise NumericalError(f"propagation loss is {total}: the labels are too large to compare")
+    return total
 
 
 def step(state: PropagationState) -> PropagationState:
@@ -229,8 +234,9 @@ def step(state: PropagationState) -> PropagationState:
 
     edge_values = _edge_phase(ctx, old)
     num = ctx.vertex_incidence @ edge_values
-    num[ctx.anchor_vertices] += ctx.cfg.gamma * ctx.anchor_values
-    new = np.where(ctx.updated[:, None], num / ctx.vertex_totals[:, None], old)
+    with np.errstate(over="ignore", invalid="ignore"):  # _loss raises a non-finite label
+        num[ctx.anchor_vertices] += ctx.cfg.gamma * ctx.anchor_values
+        new = np.where(ctx.updated[:, None], num / ctx.vertex_totals[:, None], old)
 
     return replace(
         state,

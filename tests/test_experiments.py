@@ -207,7 +207,6 @@ def test_run_experiment_accuracy_above_chance():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = run_experiment(h, truth, labels_per_class=4, trials=5, cfg=cfg, anchors=anchors)
-    assert result.evaluated
     assert result.mean > 0.5
     assert all(0.0 <= a <= 1.0 for a in result.accuracies)
     assert result.stderr >= 0.0
@@ -220,7 +219,6 @@ def test_run_experiment_sign_anchors():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = run_experiment(h, truth, labels_per_class=4, trials=3, cfg=cfg, anchors=anchors)
-    assert result.evaluated
     assert result.mean > 0.5
 
 
@@ -271,10 +269,9 @@ def test_run_experiment_all_known_flagged():
     truth = np.array([0, 0, 1, 1])
     cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=0)
     anchors = AnchorSpec(kind="onehot", variance=0.01)
-    result = run_experiment(h, truth, labels_per_class=2, trials=2, cfg=cfg, anchors=anchors)
-    assert not result.evaluated
-    assert math.isnan(result.mean)
-    assert all(math.isnan(a) for a in result.accuracies)
+    # every vertex known leaves no accuracy to score; no NaN result comes back
+    with pytest.raises(InputError, match="makes all 4 vertices known, leaving none to score"):
+        run_experiment(h, truth, labels_per_class=2, trials=2, cfg=cfg, anchors=anchors)
 
 
 def test_run_experiment_validation():

@@ -1,9 +1,13 @@
 """File formats and the command-line front end."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +16,9 @@ import scipy.linalg
 import wassprop
 from wassprop import cli, fileio, hypergraph, tikhonov
 from wassprop import (
+    AnchorSpec,
     DiagGaussianLabel,
+    ExperimentResult,
     GaussianBackend,
     Hypergraph,
     InputError,
@@ -223,20 +229,14 @@ def test_field_round_trip(tmp_path):
 
 def test_writers_match_per_value_reference(tmp_path):
     # per-value format_float through csv.writer: the writers' former loops
-    import csv
-
     grid = QuantileGrid(6)
     values = np.array(
         [[-1e300, -0.0, 0.0, 5e-324, 0.1, 1e16], [-2.5, -1 / 3, 1e-7, 2 / 3, 123456.789, np.inf]]
     )
     path = tmp_path / "field.csv"
     fileio.write_field(path, QuantileField(grid, values))
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex"] + [f"s_{j}" for j in range(1, 7)])
-        for v, row in enumerate(values):
-            writer.writerow([v] + [fileio.format_float(x) for x in row])
-    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    rows = [[v] + [fileio.format_float(x) for x in row] for v, row in enumerate(values)]
+    assert path.read_bytes() == _csv_bytes([["vertex"] + [f"s_{j}" for j in range(1, 7)], *rows])
 
     label = QuantileLabel(grid, np.sort(values[0]))
     assert fileio.label_params(label) == ";".join(fileio.format_float(x) for x in label.values)
@@ -248,10 +248,68 @@ def test_writers_match_per_value_reference(tmp_path):
     )
 
 
+def _csv_bytes(rows, delimiter=",") -> bytes:
+    """`rows` as csv.writer writes them with `\n` line endings: the reference
+    dialect of every output file."""
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def _writer_cases():
+    """Each writer, and the rows (with their delimiter) csv.writer is given
+    for the same file."""
+    gauss = {3: DiagGaussianLabel([0.1, -1e-300], [0.0, 1 / 3]), 0: DiagGaussianLabel([7.0], [1e20])}
+    hists = {2: ([-1.5, 0.25], [0.25, 0.75]), 0: ([1e-7], [1.0])}
+    h = Hypergraph(4, [(0, 1, 2), (3, 1), (0, 3)])
+    g = dict_graph(4, {(3, 1): 0.1, (0, 2): 1 / 3, (0, 1): 1e300})
+    classes = np.array([1, 0, 2, 0])
+    losses = [12.5, 1 / 3, 5e-324]
+    trials = [SimpleNamespace(swap_index=0, sample_index=3, slice_shift_ratio=0.25, cost_shift_ratio=1 / 3),
+              SimpleNamespace(swap_index=1, sample_index=0, slice_shift_ratio=1e-17, cost_shift_ratio=0.0)]
+    result = ExperimentResult(accuracies=(0.5, 2 / 3), mean=7 / 12, stderr=0.1, labels_per_class=1,
+                              trials=2, config=PropagationConfig(alpha=2.0, gamma=1.0),
+                              anchors=AnchorSpec("onehot", 0.05))
+    incidence = h.incidence().toarray().T.astype(int).tolist()
+    return {
+        "gauss-labels": (lambda p: fileio.write_gauss_labels(p, gauss),
+                         [["vertex", "kind", "params"]]
+                         + [[v, "gauss", fileio.gauss_params(gauss[v])] for v in sorted(gauss)], ","),
+        "hist-labels": (lambda p: fileio.write_hist_labels(p, hists),
+                        [["vertex", "kind", "params"]]
+                        + [[v, "hist", fileio.hist_params(*hists[v])] for v in sorted(hists)], ","),
+        "hypergraph": (lambda p: fileio.write_hypergraph(p, h), [list(e) for e in h.edges], " "),
+        "graph": (lambda p: fileio.write_graph(p, g),
+                  [[i, j, repr(w)] for (i, j), w in sorted(edge_dict(g).items())], " "),
+        "truth": (lambda p: fileio.write_truth(p, classes),
+                  [["vertex", "class"]] + [[v, c] for v, c in enumerate(classes.tolist())], ","),
+        "ratios": (lambda p: fileio.write_ratios(p, trials),
+                   [["swap", "sample_index", "slice_ratio", "cost_ratio"]]
+                   + [[t.swap_index, t.sample_index, repr(t.slice_shift_ratio), repr(t.cost_shift_ratio)]
+                      for t in trials], ","),
+        "trace": (lambda p: fileio.write_trace(p, losses),
+                  [["iter", "loss"]] + [[t, repr(x)] for t, x in enumerate(losses)], ","),
+        "incidence": (lambda p: fileio.write_incidence(p, h),
+                      [["vertex", "edge_0", "edge_1", "edge_2"]]
+                      + [[v, *row] for v, row in enumerate(incidence)], ","),
+        "metrics": (lambda p: fileio.emit_metrics(result, p),
+                    [["trial", "accuracy"], [0, "0.5"], [1, repr(2 / 3)], ["mean", repr(7 / 12)]], ","),
+    }
+
+
+@pytest.mark.parametrize("case", list(_writer_cases()))
+def test_writer_matches_csv_writer(tmp_path, case):
+    write, rows, delimiter = _writer_cases()[case]
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == _csv_bytes(rows, delimiter)
+    assert b"\r" not in path.read_bytes()
+    if case == "gauss-labels":  # params of two or more dimensions hold commas, so are quoted
+        assert path.read_text().splitlines()[2] == '3,gauss,"0.1,-1e-300|0.0,0.3333333333333333"'
+
+
 @pytest.mark.parametrize("kind", ["hist", "gauss"])
 def test_predictions_match_csv_writer(tmp_path, kind):
-    import csv
-
     grid = QuantileGrid(5)
     if kind == "hist":
         backend = QuantileBackend(grid)
@@ -265,14 +323,11 @@ def test_predictions_match_csv_writer(tmp_path, kind):
     state = propagate(h, LabeledSubset(targets), PropagationConfig(alpha=2.0, gamma=1.0, max_iters=3),
                       backend)
     predicted = classify(state)
-    path, ref = tmp_path / "pred.csv", tmp_path / "ref.csv"
+    path = tmp_path / "pred.csv"
     fileio.write_predictions(path, predicted, state)
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "predicted_class", "label_params"])
-        for v, c in enumerate(predicted.tolist()):
-            writer.writerow([v, c, fileio.label_params(state.vertex_label(v))])
-    assert path.read_bytes() == ref.read_bytes()
+    rows = [[v, c, fileio.label_params(state.vertex_label(v))] for v, c in enumerate(predicted.tolist())]
+    assert path.read_bytes() == _csv_bytes([["vertex", "predicted_class", "label_params"], *rows])
+    assert b"\r" not in path.read_bytes()
     rows = path.read_text().splitlines()[1:]
     assert len(rows) == 4
     # Gaussian params hold commas, so csv quotes them; quantile params never do
@@ -281,12 +336,7 @@ def test_predictions_match_csv_writer(tmp_path, kind):
 
 @pytest.mark.parametrize("text", ["", "1.5;2.0", "1.0,2.0|0.5,0.5", 'a"b', "a\nb", '",'])
 def test_predictions_field_quoting_matches_csv_writer(text):
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([7, -1, text])
-    assert buffer.getvalue() == f"7,-1,{fileio._csv_field(text)}\n"
+    assert _csv_bytes([[7, -1, text]]) == f"7,-1,{fileio._csv_field(text)}\n".encode()
 
 
 def test_truth_round_trip(tmp_path):
@@ -716,6 +766,20 @@ def test_cli_stability_stdout_without_output(tmp_path, capsys):
     assert "margin=3.0" in printed and "beta=" in printed
 
 
+def test_cli_stability_report_file_matches_stdout_and_csv_writer(tmp_path, capsys):
+    graph, labels = p2_files(tmp_path)
+    report = tmp_path / "report.txt"
+    argv = ["stability", "--graph", str(graph), "--labels", str(labels), "--gamma", "1.0",
+            "--epsilon", "0.5", "--grid-size", "8", "--empirical", "--swaps", "2"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main([*argv, "--output", str(report)]) == 0
+    assert report.read_bytes() == printed.encode()
+    # each key=value line is one CSV field that needs no quoting
+    assert report.read_bytes() == _csv_bytes([line] for line in printed.splitlines())
+    assert b"\r" not in report.read_bytes()
+
+
 def test_cli_experiment_from_blocks(tmp_path, capsys):
     out1 = tmp_path / "m1.csv"
     out2 = tmp_path / "m2.csv"
@@ -975,6 +1039,11 @@ def _bad_input_cases(tmp_path):
         "stability-empirical-seed-negative-margin-negative": (
             [*stab, "--gamma", "0.1", "--epsilon", "0.5", "--empirical", "--seed", "-1"],
             "seed must be non-negative, got -1"),
+        # two labels in each of two 2-vertex blocks leave no vertex to score
+        "experiment-every-vertex-known": (
+            ["experiment", "--blocks", "2,2", "--k", "2", "--p-in", "1", "--p-out", "1",
+             "--labels-per-class", "2", "--trials", "2", "--alpha", "2", "--gamma", "1",
+             "--output", str(tmp_path / "m.csv")], "leaving none to score"),
     }
 
 
@@ -987,7 +1056,7 @@ def _bad_input_cases(tmp_path):
      "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow",
      "gen-sbm-seed-negative", "experiment-seed-negative", "stability-empirical-seed-negative",
      "stability-empirical-swaps-zero-margin-negative",
-     "stability-empirical-seed-negative-margin-negative"],
+     "stability-empirical-seed-negative-margin-negative", "experiment-every-vertex-known"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]
@@ -1000,12 +1069,156 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
 
 
 def _only_error_line(capsys, argv) -> str:
-    """The one stderr line of a CLI run that exits 2 and prints nothing else."""
-    assert cli.main(argv) == 2
+    """The one stderr line of a CLI run that exits 2, warns of nothing and
+    prints nothing else."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
     return line
+
+
+# labels files on the 3-vertex path: rows for vertices 0 and 2 unless a row is the defect
+MALFORMED_LABELS = {
+    "two-columns": "vertex,kind,params\n0,hist\n",
+    "four-columns": "vertex,kind,params\n0,hist,0.0:1.0\n2,hist,1.0:1.0,7\n",
+    "empty": "",
+    "header-only": "vertex,kind,params\n",
+    "unknown-kind": "vertex,kind,params\n0,point,0.0\n2,point,1.0\n",
+    "mixed-kinds": "vertex,kind,params\n0,hist,0.0:1.0\n2,gauss,1.0|1.0\n",
+    "duplicate-vertex": "vertex,kind,params\n0,hist,0.0:1.0\n0,hist,1.0:1.0\n",
+    "negative-vertex": "vertex,kind,params\n-1,hist,0.0:1.0\n2,hist,1.0:1.0\n",
+    "vertex-past-intp": "vertex,kind,params\n0,hist,0.0:1.0\n99999999999999999999,hist,1.0:1.0\n",
+    "vertex-out-of-range": "vertex,kind,params\n0,hist,0.0:1.0\n3,hist,1.0:1.0\n",
+    "vertex-not-integer": "vertex,kind,params\n0,hist,0.0:1.0\n2.0,hist,1.0:1.0\n",
+    "hist-empty-params": "vertex,kind,params\n0,hist,\n2,hist,1.0:1.0\n",
+    "hist-unsorted-bins": "vertex,kind,params\n0,hist,1.0:0.5;0.0:0.5\n2,hist,1.0:1.0\n",
+    "hist-negative-mass": "vertex,kind,params\n0,hist,0.0:-0.5;1.0:1.5\n2,hist,1.0:1.0\n",
+    "hist-nan-mass": "vertex,kind,params\n0,hist,0.0:nan;1.0:1.0\n2,hist,1.0:1.0\n",
+    "hist-not-normalized": "vertex,kind,params\n0,hist,0.0:0.5\n2,hist,1.0:1.0\n",
+    "gauss-missing-part": "vertex,kind,params\n0,gauss,0.0\n2,gauss,1.0|1.0\n",
+    "gauss-extra-part": "vertex,kind,params\n0,gauss,0.0|1.0|2.0\n2,gauss,1.0|1.0\n",
+    "gauss-negative-std": "vertex,kind,params\n0,gauss,0.0|-1.0\n2,gauss,1.0|1.0\n",
+    "gauss-mixed-dimensions": 'vertex,kind,params\n0,gauss,"0.0,1.0|1.0,1.0"\n2,gauss,1.0|1.0\n',
+    # |inf - inf| is NaN, so an overflowing loss never met the stop test
+    "gauss-loss-overflow": "vertex,kind,params\n0,gauss,0.0|1.0\n2,gauss,1e308|1e308\n",
+    # the envelope's squared norm overflows
+    "gauss-envelope-overflow": "vertex,kind,params\n0,gauss,1e200|1e200\n2,gauss,-1e200|1e200\n",
+}
+
+MALFORMED_TRUTH = {
+    "one-column": "vertex,class\n0,0\n1\n2,1\n",
+    "three-columns": "vertex,class\n0,0\n1,1,1\n2,1\n",
+    "empty": "",
+    "header-only": "vertex,class\n",
+    "class-not-integer": "vertex,class\n0,0\n1,a\n2,1\n",
+    "vertex-not-integer": "vertex,class\n0,0\nv,1\n2,1\n",
+    "duplicate-vertex": "vertex,class\n0,0\n1,1\n1,0\n2,1\n",
+    "missing-vertex": "vertex,class\n0,0\n2,1\n",
+    "negative-vertex": "vertex,class\n-1,0\n0,0\n1,1\n",
+    "vertex-past-intp": "vertex,class\n0,0\n1,1\n99999999999999999999,1\n",
+    "class-past-intp": "vertex,class\n0,0\n1,99999999999999999999\n2,1\n",
+    "fewer-vertices": "vertex,class\n0,0\n1,1\n",
+    "more-vertices": "vertex,class\n0,0\n1,1\n2,1\n3,0\n",
+    "one-class": "vertex,class\n0,0\n1,0\n2,0\n",
+    "classes-not-from-0": "vertex,class\n0,1\n1,2\n2,2\n",
+    "negative-class": "vertex,class\n0,-1\n1,0\n2,0\n",
+    # one label per class makes every vertex known, so no accuracy is scored
+    "every-vertex-known": "vertex,class\n0,0\n1,1\n2,2\n",
+}
+
+# the reader rejects the first three, naming the file; argparse the others
+MALFORMED_CONFIGS = {
+    "no-equals": b"# defaults\ngamma\n",
+    "empty-key": b"=1\n",
+    "not-utf8": b"\xff\xfeseed=1\n",
+    "unknown-key": b"bogus=1\n",
+    "bad-int": b"seed=x\n",
+}
+
+
+def _command_argvs(tmp_path, labels_text):
+    """Each subcommand on the 3-vertex path (as a graph and a hypergraph) with
+    the given labels file, writing into tmp_path."""
+    graph, hyper, labels = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "l.csv"
+    graph.write_text("0 1 1.0\n1 2 1.0\n")
+    hyper.write_text("0 1\n1 2\n")
+    labels.write_text(labels_text)
+    truth = tmp_path / "t.csv"
+    truth.write_text("vertex,class\n0,0\n1,1\n2,1\n")
+    table = tmp_path / "table.csv"
+    table.write_text("f,class\na,x\na,y\nb,x\n")
+    training = ["--graph", str(graph), "--labels", str(labels), "--gamma", "1.0", "--grid-size", "8"]
+    return {
+        "gen-sbm": ["gen-sbm", "--blocks", "3,3", "--p-in", "0.5", "--p-out", "0.1",
+                    "--output", str(tmp_path / "s.txt")],
+        "ingest": ["ingest", "--input", str(table), "--output", str(tmp_path / "i.txt")],
+        "propagate": ["propagate", "--hypergraph", str(hyper), "--labels", str(labels),
+                      "--alpha", "2", "--gamma", "1", "--grid-size", "8",
+                      "--output", str(tmp_path / "p.csv")],
+        "solve-tikhonov": ["solve-tikhonov", *training, "--output", str(tmp_path / "f.csv")],
+        "stability": ["stability", *training, "--epsilon", "0.5", "--empirical", "--swaps", "2",
+                      "--output", str(tmp_path / "r.txt")],
+        "experiment": ["experiment", "--hypergraph", str(hyper), "--truth", str(truth),
+                       "--labels-per-class", "1", "--alpha", "2", "--gamma", "1",
+                       "--output", str(tmp_path / "m.csv")],
+    }
+
+
+GOOD_LABELS = "vertex,kind,params\n0,hist,0.0:1.0\n2,hist,1.0:1.0\n"
+
+
+def test_cli_gate_inputs_are_good(tmp_path):
+    # the commands the gates below run succeed on the unbroken files
+    for command, argv in _command_argvs(tmp_path, GOOD_LABELS).items():
+        assert cli.main(argv) == 0, command
+
+
+# the solve builds no envelope, and solves these labels to a finite field
+SOLVE_ACCEPTS = {"gauss-envelope-overflow"}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, command) for case in MALFORMED_LABELS
+     for command in ("propagate", "solve-tikhonov", "stability")
+     if not (command == "solve-tikhonov" and case in SOLVE_ACCEPTS)],
+)
+def test_cli_malformed_labels_is_one_error_line(tmp_path, capsys, case, command):
+    argv = _command_argvs(tmp_path, MALFORMED_LABELS[case])[command]
+    _only_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TRUTH))
+def test_cli_malformed_truth_is_one_error_line(tmp_path, capsys, case):
+    argv = _command_argvs(tmp_path, GOOD_LABELS)["experiment"]
+    (tmp_path / "t.csv").write_text(MALFORMED_TRUTH[case])
+    _only_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["gen-sbm", "ingest", "propagate", "solve-tikhonov",
+                                     "stability", "experiment"])
+@pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, case, command):
+    config = tmp_path / "c.cfg"
+    config.write_bytes(MALFORMED_CONFIGS[case])
+    argv = _command_argvs(tmp_path, GOOD_LABELS)[command]
+    line = _only_error_line(capsys, [*argv, "--config", str(config)])
+    assert (str(config) in line) == (case in ("no-equals", "empty-key", "not-utf8"))
+
+
+# counts numpy cannot size an 8-byte array of (2**60 - 64 is the first, as
+# np.arange rounds its length to a double); smaller huge counts are left
+# out, as an allocation of that size might be granted lazily
+@pytest.mark.parametrize("n", [10**23, 2**60, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("command", ["propagate", "solve-tikhonov", "stability", "experiment"])
+def test_cli_vertex_count_past_numpy_is_one_error_line(tmp_path, capsys, command, n):
+    argv = _command_argvs(tmp_path, GOOD_LABELS)[command]
+    assert _only_error_line(capsys, [*argv, "--n", str(n)]) == f"error: vertex count {n} out of range"
 
 
 @pytest.mark.parametrize("command", ["solve-tikhonov", "stability"])

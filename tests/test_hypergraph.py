@@ -126,6 +126,14 @@ def test_weighted_graph_arrays():
     for pairs, weights, message in cases:
         with pytest.raises(InputError, match=message):
             WeightedGraph(4, pairs, weights)
+    # the vertex-count check of a hypergraph, down to numpy's array size bound
+    for n, message in ((0, "vertex count must be >= 1, got 0"),
+                       (2**60 - 64, f"vertex count {2**60 - 64} out of range"),
+                       (2**70, f"vertex count {2**70} out of range")):
+        with pytest.raises(InputError, match=message):
+            WeightedGraph(n, [(0, 1)], [1.0])
+        with pytest.raises(InputError, match=message):
+            Hypergraph(n, [(0, 1)])
 
 
 def test_incidence_matrix():

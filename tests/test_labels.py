@@ -286,6 +286,9 @@ def test_envelope_invariants(grid32):
         DominatedQuantileEnvelope(grid32, -np.ones(32))
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
     assert env.phi_l2_squared == pytest.approx(4.0)
+    # phi^2 past the float range is refused, not computed to inf with a warning
+    with pytest.raises(InputError, match="squared L2 norm overflows"):
+        DominatedQuantileEnvelope(grid32, np.full(32, 1e200))
 
 
 def test_tight_envelope_dominates(grid32):

@@ -9,6 +9,7 @@ from wassprop import (
     Hypergraph,
     InputError,
     LabeledSubset,
+    NumericalError,
     PropagationConfig,
     QuantileBackend,
     QuantileGrid,
@@ -211,6 +212,17 @@ def test_loss_matches_per_incidence_sum(grid32):
         w2_squared_quantile(state.vertex_label(v), lab) for v, lab in known.targets.items()
     )
     assert state.loss_history[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_overflowing_loss_is_a_numerical_error():
+    # |inf - inf| is NaN, so an overflowing loss never met the stop test and
+    # the loop ran to max_iters; now the first step raises, with no warning
+    h = Hypergraph(3, [(0, 1), (1, 2)])
+    known = LabeledSubset({0: DiagGaussianLabel([0.0], [1.0]), 2: DiagGaussianLabel([1e308], [1e308])})
+    for alpha, gamma in ((2.0, 1.0), (20.0, 10.0)):
+        state = initial_state(h, known, PropagationConfig(alpha=alpha, gamma=gamma), GaussianBackend(1))
+        with pytest.raises(NumericalError, match="propagation loss is (inf|nan)"):
+            step(state)
 
 
 def test_loss_independent_of_gather_block(grid32, monkeypatch):
