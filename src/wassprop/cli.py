@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import fileio
-from .errors import InputError, WasspropError
+from .errors import InputError, WasspropError, check_seed
 from .experiments import (
     AnchorSpec,
     SbmConfig,
@@ -327,6 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
+        check_seed(args.seed)  # also in the commands that draw nothing
         return args.func(args)
     except WasspropError as exc:
         print(f"error: {exc}", file=sys.stderr)

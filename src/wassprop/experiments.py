@@ -308,9 +308,8 @@ def run_experiment(
         known_vertices = stratified_subsample(truth, labels_per_class, seed=[cfg.seed, t, 0])
         known = LabeledSubset({v: labels[truth[v]] for v in known_vertices.tolist()})
         trial_cfg = replace(cfg, seed=_trial_seed(cfg.seed, t))
-        state = propagate(h, known, trial_cfg, backend)
-
-        predicted = classify(state)
+        # the state is dropped here, so trials never hold two at once
+        predicted = classify(propagate(h, known, trial_cfg, backend))
         if anchors.kind == "sign":
             predicted = (predicted + 1) // 2
         mask = np.ones(h.n, dtype=bool)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -46,7 +47,9 @@ class Hypergraph:
     duplicate vertices inside one hyperedge are rejected.  The first hyperedge
     that fails a check is named, by the first check it fails.  `edge_of` is a
     read-only intp array holding the hyperedge of each stored incidence, in
-    the storage order of `incidence()`.
+    the storage order of `incidence()`.  The parts every propagation run on
+    the graph shares (`mean_incidence`, `mean_degrees`, `bipartite_components`)
+    are computed on first use and kept.
     """
 
     n: int
@@ -103,6 +106,37 @@ class Hypergraph:
         return sp.csr_matrix(
             (np.ones(indices.size), indices, indptr), shape=(len(self.edges), self.n)
         )
+
+    @cached_property
+    def mean_incidence(self) -> sp.csc_matrix:
+        """n x E transpose of `incidence()` whose entries in hyperedge e's
+        column are 1/|e|, with read-only data in storage order: its product
+        with an (E, dim) block gives each vertex the sum of its hyperedges'
+        rows, each divided by the hyperedge's size."""
+        inc = self.incidence()
+        weights = 1.0 / np.diff(inc.indptr)[self.edge_of]
+        weights.flags.writeable = False
+        return sp.csr_matrix((weights, inc.indices, inc.indptr), inc.shape).T
+
+    @cached_property
+    def mean_degrees(self) -> np.ndarray:
+        """Row totals of `mean_incidence`, read-only: the sum of 1/|e| over
+        the hyperedges e holding each vertex, 0 for a vertex in none."""
+        # a matvec adds each total in storage order; .sum(axis=1) would not
+        degrees = self.mean_incidence @ np.ones(len(self.edges))
+        degrees.flags.writeable = False
+        return degrees
+
+    @cached_property
+    def bipartite_components(self) -> np.ndarray:
+        """Component label of each vertex in the bipartite vertex-hyperedge
+        graph, read-only; two vertices share a label iff a chain of
+        hyperedges joins them."""
+        _, indices = self._incidence_arrays
+        # vertices first, then hyperedges; each incidence links its two nodes
+        labels = components(self.n + len(self.edges), indices, self.n + self.edge_of)[: self.n]
+        labels.flags.writeable = False
+        return labels
 
 
 def first_duplicate(pairs: np.ndarray) -> int:

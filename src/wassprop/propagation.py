@@ -10,6 +10,14 @@ Both label backends embed labels into a Euclidean vector space in which the
 barycenter is a plain weighted average and the squared transport distance is
 a scaled squared norm, so each phase is exact: a product of the (n, dim)
 label block with a weighted sparse incidence matrix.
+
+Working set: a step allocates only the two blocks it returns, the new
+(E, dim) hyperedge block and the new (n, dim) vertex block; every quotient
+and row copy is made in place, and `propagate` frees the previous hyperedge
+block before the next step makes its own.  So the peak memory of a run is
+about one E x dim block, plus a few n x dim blocks (the current and the new
+vertex labels), plus the loss buffers of LOSS_BLOCK_VALUES floats each that
+the run's context keeps across steps.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError, check_seed
-from .hypergraph import Hypergraph, components
+from .hypergraph import Hypergraph
 from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, standard_normal_quantiles
 
 DEFAULT_MAX_ITERS = 200
@@ -133,12 +141,15 @@ class LabeledSubset:
 
 
 class _Context:
-    """The two weighted incidence operators shared by all steps of one run.
+    """The two weighted incidence operators shared by all steps of one run,
+    and the scratch buffers of the loss.
 
-    Both reuse the index arrays of the hypergraph's incidence matrix B and
-    differ only in their data: ``edge_incidence`` (E x n) weighs a member by
-    alpha if it is known and 1 otherwise, and ``vertex_incidence`` (n x E,
-    the transpose) weighs hyperedge E by 1/|E|.
+    Both operators reuse the index arrays of the hypergraph's incidence
+    matrix B and differ only in their data: ``edge_incidence`` (E x n) weighs
+    a member by alpha if it is known and 1 otherwise, and
+    ``vertex_incidence`` (n x E, the transpose) weighs hyperedge E by 1/|E|.
+    The latter does not depend on the known set, so it is the hypergraph's
+    own `mean_incidence`, shared by every run on the graph.
     """
 
     def __init__(self, h: Hypergraph, known: LabeledSubset, cfg: PropagationConfig, backend):
@@ -152,21 +163,29 @@ class _Context:
                 raise InputError(f"known vertex {v} outside [0, {h.n})")
         self.anchor_vertices = np.array(known.vertices, dtype=np.intp)
         self.anchor_values = np.stack([backend.encode(known.targets[v]) for v in known.vertices])
+        with np.errstate(over="ignore"):  # the loss raises the non-finite labels it makes
+            self.anchor_pull = cfg.gamma * self.anchor_values
 
         inc = h.incidence()
         is_known = np.zeros(h.n, dtype=bool)
         is_known[self.anchor_vertices] = True
         alpha_weights = np.where(is_known[inc.indices], cfg.alpha, 1.0)
-        size_weights = 1.0 / np.diff(inc.indptr)[h.edge_of]
         self.edge_incidence = sp.csr_matrix((alpha_weights, inc.indices, inc.indptr), inc.shape)
-        self.vertex_incidence = sp.csr_matrix((size_weights, inc.indices, inc.indptr), inc.shape).T
+        self.vertex_incidence = h.mean_incidence
         # a matvec adds each total in storage order; .sum(axis=1) would not
         self.edge_totals = self.edge_incidence @ np.ones(h.n)
-        den = self.vertex_incidence @ np.ones(len(h.edges))
+        den = h.mean_degrees.copy()
         den[self.anchor_vertices] += cfg.gamma
         # vertices in no hyperedge and not known keep their current label
-        self.updated = den > 0
-        self.vertex_totals = np.where(self.updated, den, 1.0)
+        updated = den > 0
+        self.kept = ~updated
+        self.vertex_totals = np.where(updated, den, 1.0)
+
+        # the loss gathers incidences in blocks of `loss_rows` into two buffers
+        incidences = inc.nnz
+        self.loss_rows = max(1, LOSS_BLOCK_VALUES // backend.dim)
+        shape = (min(self.loss_rows, incidences), backend.dim)
+        self.loss_buffers = (np.empty(incidences), np.empty(shape), np.empty(shape))
 
 
 @dataclass(frozen=True)
@@ -190,22 +209,23 @@ class PropagationState:
 
 
 def _edge_phase(ctx: _Context, vertex_values: np.ndarray) -> np.ndarray:
-    """Hyperedge labels: weighted barycenter of member labels."""
-    return (ctx.edge_incidence @ vertex_values) / ctx.edge_totals[:, None]
+    """Hyperedge labels: weighted barycenter of member labels, divided in
+    place in the block the product made."""
+    edge_values = ctx.edge_incidence @ vertex_values
+    edge_values /= ctx.edge_totals[:, None]
+    return edge_values
 
 
 def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> float:
     """Sum over incidences (v, E) of ||x_v - y_E||^2 / |E|, plus the gamma-
     weighted anchor terms, in transport units.  The incidences are gathered
-    in blocks into two buffers made once per call, which bounds the scratch
+    in blocks into the context's two buffers, which bounds the scratch
     memory; each squared norm is summed whole, so the result does not depend
     on the block size.  A loss that is not finite (labels too large to
     compare) raises NumericalError."""
     members = ctx.edge_incidence.indices
-    sq_norms = np.empty(members.size)
-    rows = max(1, LOSS_BLOCK_VALUES // ctx.backend.dim)
-    shape = (min(rows, members.size), vertex_values.shape[1])
-    diffs, others = np.empty(shape, vertex_values.dtype), np.empty(shape, edge_values.dtype)
+    rows = ctx.loss_rows
+    sq_norms, diffs, others = ctx.loss_buffers
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
         for start in range(0, members.size, rows):
             block = slice(start, start + rows)
@@ -228,15 +248,17 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
 
 def step(state: PropagationState) -> PropagationState:
     """One alternation: update hyperedge labels, then vertex labels, then
-    accumulate the loss at the new vertex labels."""
+    accumulate the loss at the new vertex labels.  The input state is left
+    as it was; the two blocks of the new state are the only ones made."""
     ctx = state.context
     old = state.vertex_values
 
     edge_values = _edge_phase(ctx, old)
-    num = ctx.vertex_incidence @ edge_values
+    new = ctx.vertex_incidence @ edge_values
     with np.errstate(over="ignore", invalid="ignore"):  # _loss raises a non-finite label
-        num[ctx.anchor_vertices] += ctx.cfg.gamma * ctx.anchor_values
-        new = np.where(ctx.updated[:, None], num / ctx.vertex_totals[:, None], old)
+        new[ctx.anchor_vertices] += ctx.anchor_pull
+        new /= ctx.vertex_totals[:, None]
+    np.copyto(new, old, where=ctx.kept[:, None])
 
     return replace(
         state,
@@ -253,6 +275,7 @@ def evaluate_loss(state: PropagationState, vertex_values: Optional[np.ndarray] =
     summed without updating."""
     if vertex_values is None:
         vertex_values = state.vertex_values
+    vertex_values = np.asarray(vertex_values, dtype=float)  # the loss buffers are float
     return _loss(state.context, vertex_values, _edge_phase(state.context, vertex_values))
 
 
@@ -281,14 +304,12 @@ def initial_state(
 def _warn_unreached(ctx: _Context) -> None:
     """Warn about vertices no anchor reaches: those in no hyperedge, and those
     whose connected component of the bipartite vertex-hyperedge graph holds no
-    known vertex.  The bipartite graph has one link per incidence, so each
+    known vertex.  The graph scans its components once and keeps them, for
+    every known set; the bipartite graph has one link per incidence, so each
     round of the scan is linear in the size of the hyperedges."""
-    n = ctx.h.n
-    members = ctx.edge_incidence.indices
-    # vertices first, then hyperedges; each incidence links its two nodes
-    component = components(n + len(ctx.h.edges), members, n + ctx.h.edge_of)[:n]
+    component = ctx.h.bipartite_components
     reached = np.isin(component, component[ctx.anchor_vertices])
-    in_some_edge = np.bincount(members, minlength=n) > 0
+    in_some_edge = ctx.h.mean_degrees > 0
     isolated = np.flatnonzero(~reached & ~in_some_edge).tolist()
     unreached = np.flatnonzero(~reached & in_some_edge).tolist()
     if isolated:
@@ -319,6 +340,8 @@ def propagate(
     state = initial_state(h, known, cfg, backend, initial_labels)  # validates known vertices
     _warn_unreached(state.context)
     for _ in range(cfg.max_iters):
+        # free the previous hyperedge block before the step makes the next one
+        state = replace(state, edge_values=None)
         state = step(state)
         hist = state.loss_history
         if len(hist) >= 2 and abs(hist[-1] - hist[-2]) <= cfg.rel_tol * max(1.0, hist[-2]):

@@ -21,7 +21,7 @@ from wassprop import (
     run_experiment,
     stratified_subsample,
 )
-from wassprop import experiments
+from wassprop import experiments, hypergraph
 
 REFERENCE_SBM = dict(block_sizes=(50, 50), k=3, p_in=0.01, p_out=0.002)
 
@@ -262,6 +262,36 @@ def test_run_experiment_known_sets_match_inline_draw(monkeypatch):
         expected.append(sorted(known_vertices))
     assert seen == expected
     assert all(type(v) is int for v in seen[0])
+
+
+def test_run_experiment_shares_graph_parts_across_trials(monkeypatch):
+    # the 1/|E| incidence, its row totals and the component labels do not
+    # depend on the known set: every trial reuses the ones the graph keeps
+    h, truth = small_sbm(seed=8)
+    cfg = PropagationConfig(alpha=10.0, gamma=5.0, max_iters=3, seed=12)
+    anchors = AnchorSpec(kind="onehot", variance=0.05)
+    scans, operators = [], []
+    scan, real = hypergraph.components, experiments.propagate
+
+    def counting(n, heads, tails):
+        scans.append(n)
+        return scan(n, heads, tails)
+
+    def recording(h, known, cfg, backend):
+        state = real(h, known, cfg, backend)
+        operators.append(state.context.vertex_incidence)
+        return state
+
+    monkeypatch.setattr(hypergraph, "components", counting)
+    monkeypatch.setattr(experiments, "propagate", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shared = run_experiment(h, truth, labels_per_class=3, trials=4, cfg=cfg, anchors=anchors)
+        fresh = run_experiment(Hypergraph(h.n, h.edges), truth, labels_per_class=3, trials=4,
+                               cfg=cfg, anchors=anchors)
+    assert len(scans) == 2  # once per graph
+    assert len(operators) == 8 and all(op is h.mean_incidence for op in operators[:4])
+    assert shared.accuracies == fresh.accuracies
 
 
 def test_run_experiment_all_known_flagged():

@@ -1211,6 +1211,26 @@ def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, case, command)
     assert (str(config) in line) == (case in ("no-equals", "empty-key", "not-utf8"))
 
 
+SEEDED_COMMANDS = ["gen-sbm", "ingest", "propagate", "solve-tikhonov", "stability",
+                   "stability-report", "experiment"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_cli_negative_seed_is_one_error_line(tmp_path, capsys, command, source):
+    # also the commands that draw nothing; "stability-report" runs no swaps
+    argvs = _command_argvs(tmp_path, GOOD_LABELS)
+    argvs["stability-report"] = [a for a in argvs["stability"] if a != "--empirical"]
+    if source == "flag":
+        extra = ["--seed", "-1"]
+    else:
+        config = tmp_path / "c.cfg"
+        config.write_text("seed=-1\n")
+        extra = ["--config", str(config)]
+    line = _only_error_line(capsys, [*argvs[command], *extra])
+    assert line == "error: seed must be non-negative, got -1"
+
+
 # counts numpy cannot size an 8-byte array of (2**60 - 64 is the first, as
 # np.arange rounds its length to a double); smaller huge counts are left
 # out, as an allocation of that size might be granted lazily

@@ -411,6 +411,23 @@ def test_components_of_vertex_hyperedge_graph():
         _check_components(n + len(h.edges), inc.indices, n + edge_of)
 
 
+def test_shared_propagation_parts():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        h = random_hypergraph(rng, n, max_edges=8, max_size=5)
+        sizes = np.diff(h.incidence().indptr)
+        assert np.array_equal(h.mean_incidence.toarray(), (h.incidence().toarray() / sizes[:, None]).T)
+        assert np.array_equal(h.mean_degrees, h.mean_incidence @ np.ones(len(h.edges)))
+        edge_of = np.repeat(np.arange(len(h.edges)), sizes)
+        labels = _reference_components(n + len(h.edges), h.incidence().indices, n + edge_of)
+        assert np.array_equal(h.bipartite_components, labels[:n])
+        # kept on the graph and read-only, so runs on it can share them
+        assert h.mean_incidence is h.mean_incidence
+        for a in (h.mean_incidence.data, h.mean_degrees, h.bipartite_components):
+            assert not a.flags.writeable
+
+
 def test_laplacian_of_edgeless_graph_is_float():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,5 +1,8 @@
 """Alternating barycenter propagation on hypergraphs."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from wassprop import (
     step,
     w2_squared_quantile,
 )
-from wassprop import propagation
+from wassprop import hypergraph, propagation
 from wassprop.labels import standard_normal_quantiles
 from wassprop.propagation import _Context
 from conftest import dict_graph, random_histogram_label, random_hypergraph
@@ -232,15 +235,82 @@ def test_loss_independent_of_gather_block(grid32, monkeypatch):
     gauss = DiagGaussianLabel(rng.uniform(-1.0, 1.0, 4), rng.uniform(0.1, 1.0, 4))
     for backend, label in [(QuantileBackend(grid32), random_histogram_label(rng, grid32)),
                            (GaussianBackend(4), gauss)]:
-        state = initial_state(h, LabeledSubset({0: label}), cfg, backend)
-        whole = evaluate_loss(state)
-        incidences = state.context.edge_incidence.indices.size
+        known = LabeledSubset({0: label})
+        whole = evaluate_loss(initial_state(h, known, cfg, backend))
+        incidences = h.incidence().nnz
         rows = incidences // 2 + 1  # a full block and a shorter last one
         assert incidences > rows
         for block_values in (1, rows * backend.dim):  # 1: one incidence per block
+            # the context sizes its loss buffers when it is made
             monkeypatch.setattr(propagation, "LOSS_BLOCK_VALUES", block_values)
+            state = initial_state(h, known, cfg, backend)
+            assert state.context.loss_rows == max(1, block_values // backend.dim)
             assert evaluate_loss(state) == whole
         monkeypatch.undo()
+
+
+def _frozen(state):
+    """Bit copies of what a step must not change in its input state."""
+    edges = None if state.edge_values is None else state.edge_values.tobytes()
+    return state.vertex_values.tobytes(), edges, state.loss_history
+
+
+@pytest.mark.parametrize("kind", ["quantile", "gauss"])
+def test_step_leaves_its_input_unchanged(grid32, kind):
+    # vertex 5 is unknown and in no hyperedge, so its row is copied from the input
+    rng = np.random.default_rng(23)
+    h = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (0, 4)])
+    if kind == "quantile":
+        backend = QuantileBackend(grid32)
+        targets = {v: random_histogram_label(rng, grid32) for v in (0, 3)}
+    else:
+        backend = GaussianBackend(2)
+        targets = {v: DiagGaussianLabel(rng.uniform(-1, 1, 2), rng.uniform(0.1, 1, 2))
+                   for v in (0, 3)}
+    known = LabeledSubset(targets)
+    cfg = PropagationConfig(alpha=3.0, gamma=2.0, seed=8)
+    state = initial_state(h, known, cfg, backend)
+    for _ in range(3):  # the first input has no hyperedge block, the later ones do
+        before = _frozen(state)
+        new = step(state)
+        assert _frozen(state) == before
+        assert new.vertex_values[5].tobytes() == state.vertex_values[5].tobytes()
+        assert not np.array_equal(new.vertex_values[:5], state.vertex_values[:5])
+        state = new
+
+    with pytest.warns(UserWarning, match="no hyperedge"):
+        final = propagate(h, known, replace(cfg, max_iters=3, rel_tol=1e-300), backend)
+    assert final.iterations == 3
+    assert final.edge_values.tobytes() == state.edge_values.tobytes()
+    for e in range(len(h.edges)):
+        want = backend.decode(state.edge_values[e])
+        assert np.array_equal(backend.encode(final.hyperedge_label(e)), backend.encode(want))
+
+
+def test_propagate_working_set_is_one_hyperedge_block():
+    # E x S >> n x S: the hyperedge block is 20 times the vertex block, so a
+    # second live hyperedge block would break the bound below
+    rng = np.random.default_rng(29)
+    grid256 = QuantileGrid(256)
+    n, n_edges = 100, 2000
+    h = Hypergraph(n, [rng.choice(n, 3, replace=False) for _ in range(n_edges)])
+    known = LabeledSubset({v: random_histogram_label(rng, grid256) for v in range(0, n, 10)})
+    cfg = PropagationConfig(alpha=20.0, gamma=10.0, max_iters=3, rel_tol=1e-300, seed=2)
+    backend = QuantileBackend(grid256)
+    edge_block, vertex_block = n_edges * grid256.size * 8, n * grid256.size * 8
+    loss_buffers = 2 * propagation.LOSS_BLOCK_VALUES * 8 + h.incidence().nnz * 8
+    propagate(h, known, cfg, backend)  # lazy imports and the graph's shared parts
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state = propagate(h, known, cfg, backend)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert state.iterations == 3
+    # the current and new vertex blocks, and as much again for the context's
+    # operators and numpy's ufunc buffers
+    assert peak <= edge_block + 4 * vertex_block + loss_buffers
 
 
 def _has_unreached(h, known):
@@ -456,18 +526,21 @@ def test_reachability_scan_linear_in_incidences(grid4, monkeypatch):
     h = Hypergraph(6000, edges)
     seen = []
 
-    scan = propagation.components
+    scan = hypergraph.components
 
     def recording(n, heads, tails):
         seen.append((n, heads.size, tails.size))
         return scan(n, heads, tails)
 
-    monkeypatch.setattr(propagation, "components", recording)
+    monkeypatch.setattr(hypergraph, "components", recording)
     known = LabeledSubset({0: delta(grid4, 0.0)})
     cfg = PropagationConfig(alpha=1.0, gamma=1.0, max_iters=1)
     with pytest.warns(UserWarning) as record:
         propagate(h, known, cfg, QuantileBackend(grid4))
-    assert seen == [(6003, 6500, 6500)]  # 6000 vertices and 3 hyperedges, one link per incidence
+        propagate(h, LabeledSubset({1: delta(grid4, 0.0)}), cfg, QuantileBackend(grid4))
+    # 6000 vertices and 3 hyperedges, one link per incidence; the second run,
+    # with another known set, reuses the graph's component labels
+    assert seen == [(6003, 6500, 6500)]
     messages = [str(w.message) for w in record]
     assert any(m.startswith("500 vertices belong to no hyperedge") and "[5500," in m for m in messages)
     assert any(m.startswith("500 vertices are not reachable") and "[5000," in m for m in messages)
