@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import fileio
-from .errors import InputError, WasspropError, check_seed
+from .errors import InputError, WasspropError, check_positive, check_seed
 from .experiments import (
     AnchorSpec,
     SbmConfig,
@@ -38,7 +38,6 @@ from .propagation import (
 )
 from .stability import (
     StabilityInputs,
-    check_epsilon,
     check_swap_plan,
     empirical_stability,
     generalization_bounds,
@@ -91,18 +90,13 @@ def _read_instance(args) -> TikhonovOperator:
     g = fileio.read_graph(args.graph, args.n)
     grid = QuantileGrid(args.grid_size)
     kind, targets = fileio.read_labels(args.labels, grid)
-    samples = []
-    for v in sorted(targets):
-        label = targets[v]
-        if kind == "gauss":
-            if label.dim != 1:
-                raise InputError(
-                    "quantile-field solving needs one-dimensional labels; "
-                    f"vertex {v} has dimension {label.dim}"
-                )
-            label = gaussian_quantile_label(float(label.mean[0]), float(label.std[0]), grid)
-        samples.append((v, label))
-    return TikhonovOperator(g, TrainingSet(samples), args.gamma)
+    if kind == "gauss":  # the reader checked that every Gaussian has one dimension
+        dim = next(iter(targets.values())).dim
+        if dim != 1:
+            raise InputError(f"quantile-field solving needs one-dimensional labels, got dimension {dim}")
+        targets = {v: gaussian_quantile_label(float(lab.mean[0]), float(lab.std[0]), grid)
+                   for v, lab in targets.items()}
+    return TikhonovOperator(g, TrainingSet(sorted(targets.items())), args.gamma)
 
 
 def _write_hypergraph(args, h, classes) -> None:
@@ -146,11 +140,8 @@ def cmd_propagate(args) -> int:
     kind, targets = fileio.read_labels(args.labels, grid)
     if kind == "hist":
         backend = QuantileBackend(grid)
-    else:
-        dims = {label.dim for label in targets.values()}
-        if len(dims) != 1:
-            raise InputError(f"gauss labels mix dimensions {sorted(dims)}")
-        backend = GaussianBackend(dims.pop())
+    else:  # the reader checked that every Gaussian has one dimension
+        backend = GaussianBackend(next(iter(targets.values())).dim)
     state = propagate(h, LabeledSubset(targets), _propagation_config(args), backend)
     fileio.write_predictions(_require_output(args), classify(state), state)
     if args.trace is not None:
@@ -171,7 +162,7 @@ def cmd_stability(args) -> int:
     op = _read_instance(args)
     envelope = tight_envelope([label for _, label in op.training.samples])
     si = StabilityInputs.from_instance(op, envelope)
-    check_epsilon(args.epsilon)  # also when a non-positive margin leaves the bounds out
+    check_positive("epsilon", args.epsilon)  # also when a non-positive margin leaves the bounds out
     if args.empirical:
         check_swap_plan(args.swaps, args.seed)  # likewise when it leaves the swaps out
     lines = [

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and the seed check that
-every seeded entry point runs."""
+"""Exception hierarchy shared across the package, and the input rules that
+several modules share: `check_seed`, `check_positive` and `check_vertex_range`."""
 
 import numbers
+
+import numpy as np
 
 
 class WasspropError(Exception):
@@ -41,3 +43,22 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     return int(seed)
+
+
+def check_positive(name: str, value) -> float:
+    """`value` as a float; InputError names `name` unless it is positive and finite."""
+    if not 0 < value < np.inf:
+        raise InputError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
+def check_vertex_range(what: str, vertices, n: int) -> np.ndarray:
+    """`vertices` as an intp array; InputError names the first outside [0, n)."""
+    try:
+        a = np.array(vertices, dtype=np.intp)
+    except OverflowError:  # a vertex past intp is outside [0, n)
+        a = np.array(vertices, dtype=object)
+    outside = a[(a < 0) | (a >= n)]
+    if outside.size:
+        raise InputError(f"{what} vertex {outside[0]} outside [0, {n})")
+    return a

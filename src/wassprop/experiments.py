@@ -1,5 +1,6 @@
 """Experiment harness: block-model hypergraph generation, categorical-table
 ingestion, and seeded classification trials with Gaussian soft-label anchors.
+The class-size check of the trials is coded once, in `stratified_subsample`.
 """
 
 from __future__ import annotations
@@ -289,23 +290,18 @@ def run_experiment(
         raise InputError("classes must be labeled 0..b-1")
     if anchors.kind == "sign" and n_classes != 2:
         raise InputError("sign anchors require exactly two classes")
-    smallest = min(int(np.count_nonzero(truth == c)) for c in class_ids)
-    if labels_per_class > smallest:
-        raise InputError(
-            f"labels_per_class={labels_per_class} exceeds the smallest class size {smallest}"
-        )
-    if labels_per_class * n_classes == h.n:
-        raise InputError(
-            f"labels_per_class={labels_per_class} makes all {h.n} vertices known, "
-            "leaving none to score"
-        )
-
     backend = GaussianBackend(1 if anchors.kind == "sign" else n_classes)
     labels = [_anchor_label(anchors, int(c), n_classes) for c in class_ids]
 
     accuracies: List[float] = []
     for t in range(trials):
+        # the draw checks the class sizes; one that takes every vertex leaves none to score
         known_vertices = stratified_subsample(truth, labels_per_class, seed=[cfg.seed, t, 0])
+        if known_vertices.size == h.n:
+            raise InputError(
+                f"labels_per_class={labels_per_class} makes all {h.n} vertices known, "
+                "leaving none to score"
+            )
         known = LabeledSubset({v: labels[truth[v]] for v in known_vertices.tolist()})
         trial_cfg = replace(cfg, seed=_trial_seed(cfg.seed, t))
         # the state is dropped here, so trials never hold two at once

@@ -12,7 +12,8 @@ files hold lines `i j w`.  All floats are written with `.` decimals via repr
 every line ends in `\n` on every platform, and `_csv_field` is the one CSV
 quoting rule: a field holding `,`, `"` or a newline is quoted, its inner
 quotes doubled.  Readers raise InputError naming the file, and the line for
-a line that does not parse.
+a line that does not parse.  `_vertex_rows` is the header rule of the three
+vertex-keyed CSVs, and `read_labels` checks every label-row rule in one pass.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def _csv_rows(path) -> List[Tuple[int, List[str]]]:
     return [(reader.line_num, row) for row in reader if row]
 
 
+def _vertex_rows(path) -> List[Tuple[int, List[str]]]:
+    """`_csv_rows` of a labels, field or truth file, but its `vertex` header rows."""
+    return [(line, row) for line, row in _csv_rows(path) if row[0].strip() != "vertex"]
+
+
 def _data_lines(lines: List[str]) -> List[Tuple[int, str]]:
     """(line number, stripped text) of each non-blank line that is no `#` comment."""
     numbered = enumerate((raw.strip() for raw in lines), start=1)
@@ -143,44 +149,42 @@ def label_params(label) -> str:
 
 
 def read_labels(path, grid: Optional[QuantileGrid] = None):
-    """Parse a labels CSV into (kind, {vertex: label}).
-
-    All rows must share one kind; hist rows are resampled onto `grid`
-    (required for hist files).
-    """
-    rows = []
-    for line, row in _csv_rows(path):
-        if row[0].strip() == "vertex":
-            continue
-        if len(row) != 3:
-            raise InputError(f"{path}, line {line}: labels row needs 3 columns, got {row!r}")
-        rows.append((line, [field.strip() for field in row]))
-    if not rows:
-        raise InputError(f"no label rows found in {path}")
-    kinds = {row[1] for _, row in rows}
-    if not kinds <= {"hist", "gauss"}:
-        raise InputError(f"unknown label kind(s) {sorted(kinds - {'hist', 'gauss'})}")
-    if len(kinds) != 1:
-        raise InputError("labels file mixes hist and gauss rows")
-    kind = kinds.pop()
-    if kind == "hist" and grid is None:
-        raise InputError("hist labels require a quantile grid")
+    """Parse a labels CSV into (kind, {vertex: label}) in one pass, naming the
+    file and line of the first bad row: every row needs 3 columns, a new
+    integer vertex, params that parse and the file's one kind, "hist"
+    (resampled onto `grid`, required then) or "gauss" (of one dimension)."""
+    kind = None
     out: Dict[int, object] = {}
-    for line, (vertex_text, _, params) in rows:
+    for line, row in _vertex_rows(path):
         try:
-            vertex = int(vertex_text)
-        except ValueError:
-            raise InputError(f"{path}, line {line}: bad vertex index {vertex_text!r}") from None
-        if vertex in out:
-            raise InputError(f"{path}, line {line}: duplicate label for vertex {vertex}")
-        try:
+            if len(row) != 3:
+                raise InputError(f"labels row needs 3 columns, got {row!r}")
+            vertex_text, row_kind, params = (field.strip() for field in row)
+            if row_kind not in ("hist", "gauss"):
+                raise InputError(f"unknown label kind {row_kind!r}")
+            kind = kind or row_kind
+            if row_kind != kind:
+                raise InputError("labels file mixes hist and gauss rows")
+            if kind == "hist" and grid is None:
+                raise InputError("hist labels require a quantile grid")
+            try:
+                vertex = int(vertex_text)
+            except ValueError:
+                raise InputError(f"bad vertex index {vertex_text!r}") from None
+            if vertex in out:
+                raise InputError(f"duplicate label for vertex {vertex}")
             if kind == "hist":
-                bins, masses = parse_hist_params(params)
-                out[vertex] = quantile_from_histogram(bins, masses, grid)
+                label = quantile_from_histogram(*parse_hist_params(params), grid)
             else:
-                out[vertex] = parse_gauss_params(params)
+                label = parse_gauss_params(params)
+                first = next(iter(out.values()), label)
+                if label.dim != first.dim:
+                    raise InputError(f"gauss labels mix dimensions {first.dim} and {label.dim}")
+            out[vertex] = label
         except InputError as exc:  # keeps the subclass, e.g. NormalizationError
             raise type(exc)(f"{path}, line {line}: {exc}") from None
+    if not out:
+        raise InputError(f"no label rows found in {path}")
     return kind, out
 
 
@@ -315,9 +319,7 @@ def write_field(path, field: QuantileField) -> None:
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:
     rows: List[List[float]] = []
-    for line, row in _csv_rows(path):
-        if row[0] == "vertex":
-            continue
+    for line, row in _vertex_rows(path):
         try:
             if len(row) - 1 != grid.size:
                 raise ValueError(f"width {len(row) - 1} does not match grid size {grid.size}")
@@ -358,9 +360,7 @@ def write_truth(path, classes: Sequence[int]) -> None:
 
 def read_truth(path) -> np.ndarray:
     values: Dict[int, int] = {}
-    for line, row in _csv_rows(path):
-        if row[0] == "vertex":
-            continue
+    for line, row in _vertex_rows(path):
         try:
             vertex, cls = row
             vertex, cls = int(vertex), int(cls)

@@ -10,6 +10,9 @@ Two label backends are provided:
 * ``DiagGaussianLabel``: a b-dimensional Gaussian with diagonal covariance,
   stored as (mean, std) vectors.  Distances and barycenters use the
   coordinate-wise closed forms and never touch a grid.
+
+`check_same_grid` is the grid rule of the package, and `_barycenter_weights`
+checks the weights of both barycenters.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ def check_quantile_samples(values: np.ndarray, shape: Tuple[int, ...]) -> None:
         raise InputError("quantile samples must be non-decreasing")
 
 
-def _check_same_grid(a: QuantileGrid, b: QuantileGrid) -> None:
+def check_same_grid(a: QuantileGrid, b: QuantileGrid) -> None:
+    """Raise DimensionError unless the grids match; every grid comparison calls it."""
     if a.size != b.size:
         raise DimensionError(f"grid mismatch: S={a.size} vs S={b.size}")
 
@@ -199,9 +203,21 @@ def w2_squared_quantile(a: QuantileLabel, b: QuantileLabel) -> float:
 
     Equals the grid quadrature of (F_a^{-1}(s) - F_b^{-1}(s))^2 over (0, 1).
     """
-    _check_same_grid(a.grid, b.grid)
+    check_same_grid(a.grid, b.grid)
     d = a.values - b.values
     return float(np.dot(d, d)) / a.grid.size
+
+
+def _barycenter_weights(weights: Sequence[float], labels: Sequence) -> np.ndarray:
+    """The barycenter weights as floats: one per label (non-empty), all positive."""
+    if len(labels) == 0:
+        raise InputError("barycenter of an empty label set")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(labels),):
+        raise InputError("one weight per label required")
+    if np.any(w <= 0):
+        raise InputError("weights must be positive")
+    return w
 
 
 def barycenter_quantile(
@@ -214,16 +230,10 @@ def barycenter_quantile(
     the input quantile functions; weights are raw positive numbers and are
     normalized internally.
     """
-    if len(labels) == 0:
-        raise InputError("barycenter of an empty label set")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(labels),):
-        raise InputError("one weight per label required")
-    if np.any(w <= 0):
-        raise InputError("weights must be positive")
+    w = _barycenter_weights(weights, labels)
     grid = labels[0].grid
     for lab in labels[1:]:
-        _check_same_grid(grid, lab.grid)
+        check_same_grid(grid, lab.grid)
     stacked = np.stack([lab.values for lab in labels])
     return QuantileLabel(grid, (w @ stacked) / w.sum())
 
@@ -259,13 +269,7 @@ def barycenter_gaussian(
     labels: Sequence[DiagGaussianLabel],
 ) -> DiagGaussianLabel:
     """Weighted barycenter of diagonal Gaussians: averaged means and stds."""
-    if len(labels) == 0:
-        raise InputError("barycenter of an empty label set")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(labels),):
-        raise InputError("one weight per label required")
-    if np.any(w <= 0):
-        raise InputError("weights must be positive")
+    w = _barycenter_weights(weights, labels)
     dim = labels[0].dim
     for lab in labels[1:]:
         if lab.dim != dim:
@@ -277,7 +281,7 @@ def barycenter_gaussian(
 
 def check_dominated(label: QuantileLabel, envelope: DominatedQuantileEnvelope) -> bool:
     """True iff |values[j]| <= phi[j] at every grid node."""
-    _check_same_grid(label.grid, envelope.grid)
+    check_same_grid(label.grid, envelope.grid)
     return bool(np.all(np.abs(label.values) <= envelope.phi))
 
 
@@ -287,6 +291,6 @@ def tight_envelope(labels: Sequence[QuantileLabel]) -> DominatedQuantileEnvelope
         raise InputError("envelope of an empty label set")
     grid = labels[0].grid
     for lab in labels[1:]:
-        _check_same_grid(grid, lab.grid)
+        check_same_grid(grid, lab.grid)
     phi = np.max(np.abs(np.stack([lab.values for lab in labels])), axis=0)
     return DominatedQuantileEnvelope(grid, phi)

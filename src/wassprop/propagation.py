@@ -30,9 +30,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, NumericalError, check_seed
+from .errors import InputError, NumericalError, check_positive, check_seed, check_vertex_range
 from .hypergraph import Hypergraph
-from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, standard_normal_quantiles
+from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, check_same_grid
+from .labels import standard_normal_quantiles
 
 DEFAULT_MAX_ITERS = 200
 DEFAULT_REL_TOL = 1e-6
@@ -53,12 +54,10 @@ class PropagationConfig:
     def __post_init__(self):
         if not 1 <= self.alpha < math.inf:
             raise InputError(f"alpha must be finite and >= 1, got {self.alpha}")
-        if not 0 < self.gamma < math.inf:
-            raise InputError(f"gamma must be positive and finite, got {self.gamma}")
+        check_positive("gamma", self.gamma)
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.rel_tol < math.inf:
-            raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        check_positive("rel_tol", self.rel_tol)
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -77,8 +76,7 @@ class QuantileBackend:
         self.metric_scale = 1.0 / grid.size
 
     def encode(self, label: QuantileLabel) -> np.ndarray:
-        if label.grid.size != self.grid.size:
-            raise InputError("label grid does not match backend grid")
+        check_same_grid(label.grid, self.grid)
         return np.array(label.values)
 
     def decode(self, vec: np.ndarray) -> QuantileLabel:
@@ -158,10 +156,7 @@ class _Context:
         self.cfg = cfg
         self.backend = backend
 
-        for v in known.vertices:
-            if not (0 <= v < h.n):
-                raise InputError(f"known vertex {v} outside [0, {h.n})")
-        self.anchor_vertices = np.array(known.vertices, dtype=np.intp)
+        self.anchor_vertices = check_vertex_range("known", known.vertices, h.n)
         self.anchor_values = np.stack([backend.encode(known.targets[v]) for v in known.vertices])
         with np.errstate(over="ignore"):  # the loss raises the non-finite labels it makes
             self.anchor_pull = cfg.gamma * self.anchor_values

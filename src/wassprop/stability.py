@@ -10,7 +10,9 @@ valid whenever the margin m*gamma*lambda_1 - T is positive.  From beta and
 the uniform cost bound M = 4*||phi||_2^2 two generalization bounds follow: a
 polynomial one, (64*M*m*beta + 8*M^2)/(m*eps^2), requiring m >= 8*M^2/eps^2,
 and an exponential one, 2*exp(-m*eps^2 / (2*(m*beta + M)^2)), for any m >= 1.
-Bounds above 1 are vacuous and are reported flagged, never clipped.
+Bounds above 1 are vacuous and are reported flagged, never clipped.  A
+non-positive margin raises HypothesisError in `slice_shift_coefficient`
+alone, which beta, the bounds and the swap harness all go through.
 
 The empirical harness replaces single training labels and verifies, on each
 swap, that the measured per-slice solution shift and the measured cost shift
@@ -31,9 +33,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import HypothesisError, InputError, NumericalError, check_seed
+from .errors import HypothesisError, InputError, NumericalError, check_positive, check_seed
 from .labels import DominatedQuantileEnvelope, QuantileLabel
-from .tikhonov import TikhonovOperator
+from .tikhonov import TikhonovOperator, stability_margin
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
 
@@ -51,14 +53,14 @@ class StabilityInputs:
     def __post_init__(self):
         if self.m < 1 or self.T < 1:
             raise InputError("m and T must be positive integers")
-        if not (0 < self.gamma < math.inf and 0 < self.lambda1 < math.inf):
-            raise InputError(f"need finite gamma > 0 and lambda1 > 0, got {self.gamma}, {self.lambda1}")
+        check_positive("gamma", self.gamma)
+        check_positive("lambda1", self.lambda1)
         if not 0 <= self.phi_l2_squared < math.inf:
             raise InputError(f"phi_l2_squared must be finite and >= 0, got {self.phi_l2_squared}")
 
     @property
     def margin(self) -> float:
-        return self.m * self.gamma * self.lambda1 - self.T
+        return stability_margin(self.m, self.gamma, self.lambda1, self.T)
 
     @property
     def hypothesis_holds(self) -> bool:
@@ -80,7 +82,7 @@ class StabilityInputs:
 def slice_shift_coefficient(m: int, gamma: float, lambda1: float, T: int) -> float:
     """Per-slice bound coefficient: the solution shift at one grid node is at
     most this times the quantile bound M_s at that node."""
-    margin = m * gamma * lambda1 - T
+    margin = stability_margin(m, gamma, lambda1, T)
     if margin <= 0:
         raise HypothesisError(f"margin m*gamma*lambda1 - T = {margin:.6g} must be positive")
     return 3.0 * math.sqrt(T * m) / margin**2 + 4.0 / margin + 2.0 / m
@@ -118,12 +120,6 @@ class BoundReport:
         return self.exponential_bound > 1.0
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Raise unless the bound's deviation epsilon is positive and finite."""
-    if not 0 < epsilon < math.inf:
-        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-
-
 def bounds_from_beta(
     beta_value: float,
     M: float,
@@ -133,7 +129,7 @@ def bounds_from_beta(
 ) -> BoundReport:
     """Evaluate both bounds from given (beta, M); values above 1 are reported
     as-is with their vacuity flags."""
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     fraction = (64.0 * M * m * beta_value + 8.0 * M * M) / (m * epsilon * epsilon)
@@ -153,14 +149,9 @@ def bounds_from_beta(
 
 
 def generalization_bounds(si: StabilityInputs, epsilon: float) -> BoundReport:
-    """Bounds for a concrete instance; the margin hypothesis must hold."""
-    if not si.hypothesis_holds:
-        raise HypothesisError(
-            f"margin {si.margin:.6g} <= 0: beta is undefined for these inputs"
-        )
-    return bounds_from_beta(
-        beta(si), 4.0 * si.phi_l2_squared, si.m, epsilon, margin_positive=True
-    )
+    """Bounds for a concrete instance; beta raises HypothesisError unless the
+    margin hypothesis holds."""
+    return bounds_from_beta(beta(si), 4.0 * si.phi_l2_squared, si.m, epsilon, margin_positive=True)
 
 
 @dataclass(frozen=True)
@@ -233,9 +224,6 @@ def empirical_stability(
     seed = check_swap_plan(swaps, seed)
     op.training.check_dominated(envelope)
     si = StabilityInputs.from_instance(op, envelope)
-    if not si.hypothesis_holds:
-        raise HypothesisError(f"margin {si.margin:.6g} <= 0: bounds do not apply")
-
     coeff = slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
     beta_value = beta(si)
     S = envelope.grid.size

@@ -13,6 +13,10 @@ the k labeled vertices carry data, so all slices are Phi = G Y_L with one
 block of Green's columns G = A^{-1} E_L (E_L: unit columns at those vertices;
 Y_L: their right-hand-side rows).  G >= 0 entrywise, so monotone rows of Y_L
 give monotone rows of Phi; the same G serves every same-vertex swap.
+The solve is well-posed for every gamma > 0; the margin m*gamma*lambda_1 - T
+(`stability_margin`, its one computation) decides only whether the stability
+bound applies.  The inputs are checked by the shared rules `check_same_grid`,
+`check_positive` and `check_vertex_range`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, NumericalError, StructureError
+from .errors import InputError, NumericalError, StructureError, check_positive, check_vertex_range
 # The operator scans connectivity once, in __init__, so lambda1 takes the gap
 # without a second scan, still under the name spectral_gap that
 # bench/traced.py times.
@@ -36,11 +40,14 @@ from .labels import (
     QuantileGrid,
     QuantileLabel,
     check_dominated,
+    check_same_grid,
 )
 
 DENSE_SOLVE_LIMIT = 2000     # direct Cholesky factorization up to this size
 CG_RELATIVE_RESIDUAL = 1e-10
-RESIDUAL_TOL = 1e-9          # solve contract: ||A x - y||_inf <= tol * max(1, ||y||_inf)
+# solve contract: ||A x - y||_inf <= RESIDUAL_TOL * max(1, ||y||_inf) + 100 eps ||A||_inf ||x||_inf;
+# the last term is the rounding floor of a backward-stable solve, which grows with m*gamma
+RESIDUAL_TOL = 1e-9
 MONOTONE_SLACK = 1e-9        # monotonicity violations beyond this are a solver defect
 MAX_PRINCIPLE_SLACK = 1e-9
 
@@ -63,8 +70,7 @@ class TrainingSet:
         for v, lab in samples:
             if v < 0:
                 raise InputError(f"negative vertex index {v}")
-            if lab.grid.size != grid.size:
-                raise InputError("all training labels must share one grid")
+            check_same_grid(grid, lab.grid)
         object.__setattr__(self, "samples", samples)
         try:
             vertices = np.array([v for v, _ in samples], dtype=np.intp)
@@ -91,15 +97,9 @@ class TrainingSet:
         """Sorted distinct vertices carrying at least one sample."""
         return self._distinct.tolist()
 
-    def _check_range(self, n: int) -> None:
-        """Raise unless every sample vertex is below n, naming the first that is not."""
-        outside = np.flatnonzero(self._vertices >= n)
-        if outside.size:
-            raise InputError(f"sample vertex {self._vertices[outside[0]]} outside [0, {n})")
-
     def multiplicities(self, n: int) -> np.ndarray:
         """Vector t with t[i] = number of samples at vertex i, length n."""
-        self._check_range(n)
+        check_vertex_range("sample", self._vertices, n)
         t = np.zeros(n)
         t[self._distinct] = self._counts
         return t
@@ -110,7 +110,7 @@ class TrainingSet:
     def rhs_matrix(self, n: int) -> np.ndarray:
         """(n, S) matrix whose column j is y at grid node j: per-vertex sums
         of training quantile samples, added in sample order."""
-        self._check_range(n)
+        check_vertex_range("sample", self._vertices, n)
         y = np.zeros((n, self.grid.size))
         for v, lab in self.samples:
             y[v] += lab.values
@@ -150,14 +150,13 @@ class TikhonovOperator:
     """
 
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
-        if not 0 < gamma < np.inf:
-            raise InputError(f"gamma must be positive and finite, got {gamma}")
+        gamma = check_positive("gamma", gamma)
         if not is_connected(g):
             raise StructureError("Tikhonov solve requires a connected graph")
         self.laplacian = laplacian(g)
         self.graph = g
         self.training = ts
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.m = ts.m
         self.rhs = ts.rhs_matrix(g.n)
         self.labeled = np.array(ts.labeled_vertices, dtype=np.intp)
@@ -169,6 +168,7 @@ class TikhonovOperator:
                 f"slice operator T + m*gamma*L overflows (m*gamma = {self.m * self.gamma:.3e}); "
                 "the edge weights or gamma are too large"
             )
+        self.norm_inf = float(abs(self.matrix).sum(axis=1).max())  # ||A||_inf, the largest row sum
         self._field: Optional[QuantileField] = None
 
     @cached_property
@@ -243,12 +243,13 @@ class TikhonovOperator:
         )
 
     def check_residual(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        """Raise unless ||A x - rhs||_inf <= RESIDUAL_TOL * max(1, ||rhs||_inf)."""
+        """Raise unless the residual ||A x - rhs||_inf meets the solve contract."""
         resid = np.max(np.abs(self.matrix @ x - rhs))
         scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
-        if resid > RESIDUAL_TOL * scale:
+        floor = 100 * np.finfo(float).eps * self.norm_inf * float(np.max(np.abs(x), initial=0.0))
+        if resid > RESIDUAL_TOL * scale + floor:
             raise NumericalError(
-                f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}"
+                f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e} + {floor:.3e}"
             )
 
     def _green_field(self, rhs: np.ndarray) -> QuantileField:
@@ -273,8 +274,7 @@ class TikhonovOperator:
         delta = new - old, so the swapped field is G times the shifted Y_L.
         """
         vertex, old = self.training.sample(index)
-        if label.grid.size != old.grid.size:
-            raise InputError("all training labels must share one grid")
+        check_same_grid(old.grid, label.grid)
         rhs = self.rhs.copy()
         rhs[vertex] += label.values - old.values
         return self._green_field(rhs)
@@ -384,16 +384,20 @@ def check_apriori(
     """
     if ts is not None:
         ts.check_dominated(envelope)
-    if field.grid.size != envelope.grid.size:
-        raise InputError("field and envelope grids differ")
+    check_same_grid(field.grid, envelope.grid)
     return bool(np.all(np.abs(field.values) <= envelope.phi[None, :] + 1e-9))
+
+
+def stability_margin(m: int, gamma: float, lambda1: float, T: int) -> float:
+    """m*gamma*lambda_1 - T, T the largest sample multiplicity: its one computation."""
+    return m * gamma * lambda1 - T
 
 
 def invertibility_margin(op: TikhonovOperator) -> float:
     """m*gamma*lambda_1 - max multiplicity; positive means the stability
     hypothesis holds.  Non-positive values only void the stability bound,
     not the solve, so they warn instead of raising."""
-    margin = op.m * op.gamma * op.lambda1 - op.training.max_multiplicity()
+    margin = stability_margin(op.m, op.gamma, op.lambda1, op.training.max_multiplicity())
     if margin <= 0:
         warnings.warn(
             f"invertibility margin {margin:.6g} <= 0: the stability bound is vacuous "

@@ -304,6 +304,16 @@ def test_run_experiment_all_known_flagged():
         run_experiment(h, truth, labels_per_class=2, trials=2, cfg=cfg, anchors=anchors)
 
 
+def test_run_experiment_class_size_is_the_draws_check():
+    # class 0 holds 1 vertex: the draw names it, though 2 labels per class
+    # times 2 classes equals the 4 vertices
+    h = Hypergraph(4, [(0, 1, 2, 3)])
+    cfg = PropagationConfig(alpha=2.0, gamma=1.0)
+    anchors = AnchorSpec(kind="onehot", variance=0.01)
+    with pytest.raises(InputError, match="^class 0 has 1 rows, fewer than 2$"):
+        run_experiment(h, np.array([0, 1, 1, 1]), labels_per_class=2, trials=1, cfg=cfg, anchors=anchors)
+
+
 def test_run_experiment_validation():
     h = Hypergraph(4, [(0, 1, 2, 3)])
     cfg = PropagationConfig(alpha=2.0, gamma=1.0)

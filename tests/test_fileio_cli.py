@@ -1143,7 +1143,8 @@ MALFORMED_CONFIGS = {
 
 def _command_argvs(tmp_path, labels_text):
     """Each subcommand on the 3-vertex path (as a graph and a hypergraph) with
-    the given labels file, writing into tmp_path."""
+    the given labels file, and experiment also on a generated block model,
+    writing into tmp_path."""
     graph, hyper, labels = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "l.csv"
     graph.write_text("0 1 1.0\n1 2 1.0\n")
     hyper.write_text("0 1\n1 2\n")
@@ -1166,6 +1167,9 @@ def _command_argvs(tmp_path, labels_text):
         "experiment": ["experiment", "--hypergraph", str(hyper), "--truth", str(truth),
                        "--labels-per-class", "1", "--alpha", "2", "--gamma", "1",
                        "--output", str(tmp_path / "m.csv")],
+        "experiment-blocks": ["experiment", "--blocks", "3,3", "--p-in", "0.5", "--p-out", "0.1",
+                              "--labels-per-class", "1", "--trials", "2", "--alpha", "2",
+                              "--gamma", "1", "--output", str(tmp_path / "b.csv")],
     }
 
 
@@ -1191,6 +1195,72 @@ SOLVE_ACCEPTS = {"gauss-envelope-overflow"}
 def test_cli_malformed_labels_is_one_error_line(tmp_path, capsys, case, command):
     argv = _command_argvs(tmp_path, MALFORMED_LABELS[case])[command]
     _only_error_line(capsys, argv)
+
+
+# the line of each labels defect, None for a file with no row; the three
+# vertex-index rows still read differently per command, since the range is
+# known only with the graph, and the two overflow rows fail where each
+# command first computes with the labels
+LABEL_DEFECT_LINES = {
+    "two-columns": 2, "four-columns": 3, "empty": None, "header-only": None,
+    "unknown-kind": 2, "mixed-kinds": 3, "duplicate-vertex": 3, "vertex-not-integer": 3,
+    "hist-empty-params": 2, "hist-unsorted-bins": 2, "hist-negative-mass": 2,
+    "hist-nan-mass": 2, "hist-not-normalized": 2, "gauss-missing-part": 2,
+    "gauss-extra-part": 2, "gauss-negative-std": 2, "gauss-mixed-dimensions": 3,
+}
+LABEL_DEFECTS_PER_COMMAND = {"negative-vertex", "vertex-past-intp", "vertex-out-of-range",
+                             "gauss-loss-overflow", "gauss-envelope-overflow"}
+
+
+def test_label_defect_tables_cover_the_gate():
+    assert set(LABEL_DEFECT_LINES) | LABEL_DEFECTS_PER_COMMAND == set(MALFORMED_LABELS)
+    assert not set(LABEL_DEFECT_LINES) & LABEL_DEFECTS_PER_COMMAND
+
+
+@pytest.mark.parametrize("case", list(LABEL_DEFECT_LINES))
+def test_cli_label_defect_reads_the_same_from_every_command(tmp_path, capsys, case):
+    argvs = _command_argvs(tmp_path, MALFORMED_LABELS[case])
+    lines = {_only_error_line(capsys, argvs[command])
+             for command in ("propagate", "solve-tikhonov", "stability")}
+    (line,) = lines
+    path, number = tmp_path / "l.csv", LABEL_DEFECT_LINES[case]
+    assert str(path) in line
+    if number is not None:
+        assert line.startswith(f"error: {path}, line {number}: ")
+
+
+# flag -> (bad values, the commands that take it, the error it gives; {} is
+# the value as parsed)
+POSITIVE_VALUES = ["0", "-1", "nan", "inf"]
+BAD_FLAGS = {
+    "--gamma": (POSITIVE_VALUES, ["propagate", "solve-tikhonov", "stability", "experiment"],
+                "gamma must be positive and finite, got {}"),
+    "--tol": (POSITIVE_VALUES, ["propagate", "experiment"], "rel_tol must be positive and finite, got {}"),
+    "--epsilon": (POSITIVE_VALUES, ["stability"], "epsilon must be positive and finite, got {}"),
+    "--alpha": (["0.5", "nan"], ["propagate", "experiment"], "alpha must be finite and >= 1, got {}"),
+    "--max-iters": (["0", "-1"], ["propagate", "experiment"], "max_iters must be >= 1, got {}"),
+    "--grid-size": (["0", "-1"], ["propagate", "solve-tikhonov", "stability"],
+                    "grid size must be >= 1, got {}"),
+    "--swaps": (["0", "-1"], ["stability"], "swaps must be >= 1, got {}"),
+    "--trials": (["0", "-1"], ["experiment"], "labels_per_class and trials must be >= 1"),
+    "--labels-per-class": (["0", "-1"], ["experiment"], "labels_per_class and trials must be >= 1"),
+    "--k": (["0", "-1"], ["gen-sbm", "experiment-blocks"], "hyperedge arity k must be >= 2, got {}"),
+    "--anchor-variance": (["-1", "nan"], ["experiment"], "variance must be non-negative and finite, got {}"),
+    "--p-in": (["-1", "nan"], ["gen-sbm", "experiment-blocks"], "p_in={}"),
+    "--p-out": (["-1", "nan"], ["gen-sbm", "experiment-blocks"], "p_out={}"),
+}
+INT_FLAGS = {"--max-iters", "--grid-size", "--swaps", "--trials", "--labels-per-class", "--k"}
+
+
+@pytest.mark.parametrize("flag, value, command", [
+    (flag, value, command) for flag, (values, commands, _) in BAD_FLAGS.items()
+    for value in values for command in commands])
+def test_cli_bad_flag_value_is_one_error_line(tmp_path, capsys, flag, value, command):
+    # the flag comes last, so it overrides the good value the command holds
+    argv = _command_argvs(tmp_path, GOOD_LABELS)[command]
+    line = _only_error_line(capsys, [*argv, flag, value])
+    parsed = (int if flag in INT_FLAGS else float)(value)
+    assert BAD_FLAGS[flag][2].format(parsed) in line
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_TRUTH))

@@ -221,6 +221,22 @@ def test_empirical_stability_margin_violation(grid4):
         empirical_stability(TikhonovOperator(g, base, 0.4), swaps=1, envelope=env)
 
 
+def test_nonpositive_margin_reads_the_same_everywhere(grid4):
+    # one margin, m*gamma*lambda1 - T, and one HypothesisError for it
+    g = dict_graph(2, {(0, 1): 1.0})
+    env = DominatedQuantileEnvelope(grid4, np.ones(4))
+    op = TikhonovOperator(g, TrainingSet([(0, delta(grid4, 0.0))]), 0.4)
+    si = StabilityInputs.from_instance(op, env)
+    with pytest.warns(UserWarning, match="invertibility margin"):
+        assert tikhonov.invertibility_margin(op) == si.margin == 1 * 0.4 * op.lambda1 - 1
+    message = rf"^margin m\*gamma\*lambda1 - T = {si.margin:.6g} must be positive$"
+    for call in (lambda: slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T),
+                 lambda: beta(si), lambda: generalization_bounds(si, 0.5),
+                 lambda: empirical_stability(op, swaps=1, envelope=env)):
+        with pytest.raises(HypothesisError, match=message):
+            call()
+
+
 def test_empirical_stability_swaps_validated(grid4):
     g = dict_graph(2, {(0, 1): 1.0})
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
@@ -366,18 +382,27 @@ def test_empirical_stability_builds_one_operator(grid32, monkeypatch, swaps):
     assert calls == [1, 2]  # one operator, one factorization for every swap
 
 
-def test_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
-    _, g, base = _swap_instance(6, grid32, 10, [0, 3, 9])
+def _swap_with_corrupted_column(grid, monkeypatch, delta):
+    _, g, base = _swap_instance(6, grid, 10, [0, 3, 9])
     op = TikhonovOperator(g, base, 5.0)
     op.field()
     # corrupt one Green's column after it passed its own solve check: the
     # swapped field built from it must fail the residual check
     corrupt = op.green.copy()
-    corrupt[:, 1] += 1e-3
+    corrupt[:, 1] += delta
     monkeypatch.setitem(vars(op), "green", corrupt)
-    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    env = DominatedQuantileEnvelope(grid, np.full(32, 2.0))
     with pytest.raises(NumericalError, match="residual"):
         empirical_stability(op, swaps=2, envelope=env, seed=0)
+
+
+def test_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
+    _swap_with_corrupted_column(grid32, monkeypatch, 1e-3)
+
+
+def test_slightly_corrupted_column_solve_fails_residual_check(grid32, monkeypatch):
+    # the contract's rounding floor, 100 eps ||A||_inf ||x||_inf, is far below this
+    _swap_with_corrupted_column(grid32, monkeypatch, 1e-7)
 
 
 @pytest.mark.parametrize("index", [-1, 3])

@@ -8,9 +8,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from wassprop import (
+    DimensionError,
     DominatedQuantileEnvelope,
     InputError,
     NumericalError,
+    QuantileBackend,
     QuantileGrid,
     QuantileLabel,
     StructureError,
@@ -366,6 +368,36 @@ def test_field_matches_block_solve_of_rhs(grid32, monkeypatch, cg_path, tol):
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
         assert (op._cho is None) == cg_path
         assert np.max(np.abs(op.field().values - op.solve(op.rhs))) <= tol
+
+
+def test_grid_mismatch_reads_the_same_everywhere(grid4):
+    # one grid rule for the training set, a swap, the a-priori check and the backend
+    grid8 = QuantileGrid(8)
+    g = dict_graph(2, {(0, 1): 1.0})
+    ts = TrainingSet([(0, delta(grid4, 0.0))])
+    field = TikhonovOperator(g, ts, 1.0).field()
+    for call in (lambda: TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid8, 1.0))]),
+                 lambda: TikhonovOperator(g, ts, 1.0).swapped_field(0, delta(grid8, 1.0)),
+                 lambda: check_apriori(field, DominatedQuantileEnvelope(grid8, np.ones(8))),
+                 lambda: QuantileBackend(grid4).encode(delta(grid8, 1.0))):
+        with pytest.raises(DimensionError, match=r"^grid mismatch: S=\d vs S=\d$"):
+            call()
+
+
+@pytest.mark.parametrize("gamma", [1e5, 1e6])
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_large_gamma_solve_meets_contract(grid32, monkeypatch, cg_path, gamma):
+    # A = T + m*gamma*L is SPD at every gamma > 0, but a backward-stable solve
+    # leaves a residual near eps ||A||_inf ||x||_inf, which grows with m*gamma;
+    # the contract's rounding floor admits it, and the field is the exact one
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(91)
+    g = random_connected_graph(rng, 20, extra_edges=20)
+    op = TikhonovOperator(g, random_training_set(rng, grid32, 20, 40), gamma)
+    assert (op._cho is None) == cg_path
+    exact = np.linalg.solve(op.matrix.toarray(), op.rhs)
+    assert np.max(np.abs(op.field().values - exact)) <= 1e-8
 
 
 def test_cg_path_large_graph():
