@@ -5,11 +5,16 @@ experiment.  Common flags: --seed, --output, --config (a key=value file whose
 entries act as defaults; explicit flags override them).  All emitted CSVs use
 '.' decimals and newline line endings, and reruns with identical flags and
 seed produce byte-identical files.
+
+`run` is the process entry point of `python -m wassprop.cli` and of the
+`wassprop` script; `main` is the same command without its process set-up, for
+tests and library callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -43,6 +48,9 @@ from .stability import (
     generalization_bounds,
 )
 from .tikhonov import TikhonovOperator, TrainingSet, invertibility_margin
+
+
+DEFAULT_ARITY = 3  # the --k of gen-sbm and experiment
 
 
 def _apply_config(argv: List[str]) -> List[str]:
@@ -159,12 +167,13 @@ def cmd_solve_tikhonov(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    if args.ratios is not None and not args.empirical:
+        raise InputError("--ratios requires --empirical")
     op = _read_instance(args)
     envelope = tight_envelope([label for _, label in op.training.samples])
     si = StabilityInputs.from_instance(op, envelope)
     check_positive("epsilon", args.epsilon)  # also when a non-positive margin leaves the bounds out
-    if args.empirical:
-        check_swap_plan(args.swaps, args.seed)  # likewise when it leaves the swaps out
+    check_swap_plan(args.swaps, args.seed)  # likewise, and without --empirical too
     lines = [
         f"m={si.m}",
         f"T={si.T}",
@@ -203,15 +212,28 @@ def cmd_stability(args) -> int:
     return 0
 
 
+def _refuse_other_source(args, source: str, defaults) -> None:
+    """Raise unless `args` leaves each flag of `defaults` (flag -> its
+    default) at its default: the experiment reads its hypergraph from one
+    source, and would ignore the other source's flags."""
+    given = [flag for flag, default in defaults.items()
+             if getattr(args, flag[2:].replace("-", "_")) != default]
+    if given:
+        raise InputError(f"{source} does not combine with {', '.join(given)}")
+
+
 def cmd_experiment(args) -> int:
     if args.hypergraph is not None:
         if args.truth is None:
             raise InputError("--hypergraph requires --truth")
+        _refuse_other_source(args, "--hypergraph", {"--blocks": None, "--k": DEFAULT_ARITY,
+                                                    "--p-in": None, "--p-out": None})
         h = fileio.read_hypergraph(args.hypergraph, args.n)
         truth = fileio.read_truth(args.truth)
     elif args.blocks is not None:
         if args.p_in is None or args.p_out is None:
             raise InputError("--blocks requires --p-in and --p-out")
+        _refuse_other_source(args, "--blocks", {"--truth": None, "--n": None})
         sample = gen_sbm(SbmConfig(_blocks(args), args.k, args.p_in, args.p_out, seed=args.seed))
         h, truth = sample.hypergraph, sample.blocks
     else:
@@ -263,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-sbm", parents=[common], help="draw a block-model hypergraph")
     p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 50,50")
-    p.add_argument("--k", type=int, default=3, help="hyperedge arity")
+    p.add_argument("--k", type=int, default=DEFAULT_ARITY, help="hyperedge arity")
     p.add_argument("--p-in", type=float, required=True, help="within-block probability")
     p.add_argument("--p-out", type=float, required=True, help="cross-block probability")
     p.add_argument("--truth", type=Path, help="write vertex,class CSV here")
@@ -301,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", type=Path)
     p.add_argument("--n", type=int, help="vertex count override")
     p.add_argument("--blocks", help="generate a block model instead of reading files")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=DEFAULT_ARITY)
     p.add_argument("--p-in", type=float)
     p.add_argument("--p-out", type=float)
     p.add_argument("--labels-per-class", type=int, required=True)
@@ -331,5 +353,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run `main` on the process arguments and exit with its code.
+
+    Importing numpy and scipy leaves some forty thousand long-lived objects
+    that the collector tracks, and every full collection walks all of them,
+    among them the ones interpreter exit runs.  Freezing after the imports
+    takes those objects out of every later collection; freezing again after
+    `main` returns does the same for what the run made, so the exit
+    collections have almost nothing to scan.  The exit is `sys.exit`, so the
+    streams are still flushed, atexit handlers run and modules are cleared.
+    `main` itself never freezes.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

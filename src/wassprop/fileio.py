@@ -32,8 +32,10 @@ from .labels import (
     DiagGaussianLabel,
     QuantileGrid,
     QuantileLabel,
+    check_quantile_samples,
     quantile_from_histogram,
 )
+from .propagation import QuantileBackend
 from .tikhonov import QuantileField
 
 LABELS_HEADER = "vertex,kind,params"
@@ -382,9 +384,17 @@ def read_truth(path) -> np.ndarray:
 
 def write_predictions(path, predicted: np.ndarray, state) -> None:
     """CSV rows `vertex,predicted_class,label_params` of a propagation state;
-    only the params field can need quoting (Gaussian params hold commas)."""
-    rows = (f"{v},{c},{_csv_field(label_params(state.vertex_label(v)))}"
-            for v, c in enumerate(predicted.tolist()))
+    only the params field can need quoting (Gaussian params hold commas).
+    Quantile rows are checked as one (n, S) block, by the rule each
+    QuantileLabel obeys, and formatted straight from the state's values."""
+    backend = state.context.backend
+    if isinstance(backend, QuantileBackend):
+        check_quantile_samples(state.vertex_values, (len(predicted), backend.grid.size))
+        params = (_joined(row, ";") for row in state.vertex_values)
+    else:
+        params = (label_params(state.vertex_label(v)) for v in range(len(predicted)))
+    rows = (f"{v},{c},{_csv_field(text)}"
+            for v, (c, text) in enumerate(zip(predicted.tolist(), params)))
     write_lines(path, "vertex,predicted_class,label_params", rows)
 
 

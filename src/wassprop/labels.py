@@ -12,11 +12,13 @@ Two label backends are provided:
   coordinate-wise closed forms and never touch a grid.
 
 `check_same_grid` is the grid rule of the package, and `_barycenter_weights`
-checks the weights of both barycenters.
+checks the weights of both barycenters.  `ndtri` is a bit-exact port of
+Cephes' standard normal quantile function, so no command loads scipy.special.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -182,10 +184,76 @@ def quantile_from_histogram(
     return QuantileLabel(grid, b[idx])
 
 
+# Cephes ndtri (S. L. Moshier): the coefficients of its three rational
+# approximations, highest power first.  Each Q starts with the leading 1 that
+# Cephes' p1evl implies, and multiplying by 1.0 is exact.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _horner(x: np.ndarray, coefs: Tuple[float, ...]) -> np.ndarray:
+    """Cephes polevl: the polynomial at x by Horner's rule, highest power first."""
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of each element: numpy's vectorized log may differ in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+def ndtri(y: np.ndarray) -> np.ndarray:
+    """The standard normal quantile function (inverse CDF) at each y in (0, 1).
+
+    A port of Cephes `ndtri`, the routine behind scipy.special.ndtri: the
+    same coefficients, Horner order and branch points, so the two agree bit
+    for bit.  Each step is one correctly rounded IEEE operation, elementwise
+    in numpy, and the logarithms are math.log's.
+    """
+    y = np.array(y, dtype=float)
+    upper = y > 1.0 - _EXP_M2  # the upper tail is the lower one reflected
+    y[upper] = 1.0 - y[upper]
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    t = y[central] - 0.5
+    t2 = t * t
+    out[central] = (t + t * (t2 * _horner(t2, _NDTRI_P0) / _horner(t2, _NDTRI_Q0))) * _SQRT_2PI
+    # tails: x = sqrt(-2 log y) >= 2, less a rational correction in 1/x
+    tail = ~central
+    x = np.sqrt(-2.0 * _logs(y[tail]))
+    z = 1.0 / x
+    correction = np.empty_like(x)
+    near = x < 8.0  # y > exp(-32)
+    for part, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
+        zp = z[part]
+        correction[part] = zp * _horner(zp, p) / _horner(zp, q)
+    x = (x - _logs(x) / x) - correction
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def standard_normal_quantiles(grid: QuantileGrid) -> np.ndarray:
     """The standard normal quantile function (inverse CDF) at the grid nodes."""
-    from scipy.special import ndtri  # loaded here: only Gaussian quantiles need it
-
     return ndtri(grid.nodes)
 
 

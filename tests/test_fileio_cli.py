@@ -1,6 +1,8 @@
 """File formats and the command-line front end."""
 
 import csv
+import dataclasses
+import gc
 import io
 import os
 import subprocess
@@ -334,6 +336,23 @@ def test_predictions_match_csv_writer(tmp_path, kind):
     assert all(row.split(",", 2)[2].startswith('"') == (kind == "gauss") for row in rows)
 
 
+@pytest.mark.parametrize("row, message", [([0.0, 1.0, np.nan, 2.0, 3.0], "must be finite"),
+                                          ([0.0, 1.0, 0.5, 2.0, 3.0], "must be non-decreasing")])
+def test_predictions_refuse_what_a_quantile_label_refuses(tmp_path, row, message):
+    # the (n, S) block is checked at once, with the messages of QuantileLabel
+    grid = QuantileGrid(5)
+    targets = {0: quantile_from_histogram([-1.0, 0.5], [0.3, 0.7], grid)}
+    state = propagate(Hypergraph(3, [(0, 1), (1, 2)]), LabeledSubset(targets),
+                      PropagationConfig(alpha=2.0, gamma=1.0, max_iters=2), QuantileBackend(grid))
+    values = state.vertex_values.copy()
+    values[2] = row
+    with pytest.raises(InputError, match=message):
+        QuantileLabel(grid, values[2])
+    with pytest.raises(InputError, match=message):
+        fileio.write_predictions(tmp_path / "p.csv", classify(state),
+                                 dataclasses.replace(state, vertex_values=values))
+
+
 @pytest.mark.parametrize("text", ["", "1.5;2.0", "1.0,2.0|0.5,0.5", 'a"b', "a\nb", '",'])
 def test_predictions_field_quoting_matches_csv_writer(text):
     assert _csv_bytes([[7, -1, text]]) == f"7,-1,{fileio._csv_field(text)}\n".encode()
@@ -405,9 +424,60 @@ def test_commands_load_only_the_scipy_they_run(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     reports = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("loaded:")]
-    # quantile initialization takes the standard normal quantiles from scipy.special
-    assert reports == [[], [], [], ["scipy.special"]]
+    # quantile initialization takes the standard normal quantiles from the Cephes port
+    assert reports == [[], [], [], []]
     assert (tmp_path / "m.csv").is_file() and (tmp_path / "p.csv").is_file()
+
+
+def _entry_point_commands(tmp_path):
+    """A hist-label propagate and a Gaussian-label solve-tikhonov: both take
+    standard normal quantiles."""
+    (tmp_path / "h.txt").write_text("0 1 2\n2 3\n3 4 5\n")
+    fileio.write_hist_labels(tmp_path / "l.csv", {0: ([-1.0, 0.5], [0.3, 0.7]), 5: ([1.0], [1.0])})
+    (tmp_path / "g.txt").write_text("0 1 1.0\n1 2 0.5\n")
+    fileio.write_gauss_labels(tmp_path / "gl.csv", {0: DiagGaussianLabel([0.0], [1.0]),
+                                                    2: DiagGaussianLabel([1.0], [0.5])})
+    return {
+        "propagate": ["propagate", "--hypergraph", "h.txt", "--labels", "l.csv", "--alpha", "2",
+                      "--gamma", "1", "--grid-size", "64", "--seed", "3", "--output"],
+        "solve-tikhonov": ["solve-tikhonov", "--graph", "g.txt", "--labels", "gl.csv",
+                           "--gamma", "1.0", "--grid-size", "64", "--output"],
+    }
+
+
+def test_module_entry_point_writes_what_main_writes(tmp_path, monkeypatch, capsys):
+    # `python -m wassprop.cli` runs cli.run, which freezes the collector
+    # around main: the output file and stdout stay byte for byte the same
+    monkeypatch.chdir(tmp_path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for name, argv in _entry_point_commands(tmp_path).items():
+        assert cli.main(argv + ["in-process.csv"]) == 0
+        stdout = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "wassprop.cli", *argv, "module.csv"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+        assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes(), name
+
+
+def test_main_never_freezes_the_collector(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count()
+    for argv in _entry_point_commands(tmp_path).values():
+        assert cli.main(argv + ["out.csv"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_and_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["wassprop", "propagate"])  # required flags missing
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 2
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_public_names_resolve_once():
@@ -1039,6 +1109,22 @@ def _bad_input_cases(tmp_path):
         "stability-empirical-seed-negative-margin-negative": (
             [*stab, "--gamma", "0.1", "--epsilon", "0.5", "--empirical", "--seed", "-1"],
             "seed must be non-negative, got -1"),
+        "blocks-size-zero": (["gen-sbm", "--blocks", "0,5", *sbm], "block sizes must be positive"),
+        # flags a mode would ignore are refused: without --empirical no
+        # ratios file is written, and --hypergraph builds no block model
+        "stability-ratios-without-empirical": (
+            [*stab, "--gamma", "1.0", "--epsilon", "0.5", "--ratios", str(tmp_path / "r.csv")],
+            "--ratios requires --empirical"),
+        "stability-swaps-negative-without-empirical": (
+            [*stab, "--gamma", "1.0", "--epsilon", "0.5", "--swaps", "-1"],
+            "swaps must be >= 1, got -1"),
+        "experiment-hypergraph-with-block-flags": (
+            [*experiment, "--hypergraph", str(hyper), "--truth", str(truth),
+             "--blocks", "x", "--k", "0", "--p-in", "-1"],
+            "--hypergraph does not combine with --blocks, --k, --p-in"),
+        "experiment-blocks-with-truth": (
+            [*experiment, "--blocks", "5,5", *sbm[:4], "--truth", str(truth)],
+            "--blocks does not combine with --truth"),
         # two labels in each of two 2-vertex blocks leave no vertex to score
         "experiment-every-vertex-known": (
             ["experiment", "--blocks", "2,2", "--k", "2", "--p-in", "1", "--p-out", "1",
@@ -1056,7 +1142,10 @@ def _bad_input_cases(tmp_path):
      "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow",
      "gen-sbm-seed-negative", "experiment-seed-negative", "stability-empirical-seed-negative",
      "stability-empirical-swaps-zero-margin-negative",
-     "stability-empirical-seed-negative-margin-negative", "experiment-every-vertex-known"],
+     "stability-empirical-seed-negative-margin-negative", "experiment-every-vertex-known",
+     "blocks-size-zero", "stability-ratios-without-empirical",
+     "stability-swaps-negative-without-empirical", "experiment-hypergraph-with-block-flags",
+     "experiment-blocks-with-truth"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]
@@ -1248,8 +1337,11 @@ BAD_FLAGS = {
     "--anchor-variance": (["-1", "nan"], ["experiment"], "variance must be non-negative and finite, got {}"),
     "--p-in": (["-1", "nan"], ["gen-sbm", "experiment-blocks"], "p_in={}"),
     "--p-out": (["-1", "nan"], ["gen-sbm", "experiment-blocks"], "p_out={}"),
+    "--blocks": (["5,x", "5,,5", ""], ["gen-sbm", "experiment-blocks"],
+                 "--blocks must be comma-separated integers, got '{}'"),
 }
 INT_FLAGS = {"--max-iters", "--grid-size", "--swaps", "--trials", "--labels-per-class", "--k"}
+TEXT_FLAGS = {"--blocks"}
 
 
 @pytest.mark.parametrize("flag, value, command", [
@@ -1259,7 +1351,7 @@ def test_cli_bad_flag_value_is_one_error_line(tmp_path, capsys, flag, value, com
     # the flag comes last, so it overrides the good value the command holds
     argv = _command_argvs(tmp_path, GOOD_LABELS)[command]
     line = _only_error_line(capsys, [*argv, flag, value])
-    parsed = (int if flag in INT_FLAGS else float)(value)
+    parsed = (int if flag in INT_FLAGS else str if flag in TEXT_FLAGS else float)(value)
     assert BAD_FLAGS[flag][2].format(parsed) in line
 
 

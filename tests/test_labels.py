@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.stats import norm
 
 from wassprop import (
@@ -24,6 +25,7 @@ from wassprop import (
     w2_squared_gaussian,
     w2_squared_quantile,
 )
+from wassprop.labels import ndtri, standard_normal_quantiles
 from conftest import random_histogram_label
 
 
@@ -301,3 +303,34 @@ def test_tight_envelope_dominates(grid32):
 def test_gaussian_quantile_label_shape(grid32):
     lab = gaussian_quantile_label(1.5, 0.5, grid32)
     assert np.allclose(lab.values, 1.5 + 0.5 * norm.ppf(grid32.nodes))
+
+
+def bits(values):
+    """The IEEE bit patterns of float64 values: equal only if bit for bit equal."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_standard_normal_quantiles_match_scipy_on_every_grid():
+    # the Cephes port gives scipy's bits on all 8.4 million nodes of S <= 4096
+    for size in range(1, 4097):
+        grid = QuantileGrid(size)
+        expected = scipy.special.ndtri(grid.nodes)
+        assert np.array_equal(bits(standard_normal_quantiles(grid)), bits(expected)), size
+
+
+@pytest.mark.parametrize("point", [0.5, math.exp(-2), 1 - math.exp(-2), math.exp(-32)])
+def test_ndtri_matches_scipy_on_both_sides_of_each_branch_point(point):
+    # the central, near-tail (x < 8) and far-tail approximations meet at
+    # y = exp(-2), 1 - exp(-2) and exp(-32), where x = sqrt(-2 log y) = 8
+    y = np.concatenate([point + np.arange(-4, 5) * np.spacing(point),
+                        point * (1 + np.linspace(-1e-12, 1e-12, 401))])
+    assert np.array_equal(bits(ndtri(y)), bits(scipy.special.ndtri(y)))
+    crossing = np.sqrt(-2.0 * np.log(y)) - 8.0 if point == math.exp(-32) else y - point
+    assert np.any(crossing < 0) and np.any(crossing > 0)
+
+
+def test_ndtri_matches_scipy_on_random_points():
+    rng = np.random.default_rng(2014)
+    y = np.concatenate([rng.random(50_000), np.exp(-rng.uniform(0.0, 700.0, 50_000))])
+    y = np.concatenate([y, 1 - y[y > 0.5]])
+    assert np.array_equal(bits(ndtri(y)), bits(scipy.special.ndtri(y)))
