@@ -97,7 +97,7 @@ def _read_instance(args) -> TikhonovOperator:
     the graph file, the labels file and --gamma."""
     g = fileio.read_graph(args.graph, args.n)
     grid = QuantileGrid(args.grid_size)
-    kind, targets = fileio.read_labels(args.labels, grid)
+    kind, targets = fileio.read_labels(args.labels, grid, g.n)
     if kind == "gauss":  # the reader checked that every Gaussian has one dimension
         dim = next(iter(targets.values())).dim
         if dim != 1:
@@ -145,7 +145,7 @@ def cmd_ingest(args) -> int:
 def cmd_propagate(args) -> int:
     h = fileio.read_hypergraph(args.hypergraph, args.n)
     grid = QuantileGrid(args.grid_size)
-    kind, targets = fileio.read_labels(args.labels, grid)
+    kind, targets = fileio.read_labels(args.labels, grid, h.n)
     if kind == "hist":
         backend = QuantileBackend(grid)
     else:  # the reader checked that every Gaussian has one dimension

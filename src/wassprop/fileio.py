@@ -13,7 +13,8 @@ every line ends in `\n` on every platform, and `_csv_field` is the one CSV
 quoting rule: a field holding `,`, `"` or a newline is quoted, its inner
 quotes doubled.  Readers raise InputError naming the file, and the line for
 a line that does not parse.  `_vertex_rows` is the header rule of the three
-vertex-keyed CSVs, and `read_labels` checks every label-row rule in one pass.
+vertex-keyed CSVs, and `read_labels` checks every label-row rule in one pass,
+the vertex range included once the caller knows the vertex count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_vertex_range
 from .experiments import CategoricalTable, ExperimentResult
 from .hypergraph import Hypergraph, WeightedGraph, first_duplicate, vertex_array
 from .labels import (
@@ -150,11 +151,12 @@ def label_params(label) -> str:
     raise InputError(f"cannot serialize label of type {type(label).__name__}")
 
 
-def read_labels(path, grid: Optional[QuantileGrid] = None):
+def read_labels(path, grid: Optional[QuantileGrid] = None, n: Optional[int] = None):
     """Parse a labels CSV into (kind, {vertex: label}) in one pass, naming the
     file and line of the first bad row: every row needs 3 columns, a new
-    integer vertex, params that parse and the file's one kind, "hist"
-    (resampled onto `grid`, required then) or "gauss" (of one dimension)."""
+    integer vertex (in [0, n) when the caller knows the vertex count n),
+    params that parse and the file's one kind, "hist" (resampled onto
+    `grid`, required then) or "gauss" (of one dimension)."""
     kind = None
     out: Dict[int, object] = {}
     for line, row in _vertex_rows(path):
@@ -173,6 +175,8 @@ def read_labels(path, grid: Optional[QuantileGrid] = None):
                 vertex = int(vertex_text)
             except ValueError:
                 raise InputError(f"bad vertex index {vertex_text!r}") from None
+            if n is not None:
+                check_vertex_range("label", [vertex], n)
             if vertex in out:
                 raise InputError(f"duplicate label for vertex {vertex}")
             if kind == "hist":

@@ -22,6 +22,7 @@ bound applies.  The inputs are checked by the shared rules `check_same_grid`,
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -57,7 +58,9 @@ class TrainingSet:
     """(vertex, quantile label) samples with multiplicities.
 
     The same vertex may appear in several samples; its multiplicity is the
-    number of samples at it.  All labels must share one grid.
+    number of samples at it.  All labels must share one grid.  `block` is
+    Y_L, the (k, S) right-hand-side rows of the k distinct vertices, sorted
+    and read-only: row i sums, in sample order, the samples at the i-th.
     """
 
     samples: Tuple[Tuple[int, QuantileLabel], ...]
@@ -68,20 +71,17 @@ class TrainingSet:
             raise InputError("training set must contain at least one sample")
         grid = samples[0][1].grid
         for v, lab in samples:
-            if v < 0:
-                raise InputError(f"negative vertex index {v}")
             check_same_grid(grid, lab.grid)
         object.__setattr__(self, "samples", samples)
-        try:
-            vertices = np.array([v for v, _ in samples], dtype=np.intp)
-        except OverflowError:
-            raise InputError("sample vertex index out of range") from None
-        # the sample vertices in sample order, and each distinct one (sorted)
-        # with its multiplicity
-        distinct, counts = np.unique(vertices, return_counts=True)
-        for name, a in (("_vertices", vertices), ("_distinct", distinct), ("_counts", counts)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        counts = Counter(v for v, _ in samples)
+        distinct = sorted(counts)
+        row = {v: i for i, v in enumerate(distinct)}
+        block = np.zeros((len(distinct), grid.size))
+        for v, lab in samples:
+            block[row[v]] += lab.values
+        block.flags.writeable = False
+        for name, value in (("_counts", counts), ("_distinct", distinct), ("block", block)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -95,26 +95,18 @@ class TrainingSet:
     @property
     def labeled_vertices(self) -> List[int]:
         """Sorted distinct vertices carrying at least one sample."""
-        return self._distinct.tolist()
+        return list(self._distinct)
 
     def multiplicities(self, n: int) -> np.ndarray:
-        """Vector t with t[i] = number of samples at vertex i, length n."""
-        check_vertex_range("sample", self._vertices, n)
+        """Vector t with t[i] = number of samples at vertex i, length n,
+        after `check_vertex_range` of every sample vertex against n."""
+        check_vertex_range("sample", [v for v, _ in self.samples], n)
         t = np.zeros(n)
-        t[self._distinct] = self._counts
+        t[self._distinct] = [self._counts[v] for v in self._distinct]
         return t
 
     def max_multiplicity(self) -> int:
-        return int(self._counts.max())
-
-    def rhs_matrix(self, n: int) -> np.ndarray:
-        """(n, S) matrix whose column j is y at grid node j: per-vertex sums
-        of training quantile samples, added in sample order."""
-        check_vertex_range("sample", self._vertices, n)
-        y = np.zeros((n, self.grid.size))
-        for v, lab in self.samples:
-            y[v] += lab.values
-        return y
+        return max(self._counts.values())
 
     def check_dominated(self, envelope: DominatedQuantileEnvelope) -> None:
         """Raise unless the envelope dominates every training label, naming
@@ -141,12 +133,12 @@ class TikhonovOperator:
     """One Tikhonov instance: a connected graph, a training set and gamma.
 
     It holds the Laplacian L, built once, the slice operator
-    A = T + m*gamma*L and the right-hand sides of all slices.  Up to
-    DENSE_SOLVE_LIMIT vertices A is Cholesky-factored on the first solve;
-    above it every solve is one batched Jacobi-preconditioned conjugate
-    gradient run over the whole block.  lambda_1 of L, the Green's columns at
-    the labeled vertices and the solved field are computed on first use and
-    kept.
+    A = T + m*gamma*L and `block`, the labeled rows Y_L of the right-hand
+    sides of all slices.  Up to DENSE_SOLVE_LIMIT vertices A is
+    Cholesky-factored on the first solve; above it every solve is one batched
+    Jacobi-preconditioned conjugate gradient run over the whole block.
+    lambda_1 of L, the Green's columns at the labeled vertices and the solved
+    field are computed on first use and kept.
     """
 
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
@@ -158,9 +150,10 @@ class TikhonovOperator:
         self.training = ts
         self.gamma = gamma
         self.m = ts.m
-        self.rhs = ts.rhs_matrix(g.n)
-        self.labeled = np.array(ts.labeled_vertices, dtype=np.intp)
         t = sp.diags(ts.multiplicities(g.n))
+        # the right-hand side of all slices is E_L Y_L: zero off the labeled rows
+        self.labeled = np.array(ts.labeled_vertices, dtype=np.intp)
+        self.block = ts.block
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             self.matrix = (t + self.m * self.gamma * self.laplacian).tocsr()
         if not np.all(np.isfinite(self.matrix.data)):
@@ -242,9 +235,12 @@ class TikhonovOperator:
             f"({int(active.sum())} of {b.shape[1]} columns open)"
         )
 
-    def check_residual(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        """Raise unless the residual ||A x - rhs||_inf meets the solve contract."""
-        resid = np.max(np.abs(self.matrix @ x - rhs))
+    def check_residual(self, x: np.ndarray, rhs: np.ndarray, rows=slice(None)) -> None:
+        """Raise unless the residual ||A x - y||_inf meets the solve contract,
+        where y holds `rhs` at `rows` (all rows by default) and is zero elsewhere."""
+        resid = self.matrix @ x
+        resid[rows] -= rhs
+        resid = float(np.abs(resid, out=resid).max())
         scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
         floor = 100 * np.finfo(float).eps * self.norm_inf * float(np.max(np.abs(x), initial=0.0))
         if resid > RESIDUAL_TOL * scale + floor:
@@ -252,32 +248,31 @@ class TikhonovOperator:
                 f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e} + {floor:.3e}"
             )
 
-    def _green_field(self, rhs: np.ndarray) -> QuantileField:
-        """The field G Y_L for an (n, S) right-hand side E_L Y_L, which is zero
-        off the labeled rows Y_L, checked like a fresh solve: its residual,
-        then `monotone_field`."""
-        values = self.green @ rhs[self.labeled]
-        self.check_residual(values, rhs)
+    def _green_field(self, block: np.ndarray) -> QuantileField:
+        """The field G Y_L for the labeled rows Y_L of a right-hand side E_L Y_L,
+        checked like a fresh solve: its residual, then `monotone_field`."""
+        values = self.green @ block
+        self.check_residual(values, block, self.labeled)
         return monotone_field(self.training.grid, values)
 
     def field(self) -> QuantileField:
         """All S slices as G Y_L; kept and read-only, since callers share it."""
         if self._field is None:
-            self._field = self._green_field(self.rhs)
+            self._field = self._green_field(self.block)
             self._field.values.flags.writeable = False
         return self._field
 
     def swapped_field(self, index: int, label: QuantileLabel) -> QuantileField:
         """Field after sample `index` takes `label` at the same vertex v.
 
-        A does not change and only row v of the right-hand side moves, by
+        A does not change and only the row of v in Y_L moves, by
         delta = new - old, so the swapped field is G times the shifted Y_L.
         """
         vertex, old = self.training.sample(index)
         check_same_grid(old.grid, label.grid)
-        rhs = self.rhs.copy()
-        rhs[vertex] += label.values - old.values
-        return self._green_field(rhs)
+        block = self.block.copy()
+        block[np.searchsorted(self.labeled, vertex)] += label.values - old.values
+        return self._green_field(block)
 
 
 def _active_ratio(num: np.ndarray, den: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -352,13 +347,13 @@ class MaxPrincipleReport:
 def check_maximum_principle(field: QuantileField, ts: TrainingSet) -> MaxPrincipleReport:
     """Verify that per-slice extrema are attained on labeled vertices and that
     slices with non-negative data stay non-negative."""
-    labeled = ts.labeled_vertices
+    labeled = check_vertex_range("sample", ts.labeled_vertices, field.n)
     phi = field.values
     sub = phi[labeled, :]
     max_excess = float(np.max(phi.max(axis=0) - sub.max(axis=0)))
     min_excess = float(np.max(sub.min(axis=0) - phi.min(axis=0)))
-    rhs = ts.rhs_matrix(field.n)
-    nonneg_slices = np.all(rhs >= 0, axis=0)
+    # the right-hand side is zero off the labeled rows, so Y_L decides
+    nonneg_slices = np.all(ts.block >= 0, axis=0)
     if nonneg_slices.any():
         negative_dip = -float(phi[:, nonneg_slices].min())
     else:

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -82,6 +83,18 @@ def test_labels_duplicate_vertex_rejected(tmp_path):
     path.write_text("vertex,kind,params\n0,hist,0.0:1.0\n0,hist,1.0:1.0\n")
     with pytest.raises(InputError):
         fileio.read_labels(path, QuantileGrid(4))
+
+
+@pytest.mark.parametrize("vertex", ["-1", "3", "99999999999999999999"])
+def test_labels_vertex_range_checked_with_the_vertex_count(tmp_path, vertex):
+    # the one range rule, on the row that breaks it; without n, as the
+    # set-up probe reads a file, every integer vertex is accepted
+    path = tmp_path / "labels.csv"
+    path.write_text(f"vertex,kind,params\n0,hist,0.0:1.0\n{vertex},hist,1.0:1.0\n")
+    message = f"{path}, line 3: label vertex {vertex} outside [0, 3)"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        fileio.read_labels(path, QuantileGrid(4), 3)
+    assert sorted(fileio.read_labels(path, QuantileGrid(4))[1]) == sorted([0, int(vertex)])
 
 
 def test_hist_labels_require_grid(tmp_path):
@@ -1082,7 +1095,7 @@ def _bad_input_cases(tmp_path):
         # the report reads the same instance as the solve, so the range is checked
         "stability-sample-outside": (["stability", "--graph", str(graph), "--labels", str(outside),
                                       "--gamma", "1.0", "--epsilon", "0.5", "--grid-size", "8"],
-                                     "sample vertex 5 outside [0, 2)"),
+                                     f"{outside}, line 3: label vertex 5 outside [0, 2)"),
         "truth-vertex-huge": ([*experiment, "--hypergraph", str(hyper), "--truth", str(huge_truth)],
                               "truth file must cover vertices"),
         "truth-class-huge": ([*experiment, "--hypergraph", str(hyper), "--truth", str(huge_class)],
@@ -1286,19 +1299,18 @@ def test_cli_malformed_labels_is_one_error_line(tmp_path, capsys, case, command)
     _only_error_line(capsys, argv)
 
 
-# the line of each labels defect, None for a file with no row; the three
-# vertex-index rows still read differently per command, since the range is
-# known only with the graph, and the two overflow rows fail where each
-# command first computes with the labels
+# the line of each labels defect, None for a file with no row; the reader
+# checks the vertex range against the graph's or hypergraph's n, and the two
+# overflow rows fail where each command first computes with the labels
 LABEL_DEFECT_LINES = {
     "two-columns": 2, "four-columns": 3, "empty": None, "header-only": None,
-    "unknown-kind": 2, "mixed-kinds": 3, "duplicate-vertex": 3, "vertex-not-integer": 3,
+    "unknown-kind": 2, "mixed-kinds": 3, "duplicate-vertex": 3, "negative-vertex": 2,
+    "vertex-past-intp": 3, "vertex-out-of-range": 3, "vertex-not-integer": 3,
     "hist-empty-params": 2, "hist-unsorted-bins": 2, "hist-negative-mass": 2,
     "hist-nan-mass": 2, "hist-not-normalized": 2, "gauss-missing-part": 2,
     "gauss-extra-part": 2, "gauss-negative-std": 2, "gauss-mixed-dimensions": 3,
 }
-LABEL_DEFECTS_PER_COMMAND = {"negative-vertex", "vertex-past-intp", "vertex-out-of-range",
-                             "gauss-loss-overflow", "gauss-envelope-overflow"}
+LABEL_DEFECTS_PER_COMMAND = {"gauss-loss-overflow", "gauss-envelope-overflow"}
 
 
 def test_label_defect_tables_cover_the_gate():

@@ -1,6 +1,7 @@
 """Closed-form graph solver: operator, slice columns of the field, field guarantees."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,6 +66,15 @@ def lstsq_minimizer(g, ts, gamma, s_index):
     return sol
 
 
+def dense_rhs(ts, n):
+    """Reference (n, S) right-hand side of all slices: row v sums, in sample
+    order, the samples at vertex v, and every other row is zero."""
+    y = np.zeros((n, ts.grid.size))
+    for v, lab in ts.samples:
+        y[v] += lab.values
+    return y
+
+
 def p2_instance(grid):
     g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid, 0.0)), (1, delta(grid, 1.0))])
@@ -76,7 +86,7 @@ def test_assembly_p2_single_sample(grid4):
     ts = TrainingSet([(0, delta(grid4, 0.7))])
     op = TikhonovOperator(g, ts, gamma=1.0)
     assert np.allclose(op.matrix.toarray(), [[2.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(ts.rhs_matrix(2)[:, 2], [0.7, 0.0])
+    assert np.allclose(dense_rhs(ts, 2)[:, 2], [0.7, 0.0])
     # [[2, -1], [-1, 1]] x = (0.7, 0) gives x = (0.7, 0.7)
     assert np.allclose(solve_field(g, ts, gamma=1.0).values[:, 2], [0.7, 0.7], atol=1e-12)
 
@@ -86,7 +96,7 @@ def test_assembly_multiplicity_doubles(grid4):
     ts = TrainingSet([(0, delta(grid4, 0.7)), (0, delta(grid4, 0.7))])
     op = TikhonovOperator(g, ts, gamma=0.5)
     assert np.allclose(op.matrix.toarray(), [[3.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(ts.rhs_matrix(2)[:, 0], [1.4, 0.0])
+    assert np.allclose(dense_rhs(ts, 2)[:, 0], [1.4, 0.0])
     # [[3, -1], [-1, 1]] x = (1.4, 0) gives x = (0.7, 0.7)
     assert np.allclose(solve_field(g, ts, gamma=0.5).values[:, 0], [0.7, 0.7], atol=1e-12)
 
@@ -100,7 +110,7 @@ def test_assembly_centering_invariant(grid32):
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, 6)))
         t = ts.multiplicities(n)
         assert t.sum() == ts.m
-        y = ts.rhs_matrix(n)[:, int(rng.integers(0, 32))]
+        y = dense_rhs(ts, n)[:, int(rng.integers(0, 32))]
         ybar = y.sum() / ts.m
         assert abs(np.sum(y - ybar * t)) <= 1e-12 * max(1.0, np.abs(y).sum())
 
@@ -133,7 +143,7 @@ def test_solve_slice_matches_dense_direct(grid32):
     s_index = 7
     op = TikhonovOperator(g, ts, gamma=0.9)
     sol = op.field().values[:, s_index]
-    dense = np.linalg.solve(op.matrix.toarray(), ts.rhs_matrix(g.n)[:, s_index])
+    dense = np.linalg.solve(op.matrix.toarray(), dense_rhs(ts, g.n)[:, s_index])
     assert np.max(np.abs(sol - dense)) <= 1e-9
 
 
@@ -315,7 +325,7 @@ def test_operator_shared_across_slices(grid32):
     field = solve_field(g, ts, gamma=1.2)
     for s in (0, 31):
         assert np.allclose(field.values[:, s], shared.values[:, s], atol=1e-12)
-        assert np.allclose(op.solve(ts.rhs_matrix(g.n)[:, [s]])[:, 0], shared.values[:, s], atol=1e-12)
+        assert np.allclose(op.solve(dense_rhs(ts, g.n)[:, [s]])[:, 0], shared.values[:, s], atol=1e-12)
 
 
 def test_operator_solves_each_column_once(grid32, monkeypatch):
@@ -367,7 +377,84 @@ def test_field_matches_block_solve_of_rhs(grid32, monkeypatch, cg_path, tol):
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
         assert (op._cho is None) == cg_path
-        assert np.max(np.abs(op.field().values - op.solve(op.rhs))) <= tol
+        assert np.max(np.abs(op.field().values - op.solve(dense_rhs(ts, n)))) <= tol
+
+
+def _repeated_vertex_instance(rng, grid, n):
+    """Random connected graph with 2 to 5 labeled vertices, each carrying
+    2 or 3 samples, the samples in random order."""
+    g = random_connected_graph(rng, n, extra_edges=n)
+    vertices = rng.choice(n, size=int(rng.integers(2, 6)), replace=False)
+    order = rng.permutation(np.repeat(vertices, rng.integers(2, 4, size=vertices.size)))
+    return g, TrainingSet([(int(v), random_monotone_label(rng, grid)) for v in order])
+
+
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_labeled_block_is_the_dense_rhs_bit_for_bit(grid32, monkeypatch, cg_path):
+    # the block holds the labeled rows of the dense right-hand side with the
+    # same floats, and the field and each swap are what G applied to the
+    # dense form's labeled rows gives
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(93)
+    for _ in range(4):
+        n = int(rng.integers(8, 30))
+        g, ts = _repeated_vertex_instance(rng, grid32, n)
+        op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.2, 3.0)))
+        assert (op._cho is None) == cg_path
+        dense = dense_rhs(ts, n)
+        assert ts.block.tobytes() == dense[ts.labeled_vertices].tobytes()
+        assert op.block is ts.block and not op.block.flags.writeable
+        field = tikhonov.monotone_field(grid32, op.green @ dense[op.labeled])
+        assert op.field().values.tobytes() == field.values.tobytes()
+        op.check_residual(op.field().values, dense)
+        for index in range(ts.m):
+            vertex, old = ts.sample(index)
+            label = random_monotone_label(rng, grid32)
+            swapped = dense.copy()
+            swapped[vertex] += label.values - old.values
+            ref = tikhonov.monotone_field(grid32, op.green @ swapped[op.labeled])
+            assert op.swapped_field(index, label).values.tobytes() == ref.values.tobytes()
+        assert op.block.tobytes() == dense[op.labeled].tobytes()  # no swap moved it
+
+
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_corrupted_green_block_fails_field_and_swap(grid32, monkeypatch, cg_path):
+    # the residual check of the block right-hand side still sees a bad G
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    g, ts = _repeated_vertex_instance(np.random.default_rng(94), grid32, 20)
+    op = TikhonovOperator(g, ts, gamma=1.0)
+    assert (op._cho is None) == cg_path
+    corrupt = op.green.copy()
+    corrupt[:, -1] += 1e-7
+    monkeypatch.setitem(vars(op), "green", corrupt)
+    label = random_monotone_label(np.random.default_rng(95), grid32)
+    for call in (op.field, lambda: op.swapped_field(0, label)):
+        with pytest.raises(NumericalError, match="residual"):
+            call()
+
+
+def test_swap_working_set_is_two_fields(grid32):
+    # a swap copies the (k, S) block only and checks its residual in the one
+    # buffer A X, so its peak is the swapped field plus its monotonicity
+    # differences, about 2.1 fields here; a copy of a dense (n, S)
+    # right-hand side and the residual's temporaries would make it about 4
+    rng = np.random.default_rng(95)
+    n, grid = 600, QuantileGrid(256)
+    g = random_connected_graph(rng, n, extra_edges=n)
+    ts = TrainingSet([(int(v), random_monotone_label(rng, grid)) for v in rng.integers(0, n, 12)])
+    op = TikhonovOperator(g, ts, gamma=1.0)
+    op.field()
+    label = random_monotone_label(rng, grid)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op.swapped_field(0, label)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * grid.size * 8
 
 
 def test_grid_mismatch_reads_the_same_everywhere(grid4):
@@ -396,7 +483,7 @@ def test_large_gamma_solve_meets_contract(grid32, monkeypatch, cg_path, gamma):
     g = random_connected_graph(rng, 20, extra_edges=20)
     op = TikhonovOperator(g, random_training_set(rng, grid32, 20, 40), gamma)
     assert (op._cho is None) == cg_path
-    exact = np.linalg.solve(op.matrix.toarray(), op.rhs)
+    exact = np.linalg.solve(op.matrix.toarray(), dense_rhs(op.training, 20))
     assert np.max(np.abs(op.field().values - exact)) <= 1e-8
 
 
@@ -418,7 +505,7 @@ def test_cg_path_large_graph():
     assert field.values.shape == (n, 4)
     assert np.all(np.diff(field.values, axis=1) >= -1e-9)
     # spot-check one slice against the oracle on the tridiagonal system
-    dense = np.linalg.solve(op.matrix.toarray(), ts.rhs_matrix(n)[:, 2])
+    dense = np.linalg.solve(op.matrix.toarray(), dense_rhs(ts, n)[:, 2])
     assert np.max(np.abs(field.values[:, 2] - dense)) <= 1e-8
 
 
@@ -460,7 +547,7 @@ def test_block_solve_matches_per_column_cg(grid32, monkeypatch, cg_path):
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
         assert (op._cho is None) == cg_path
-        for b in (_unit_columns(op), op.rhs):
+        for b in (_unit_columns(op), dense_rhs(ts, n)):
             ref = _per_column_cg(op, b)
             assert np.max(np.abs(op.solve(b) - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -516,8 +603,10 @@ def test_cg_without_convergence_raises(grid4, monkeypatch, instance):
 def test_training_set_invariants(grid4):
     with pytest.raises(InputError):
         TrainingSet([])
-    with pytest.raises(InputError):
-        TrainingSet([(-1, delta(grid4, 0.0))])
+    # a vertex is checked only against a vertex count, by the one range rule
+    for v in (-1, 2**63, 2**70):
+        with pytest.raises(InputError, match=rf"^sample vertex {v} outside \[0, 4\)$"):
+            TrainingSet([(0, delta(grid4, 0.0)), (v, delta(grid4, 0.0))]).multiplicities(4)
     a = delta(QuantileGrid(4), 0.0)
     b = delta(QuantileGrid(8), 0.0)
     with pytest.raises(InputError):
@@ -529,24 +618,25 @@ def test_training_set_invariants(grid4):
     assert np.array_equal(ts.multiplicities(4), [2, 0, 1, 0])
 
 
-def test_slice_rhs_is_column_of_rhs_matrix(grid32):
+def test_slice_rhs_is_column_of_dense_reference(grid32):
     # per-sample loop: a slice right-hand side built one sample at a time,
-    # kept as the reference
+    # kept as the reference; the operator holds only its labeled rows
     rng = np.random.default_rng(89)
     g = random_connected_graph(rng, 5)
     labs = [random_monotone_label(rng, grid32) for _ in range(4)]
     ts = TrainingSet([(1, labs[0]), (3, labs[1]), (1, labs[2]), (0, labs[3])])
     op = TikhonovOperator(g, ts, gamma=0.8)
-    rhs = ts.rhs_matrix(g.n)
+    rhs = dense_rhs(ts, g.n)
     fields = (solve_field(g, ts, 0.8), op.field())
     for s in (0, 7, 31):
         ref = np.zeros(g.n)
         for v, lab in ts.samples:
             ref[v] += lab.values[s]
         assert rhs[:, s].tobytes() == ref.tobytes()
-        assert op.rhs[:, s].tobytes() == ref.tobytes()
+        assert op.block[:, s].tobytes() == ref[op.labeled].tobytes()
         for field in fields:
             op.check_residual(field.values[:, s], ref)
+            op.check_residual(field.values[:, s], op.block[:, s], op.labeled)
     # the operator checks the sample range of its training set
     outside = TrainingSet([(1, labs[0]), (5, labs[1])])
     with pytest.raises(InputError, match="sample vertex 5 outside"):
@@ -568,9 +658,12 @@ def test_counts_match_per_sample_loop(grid4):
         assert ts.labeled_vertices == sorted(set(vertices))
         with pytest.raises(InputError, match=f"sample vertex {max(vertices)} outside"):
             ts.multiplicities(max(vertices))
+    # the first sample outside, in sample order, from the operator too
     first = TrainingSet([(0, lab), (9, lab), (4, lab)])
-    with pytest.raises(InputError, match=r"sample vertex 9 outside \[0, 3\)"):
-        first.rhs_matrix(3)
+    for call in (lambda: first.multiplicities(3),
+                 lambda: TikhonovOperator(dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0}), first, 1.0)):
+        with pytest.raises(InputError, match=r"^sample vertex 9 outside \[0, 3\)$"):
+            call()
 
 
 def test_training_dominance_one_error(grid4):
