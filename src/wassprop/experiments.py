@@ -22,8 +22,6 @@ from .propagation import (
     propagate,
 )
 
-ENUMERATION_LIMIT = 5_000_000  # largest C(n, k) the generator will enumerate
-
 
 @dataclass(frozen=True)
 class SbmConfig:
@@ -50,10 +48,8 @@ class SbmConfig:
             )
         if self.k > self.n:
             raise InputError(f"k={self.k} exceeds the vertex count {self.n}")
-        if math.comb(self.n, self.k) > ENUMERATION_LIMIT:
-            raise InputError(
-                f"C({self.n}, {self.k}) subsets exceed the enumeration limit"
-            )
+        if math.comb(self.n, self.k) > np.iinfo(np.int64).max:
+            raise InputError(f"C({self.n}, {self.k}) subsets exceed the 64-bit rank range")
 
     @property
     def n(self) -> int:
@@ -100,39 +96,43 @@ class SbmSample:
         return self.within_block + self.cross_block
 
 
-def k_subsets(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n) as a sorted row, in lexicographic order (the
-    order of `itertools.combinations`).  Each round extends every prefix by
-    each larger vertex in turn: the prefix repeated, plus a ramp of offsets."""
-    subsets = np.full((1, 1), -1, dtype=np.intp)  # the empty prefix, after vertex -1
-    for _ in range(k):
-        last = subsets[:, -1]
-        counts = n - 1 - last  # vertices above each prefix's last one
-        ramp = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        subsets = np.column_stack(
-            (np.repeat(subsets, counts, axis=0), np.repeat(last + 1, counts) + ramp)
-        )
-    return subsets[:, 1:]
+def unrank_colex(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) at the given colex ranks, one sorted row each.
+    Subset c_1 < ... < c_k has rank sum C(c_i, i).  With d_i = c_i - (i - 1) in
+    [0, n - k], each table C(d + i - 1, i) is the cumsum of the one for i - 1,
+    so no entry passes C(n - 1, k); columns are found from the last one down."""
+    tables = [np.arange(max(n - k + 1, 0), dtype=np.int64)]
+    for _ in range(k - 1):
+        tables.append(np.cumsum(tables[-1]))
+    subsets = np.empty((len(ranks), k), dtype=np.intp)
+    for i in range(k - 1, -1, -1):
+        d = np.searchsorted(tables[i], ranks, side="right") - 1
+        ranks = ranks - tables[i][d]
+        subsets[:, i] = d + i
+    return subsets
 
 
 def gen_sbm(cfg: SbmConfig) -> SbmSample:
-    """Draw a hypergraph by enumerating every k-subset of the vertices."""
-    n, k = cfg.n, cfg.k
-    subsets = k_subsets(n, k)
+    """Each k-subset is drawn once, at its own probability: one draw over all
+    k-subsets at p_out keeps the mixed-block rows, then one draw per block at p_in."""
     blocks = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
-    member_blocks = blocks[subsets]
-    same = (member_blocks == member_blocks[:, :1]).all(axis=1)
-    prob = np.where(same, cfg.p_in, cfg.p_out)
     rng = np.random.default_rng(cfg.seed)
-    keep = rng.random(len(subsets)) < prob
-    edges = subsets[keep]
-    blocks = blocks.copy()
+
+    def draw(n: int, p: float) -> np.ndarray:  # a binomial count of distinct ranks
+        total = math.comb(n, cfg.k)
+        return unrank_colex(rng.choice(total, rng.binomial(total, p), replace=False), n, cfg.k)
+
+    subsets = draw(cfg.n, cfg.p_out)
+    cross = subsets[blocks[subsets[:, 0]] != blocks[subsets[:, -1]]]  # rows and blocks are sorted
+    starts = np.cumsum(cfg.block_sizes) - cfg.block_sizes
+    within = [draw(size, cfg.p_in) + start for size, start in zip(cfg.block_sizes, starts)]
+    edges = np.unique(np.concatenate([cross, *within]), axis=0)
     blocks.flags.writeable = False
     return SbmSample(
-        hypergraph=Hypergraph.from_members(n, np.full(len(edges), k), edges.ravel()),
+        hypergraph=Hypergraph.from_members(cfg.n, np.full(len(edges), cfg.k), edges.ravel()),
         blocks=blocks,
-        within_block=int(np.count_nonzero(same & keep)),
-        cross_block=int(np.count_nonzero(~same & keep)),
+        within_block=len(edges) - len(cross),
+        cross_block=len(cross),
     )
 
 

@@ -36,8 +36,13 @@ def test_sbm_config_validation():
         SbmConfig(block_sizes=(5, 5), k=2, p_in=0.1, p_out=0.5)  # p_out > p_in
     with pytest.raises(InputError):
         SbmConfig(block_sizes=(2, 2), k=5, p_in=0.5, p_out=0.1)  # k > n
-    with pytest.raises(InputError):
-        SbmConfig(block_sizes=(500, 500), k=5, p_in=0.5, p_out=0.1)  # too many subsets
+    with pytest.raises(InputError, match="64-bit rank range"):
+        SbmConfig(block_sizes=(50000, 50000), k=6, p_in=0.5, p_out=0.1)  # too many subsets
+    SbmConfig(block_sizes=(500, 500), k=5, p_in=0.5, p_out=0.1)  # C(1000, 5) is about 8.3e12
+    # C(2^32, 2) = 2^63 - 2^31 is the last pair count a 64-bit rank holds
+    SbmConfig(block_sizes=(2**31, 2**31), k=2, p_in=0.5, p_out=0.1)
+    with pytest.raises(InputError, match="64-bit rank range"):
+        SbmConfig(block_sizes=(2**31, 2**31 + 1), k=2, p_in=0.5, p_out=0.1)
 
 
 def test_expected_counts_reference_parameters():
@@ -51,22 +56,61 @@ def test_expected_counts_reference_parameters():
 
 
 @pytest.mark.parametrize("n, k", [(5, 2), (12, 2), (9, 3), (7, 4), (6, 6), (1, 1), (4, 0), (3, 5), (0, 2)])
-def test_k_subsets_match_itertools_combinations(n, k):
+def test_unrank_colex_match_itertools_combinations(n, k):
     expected = list(itertools.combinations(range(n), k))
-    got = experiments.k_subsets(n, k)
+    got = experiments.unrank_colex(np.arange(math.comb(n, k)), n, k)
     assert got.dtype == np.intp and got.shape == (len(expected), k)
-    assert [tuple(row) for row in got.tolist()] == expected
+    assert (np.diff(got, axis=1) > 0).all()
+    assert sorted(tuple(row) for row in got.tolist()) == expected
 
 
-def test_gen_sbm_edges_are_the_kept_subsets_in_order():
-    cfg = SbmConfig(block_sizes=(4, 5), k=3, p_in=0.6, p_out=0.3, seed=9)
-    subsets = list(itertools.combinations(range(9), 3))
-    blocks = np.repeat([0, 1], [4, 5])
+def test_subsets_near_the_64_bit_bound():
+    # C(66, 33) is about 7.2e18; its tables peak at C(65, 33), inside int64
+    n, k = 66, 33
+    ranks = np.array([0, 1, 12345, 2**62, math.comb(n, k) - 1])
+    got = experiments.unrank_colex(ranks, n, k)
+    assert (np.diff(got, axis=1) > 0).all() and got.min() >= 0 and got.max() < n
+    assert [sum(math.comb(c, i + 1) for i, c in enumerate(row)) for row in got.tolist()] == ranks.tolist()
+    assert got[-1].tolist() == list(range(n - k, n))
+    sample = gen_sbm(SbmConfig(block_sizes=(33, 33), k=33, p_in=1.0, p_out=2e-17, seed=3))
+    edges = np.array(sample.hypergraph.edges)
+    assert sample.within_block == 2 and sample.cross_block > 0
+    assert (np.diff(edges, axis=1) > 0).all() and edges.max() < n
+
+
+def test_gen_sbm_subset_frequencies():
+    # every subset is kept at its own probability, whatever its rank or block
+    subsets = list(itertools.combinations(range(7), 3))
+    seeds = 400
+    kept = np.zeros(len(subsets))
+    for seed in range(seeds):
+        sample = gen_sbm(SbmConfig(block_sizes=(3, 4), k=3, p_in=0.6, p_out=0.2, seed=seed))
+        kept[[subsets.index(e) for e in sample.hypergraph.edges]] += 1
+    blocks = np.repeat([0, 1], [3, 4])
     same = np.array([len(set(blocks[list(s)])) == 1 for s in subsets])
-    keep = np.random.default_rng(9).random(len(subsets)) < np.where(same, 0.6, 0.3)
-    sample = gen_sbm(cfg)
-    assert sample.hypergraph.edges == tuple(s for s, kept in zip(subsets, keep) if kept)
-    assert (sample.within_block, sample.cross_block) == (int((same & keep).sum()), int((~same & keep).sum()))
+    assert same.sum() == 5
+    for mask, p in ((same, 0.6), (~same, 0.2)):
+        freq = kept[mask] / seeds
+        assert np.abs(freq - p).max() <= 5 * math.sqrt(p * (1 - p) / seeds)
+
+
+@pytest.mark.parametrize(
+    "blocks, k, p_in, p_out",
+    [((4, 5), 3, 0.6, 0.3), ((2, 6, 3), 3, 0.5, 0.1), ((5, 5), 2, 0.3, 0.3), ((1, 3, 4), 4, 0.9, 0.05)],
+)
+def test_gen_sbm_rows_are_distinct_sorted_and_counted(blocks, k, p_in, p_out):
+    sample = gen_sbm(SbmConfig(block_sizes=blocks, k=k, p_in=p_in, p_out=p_out, seed=9))
+    edges = sample.hypergraph.edges
+    assert all(len(e) == k and list(e) == sorted(set(e)) for e in edges)
+    assert list(edges) == sorted(set(edges))  # distinct, in lexicographic order
+    same = [len(set(sample.blocks[list(e)].tolist())) == 1 for e in edges]
+    assert (sample.within_block, sample.cross_block) == (sum(same), len(edges) - sum(same))
+    every = gen_sbm(SbmConfig(block_sizes=blocks, k=k, p_in=1.0, p_out=1.0, seed=9))
+    n = sum(blocks)
+    assert every.hypergraph.edges == tuple(itertools.combinations(range(n), k))
+    counts = expected_sbm_counts(SbmConfig(block_sizes=blocks, k=k, p_in=1.0, p_out=1.0))
+    assert every.within_block == counts.within_subsets
+    assert every.total == counts.total_subsets
 
 
 def test_gen_sbm_zero_probabilities():

@@ -602,6 +602,17 @@ def test_cli_gen_sbm(tmp_path, capsys):
     assert inc.read_text().splitlines()[0].startswith("vertex,edge_0")
 
 
+def test_cli_gen_sbm_draws_past_the_enumerable_sizes(tmp_path, capsys):
+    # C(4000, 3) is about 1.1e10 subsets; only the kept ones are drawn
+    out = tmp_path / "h.txt"
+    argv = ["gen-sbm", "--blocks", "2000,2000", "--k", "3", "--p-in", "1e-6", "--p-out", "1e-8",
+            "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert "n=4000 k=3" in capsys.readouterr().out
+    h = fileio.read_hypergraph(out, n=4000)
+    assert 0 < len(h.edges) < 10_000
+
+
 def test_cli_gen_sbm_rerun_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -1123,6 +1134,12 @@ def _bad_input_cases(tmp_path):
             [*stab, "--gamma", "0.1", "--epsilon", "0.5", "--empirical", "--seed", "-1"],
             "seed must be non-negative, got -1"),
         "blocks-size-zero": (["gen-sbm", "--blocks", "0,5", *sbm], "block sizes must be positive"),
+        # C(100000, 6) is about 1.4e27, past the int64 ranks the draw takes
+        "gen-sbm-subsets-past-int64": (["gen-sbm", "--blocks", "50000,50000", "--k", "6", *sbm],
+                                       "C(100000, 6) subsets exceed the 64-bit rank range"),
+        "experiment-blocks-subsets-past-int64": (
+            [*experiment, "--blocks", "50000,50000", "--k", "6", *sbm[:4]],
+            "C(100000, 6) subsets exceed the 64-bit rank range"),
         # flags a mode would ignore are refused: without --empirical no
         # ratios file is written, and --hypergraph builds no block model
         "stability-ratios-without-empirical": (
@@ -1158,13 +1175,15 @@ def _bad_input_cases(tmp_path):
      "stability-empirical-seed-negative-margin-negative", "experiment-every-vertex-known",
      "blocks-size-zero", "stability-ratios-without-empirical",
      "stability-swaps-negative-without-empirical", "experiment-hypergraph-with-block-flags",
-     "experiment-blocks-with-truth"],
+     "experiment-blocks-with-truth", "gen-sbm-subsets-past-int64",
+     "experiment-blocks-subsets-past-int64"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]
     rc = cli.main(argv)
-    err = capsys.readouterr().err
-    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert rc == 2 and captured.out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and names in errors[0]
     assert "Traceback" not in err
