@@ -244,7 +244,7 @@ def cmd_experiment(args) -> int:
     )
     emit_metrics(result, _require_output(args))
     print(
-        f"trials={result.trials} labels_per_class={result.labels_per_class} "
+        f"trials={result.trials} labels_per_class={args.labels_per_class} "
         f"mean={result.mean!r} stderr={result.stderr!r}"
     )
     return 0

@@ -239,19 +239,31 @@ class AnchorSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-trial accuracies on the unknown vertices with their summary."""
+    """Per-trial accuracies on the unknown vertices; the summary is derived
+    from them."""
 
     accuracies: Tuple[float, ...]
-    mean: float
-    stderr: float
-    labels_per_class: int
-    trials: int
-    config: PropagationConfig
-    anchors: AnchorSpec
 
     def __post_init__(self):
+        if not self.accuracies:
+            raise InputError("an experiment result needs at least one trial")
         if any(not (0.0 <= a <= 1.0) for a in self.accuracies):
             raise InputError("accuracies must lie in [0, 1]")
+
+    @property
+    def trials(self) -> int:
+        return len(self.accuracies)
+
+    @property
+    def mean(self) -> float:
+        return float(np.array(self.accuracies).mean())
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean; 0.0 for one trial."""
+        if self.trials == 1:
+            return 0.0
+        return float(np.array(self.accuracies).std(ddof=1) / math.sqrt(self.trials))
 
 
 def _anchor_label(anchors: AnchorSpec, class_id: int, n_classes: int) -> DiagGaussianLabel:
@@ -312,14 +324,5 @@ def run_experiment(
         mask[known_vertices] = False
         accuracies.append(float(np.mean(predicted[mask] == truth[mask])))
 
-    accs = np.array(accuracies)
-    return ExperimentResult(
-        accuracies=tuple(accuracies),
-        mean=float(accs.mean()),
-        stderr=float(accs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-        labels_per_class=labels_per_class,
-        trials=trials,
-        config=cfg,
-        anchors=anchors,
-    )
+    return ExperimentResult(accuracies=tuple(accuracies))
 

@@ -11,10 +11,12 @@ files hold lines `i j w`.  All floats are written with `.` decimals via repr
 (shortest round-trip).  Every output file is written by `write_lines`, so
 every line ends in `\n` on every platform, and `_csv_field` is the one CSV
 quoting rule: a field holding `,`, `"` or a newline is quoted, its inner
-quotes doubled.  Readers raise InputError naming the file, and the line for
-a line that does not parse.  `_vertex_rows` is the header rule of the three
-vertex-keyed CSVs, and `read_labels` checks every label-row rule in one pass,
-the vertex range included once the caller knows the vertex count.
+quotes doubled.  `_read_lines` opens every input file, as UTF-8 with a
+leading byte-order mark dropped.  Readers raise InputError naming the file,
+and the line for a line that does not parse.  `_vertex_rows` is the header
+rule of the three vertex-keyed CSVs, and `read_labels` checks every
+label-row rule in one pass, the vertex range included once the caller knows
+the vertex count.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def _csv_field(text: str) -> str:
 
 
 def _read_lines(path) -> List[str]:
-    """The lines of an input file, endings kept; if it cannot be read, raise
-    InputError naming it."""
+    """The lines of an input file, endings kept, read as UTF-8 with a leading
+    byte-order mark dropped; if it cannot be read, raise InputError naming it."""
     try:
-        with open(Path(path), newline="") as fh:
+        with open(Path(path), encoding="utf-8-sig", newline="") as fh:
             return fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -324,12 +326,19 @@ def write_field(path, field: QuantileField) -> None:
 
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:
+    """CSV rows `vertex,s_1,...,s_S` as `write_field` writes them: row i names
+    vertex i, and every sample is finite."""
     rows: List[List[float]] = []
     for line, row in _vertex_rows(path):
         try:
             if len(row) - 1 != grid.size:
                 raise ValueError(f"width {len(row) - 1} does not match grid size {grid.size}")
-            rows.append([float(x) for x in row[1:]])
+            if row[0].strip() != str(len(rows)):
+                raise ValueError(f"expected vertex {len(rows)}, got {row[0]!r}")
+            values = [float(x) for x in row[1:]]
+            if not np.all(np.isfinite(values)):
+                raise ValueError("field samples must be finite")
+            rows.append(values)
         except ValueError as exc:
             raise InputError(f"{path}, line {line}: {exc}") from None
     if not rows:

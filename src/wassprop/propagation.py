@@ -152,7 +152,6 @@ class _Context:
 
     def __init__(self, h: Hypergraph, known: LabeledSubset, cfg: PropagationConfig, backend):
         self.h = h
-        self.known = known
         self.cfg = cfg
         self.backend = backend
 
@@ -185,14 +184,17 @@ class _Context:
 
 @dataclass(frozen=True)
 class PropagationState:
-    """Working state of one run: encoded vertex and hyperedge labels, the loss
-    trace, and the iteration counter."""
+    """Working state of one run: encoded vertex and hyperedge labels and the
+    loss trace, one loss per step taken."""
 
     context: _Context = field(repr=False)
     vertex_values: np.ndarray = field(repr=False)
     edge_values: Optional[np.ndarray] = field(repr=False, default=None)
     loss_history: tuple = ()
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loss_history)
 
     def vertex_label(self, v: int):
         return self.context.backend.decode(self.vertex_values[v])
@@ -260,7 +262,6 @@ def step(state: PropagationState) -> PropagationState:
         vertex_values=new,
         edge_values=edge_values,
         loss_history=state.loss_history + (_loss(ctx, new, edge_values),),
-        iterations=state.iterations + 1,
     )
 
 

@@ -95,7 +95,8 @@ def beta(si: StabilityInputs) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both generalization bounds plus the hypothesis and vacuity flags.
+    """The inputs of both generalization bounds; the bounds and their
+    sample-size and vacuity flags are derived from them.
 
     margin_positive is None when the report was built from a raw beta with no
     graph instance behind it.
@@ -105,11 +106,29 @@ class BoundReport:
     M: float
     m: int
     epsilon: float
-    fraction_bound: float
-    exponential_bound: float
-    m_ge_4: bool
-    sample_size_ok: bool
     margin_positive: Optional[bool]
+
+    @property
+    def fraction_bound(self) -> float:
+        """(64*M*m*beta + 8*M^2) / (m*eps^2)."""
+        m, M, eps = self.m, self.M, self.epsilon
+        return (64.0 * M * m * self.beta + 8.0 * M * M) / (m * eps * eps)
+
+    @property
+    def exponential_bound(self) -> float:
+        """2*exp(-m*eps^2 / (2*(m*beta + M)^2)), and 0 when m*beta + M is 0."""
+        m, eps = self.m, self.epsilon
+        denom = m * self.beta + self.M
+        return 0.0 if denom == 0 else 2.0 * math.exp(-m * eps * eps / (2.0 * denom * denom))
+
+    @property
+    def m_ge_4(self) -> bool:
+        return self.m >= 4
+
+    @property
+    def sample_size_ok(self) -> bool:
+        """m >= 8*M^2/eps^2, the polynomial bound's sample-size condition."""
+        return self.m >= 8.0 * self.M * self.M / (self.epsilon * self.epsilon)
 
     @property
     def fraction_vacuous(self) -> bool:
@@ -127,24 +146,13 @@ def bounds_from_beta(
     epsilon: float,
     margin_positive: Optional[bool] = None,
 ) -> BoundReport:
-    """Evaluate both bounds from given (beta, M); values above 1 are reported
-    as-is with their vacuity flags."""
+    """The report of given (beta, M) at m and epsilon, once those are checked;
+    bounds above 1 are reported as-is with their vacuity flags."""
     check_positive("epsilon", epsilon)
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
-    fraction = (64.0 * M * m * beta_value + 8.0 * M * M) / (m * epsilon * epsilon)
-    denom = m * beta_value + M
-    exponential = 0.0 if denom == 0 else 2.0 * math.exp(-m * epsilon * epsilon / (2.0 * denom * denom))
     return BoundReport(
-        beta=beta_value,
-        M=M,
-        m=m,
-        epsilon=epsilon,
-        fraction_bound=fraction,
-        exponential_bound=exponential,
-        m_ge_4=m >= 4,
-        sample_size_ok=m >= 8.0 * M * M / (epsilon * epsilon),
-        margin_positive=margin_positive,
+        beta=beta_value, M=M, m=m, epsilon=epsilon, margin_positive=margin_positive
     )
 
 

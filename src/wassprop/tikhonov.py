@@ -329,15 +329,21 @@ class MaxPrincipleReport:
     which the field's global max exceeds the labeled-vertex max, resp. the
     labeled-vertex min exceeds the global min; both should be ~0.
     ``negative_dip`` is the worst negativity of the field over slices whose
-    right-hand side is entrywise non-negative.
+    right-hand side is entrywise non-negative.  The flags compare these with
+    MAX_PRINCIPLE_SLACK.
     """
 
-    extrema_on_labeled: bool
-    nonnegative_ok: bool
     max_excess: float
     min_excess: float
     negative_dip: float
-    slack: float = MAX_PRINCIPLE_SLACK
+
+    @property
+    def extrema_on_labeled(self) -> bool:
+        return self.max_excess <= MAX_PRINCIPLE_SLACK and self.min_excess <= MAX_PRINCIPLE_SLACK
+
+    @property
+    def nonnegative_ok(self) -> bool:
+        return self.negative_dip <= MAX_PRINCIPLE_SLACK
 
     @property
     def ok(self) -> bool:
@@ -358,13 +364,7 @@ def check_maximum_principle(field: QuantileField, ts: TrainingSet) -> MaxPrincip
         negative_dip = -float(phi[:, nonneg_slices].min())
     else:
         negative_dip = 0.0
-    return MaxPrincipleReport(
-        extrema_on_labeled=(max_excess <= MAX_PRINCIPLE_SLACK and min_excess <= MAX_PRINCIPLE_SLACK),
-        nonnegative_ok=(negative_dip <= MAX_PRINCIPLE_SLACK),
-        max_excess=max_excess,
-        min_excess=min_excess,
-        negative_dip=negative_dip,
-    )
+    return MaxPrincipleReport(max_excess=max_excess, min_excess=min_excess, negative_dip=negative_dip)
 
 
 def check_apriori(

@@ -10,6 +10,7 @@ import pytest
 from wassprop import (
     AnchorSpec,
     CategoricalTable,
+    ExperimentResult,
     Hypergraph,
     InputError,
     PropagationConfig,
@@ -402,3 +403,16 @@ def test_emit_metrics_shape_and_replay(tmp_path):
     assert tag == "mean"
     assert float(mean_text) == result.mean
     assert np.mean(trial_values) == pytest.approx(result.mean, rel=1e-12)
+
+
+def test_experiment_result_derives_its_summary():
+    result = ExperimentResult(accuracies=(0.5, 0.75, 1.0))
+    assert result.trials == 3
+    assert result.mean == float(np.mean([0.5, 0.75, 1.0]))
+    assert result.stderr == float(np.std([0.5, 0.75, 1.0], ddof=1) / math.sqrt(3))
+    single = ExperimentResult(accuracies=(0.25,))
+    assert (single.trials, single.mean, single.stderr) == (1, 0.25, 0.0)
+    with pytest.raises(InputError, match="at least one trial"):
+        ExperimentResult(accuracies=())
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        ExperimentResult(accuracies=(0.5, 1.5))

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import codecs
 import csv
 import dataclasses
 import gc
@@ -19,7 +20,6 @@ import scipy.linalg
 import wassprop
 from wassprop import cli, fileio, hypergraph, tikhonov
 from wassprop import (
-    AnchorSpec,
     DiagGaussianLabel,
     ExperimentResult,
     GaussianBackend,
@@ -282,9 +282,7 @@ def _writer_cases():
     losses = [12.5, 1 / 3, 5e-324]
     trials = [SimpleNamespace(swap_index=0, sample_index=3, slice_shift_ratio=0.25, cost_shift_ratio=1 / 3),
               SimpleNamespace(swap_index=1, sample_index=0, slice_shift_ratio=1e-17, cost_shift_ratio=0.0)]
-    result = ExperimentResult(accuracies=(0.5, 2 / 3), mean=7 / 12, stderr=0.1, labels_per_class=1,
-                              trials=2, config=PropagationConfig(alpha=2.0, gamma=1.0),
-                              anchors=AnchorSpec("onehot", 0.05))
+    result = ExperimentResult(accuracies=(0.5, 2 / 3))
     incidence = h.incidence().toarray().T.astype(int).tolist()
     return {
         "gauss-labels": (lambda p: fileio.write_gauss_labels(p, gauss),
@@ -308,7 +306,8 @@ def _writer_cases():
                       [["vertex", "edge_0", "edge_1", "edge_2"]]
                       + [[v, *row] for v, row in enumerate(incidence)], ","),
         "metrics": (lambda p: fileio.emit_metrics(result, p),
-                    [["trial", "accuracy"], [0, "0.5"], [1, repr(2 / 3)], ["mean", repr(7 / 12)]], ","),
+                    [["trial", "accuracy"], [0, "0.5"], [1, repr(2 / 3)],
+                     ["mean", repr(0.5833333333333333)]], ","),  # the mean of (0.5, 2/3)
     }
 
 
@@ -406,21 +405,20 @@ def test_trace_and_incidence(tmp_path):
 # ---------------------------------------------------------------- CLI
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs close to a second of start-up on every CLI run
-    code = "import sys, wassprop.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
-
-
-def test_commands_load_only_the_scipy_they_run(tmp_path):
+@pytest.fixture(scope="module")
+def import_child(tmp_path_factory):
+    """One fresh interpreter, run once for the import guards: it says whether
+    `scipy.stats` is loaded right after `from wassprop import cli`, and which
+    heavy scipy modules are loaded after `import wassprop`, after the cli
+    import and after each of two commands.  Returns its stdout lines and the
+    directory the commands wrote in."""
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
     # together cost about a quarter of a second of start-up; the package and
     # the experiment trials need only scipy.sparse
     heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
-    (tmp_path / "h.txt").write_text("0 1\n1 2\n")
-    fileio.write_hist_labels(tmp_path / "l.csv", {0: ([-1.0], [1.0]), 2: ([1.0], [1.0])})
+    work = tmp_path_factory.mktemp("imports")
+    (work / "h.txt").write_text("0 1\n1 2\n")
+    fileio.write_hist_labels(work / "l.csv", {0: ([-1.0], [1.0]), 2: ([1.0], [1.0])})
     experiment = ["experiment", "--blocks", "5,5", "--p-in", "0.8", "--p-out", "0.1",
                   "--labels-per-class", "1", "--trials", "2", "--alpha", "2", "--gamma", "1",
                   "--max-iters", "5", "--output", "m.csv"]
@@ -430,16 +428,27 @@ def test_commands_load_only_the_scipy_they_run(tmp_path):
         "import sys",
         f"def loaded(): print('loaded:', *[m for m in {heavy!r} if m in sys.modules])",
         "import wassprop", "loaded()",
-        "from wassprop import cli", "loaded()",
+        "from wassprop import cli", "print('scipy.stats:', 'scipy.stats' in sys.modules)", "loaded()",
         f"assert cli.main({experiment!r}) == 0", "loaded()",
         f"assert cli.main({propagate_hist!r}) == 0", "loaded()",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    reports = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("loaded:")]
+                         cwd=work, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return out.stdout.splitlines(), work
+
+
+def test_cli_import_leaves_out_scipy_stats(import_child):
+    # scipy.stats costs close to a second of start-up on every CLI run
+    lines, _ = import_child
+    assert [line for line in lines if line.startswith("scipy.stats:")] == ["scipy.stats: False"]
+
+
+def test_commands_load_only_the_scipy_they_run(import_child):
+    lines, work = import_child
+    reports = [line.split()[1:] for line in lines if line.startswith("loaded:")]
     # quantile initialization takes the standard normal quantiles from the Cephes port
     assert reports == [[], [], [], []]
-    assert (tmp_path / "m.csv").is_file() and (tmp_path / "p.csv").is_file()
+    assert (work / "m.csv").is_file() and (work / "p.csv").is_file()
 
 
 def _entry_point_commands(tmp_path):
@@ -1509,6 +1518,9 @@ LINE_ENDINGS = {
           for text, line in LINE_ENDINGS.values()],
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,0.5\n", 3),
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,one\n", 2),
+        (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\nzz,1.0,0.0\n", 2),
+        (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n7,0.0,1.0\n", 3),
+        (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,nan,inf\n", 3),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n1\n", 3),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n0,1\n1,1\n", 3),
         (lambda p: fileio.read_categorical_csv(p), "f,class\na,x\nb\n", 3),
@@ -1517,7 +1529,8 @@ LINE_ENDINGS = {
          *[f"hypergraph-{name}" for name in LINE_ENDINGS],
          *[f"graph-{name}" for name in LINE_ENDINGS],
          *[f"graph-duplicate-{name}" for name in LINE_ENDINGS],
-         "field-width", "field-value", "truth", "truth-duplicate", "table"],
+         "field-width", "field-value", "field-vertex", "field-order", "field-nan",
+         "truth", "truth-duplicate", "table"],
 )
 def test_readers_name_file_and_line(tmp_path, reader, text, line):
     path = tmp_path / "input.txt"
@@ -1529,6 +1542,30 @@ def test_readers_name_file_and_line(tmp_path, reader, text, line):
     path.write_bytes(b"\xff\xfe" + text.encode())  # not UTF-8
     with pytest.raises(InputError, match=f"cannot read {path}"):
         reader(path)
+
+
+# each reader, a file it reads, and the plain data of what it returns
+BOM_CASES = {
+    "labels": (lambda p: fileio.read_labels(p, QuantileGrid(4)), "vertex,kind,params\n0,hist,0.0:1.0\n",
+               lambda r: (r[0], {v: lab.values.tolist() for v, lab in r[1].items()})),
+    "truth": (fileio.read_truth, "vertex,class\n0,0\n1,1\n", lambda r: r.tolist()),
+    "field": (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n",
+              lambda r: r.values.tolist()),
+    "hypergraph": (fileio.read_hypergraph, "0 1\n1 2\n", lambda r: (r.n, r.edges)),
+    "graph": (fileio.read_graph, "0 1 1.0\n1 2 0.5\n", lambda r: (r.n, r.pairs.tolist(), r.weights.tolist())),
+    "table": (fileio.read_categorical_csv, "f,class\na,x\nb,y\n", lambda r: r),
+    "config": (fileio.read_config_flags, "alpha=2\nverbose=true\n", lambda r: r),
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_CASES))
+def test_readers_accept_a_byte_order_mark(tmp_path, case):
+    # spreadsheet exports often open with a UTF-8 byte-order mark
+    read, text, plain_data = BOM_CASES[case]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert plain_data(read(marked)) == plain_data(read(plain))
 
 
 def test_label_validation_error_keeps_its_type(tmp_path):

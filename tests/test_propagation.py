@@ -16,7 +16,10 @@ from wassprop import (
     PropagationConfig,
     QuantileBackend,
     QuantileGrid,
+    QuantileLabel,
+    TikhonovOperator,
     TrainingSet,
+    WeightedGraph,
     barycenter_gaussian,
     barycenter_quantile,
     classify,
@@ -29,7 +32,7 @@ from wassprop import (
     step,
     w2_squared_quantile,
 )
-from wassprop import hypergraph, propagation
+from wassprop import hypergraph, propagation, tikhonov
 from wassprop.labels import standard_normal_quantiles
 from wassprop.propagation import _Context
 from conftest import dict_graph, random_histogram_label, random_hypergraph
@@ -443,6 +446,49 @@ def test_objective_link_tikhonov_dominates(grid32):
         loss_prop = evaluate_loss(final)
         loss_tik = evaluate_loss(final, vertex_values=field.values)
         assert loss_tik <= loss_prop + 1e-6
+
+
+def _star_expansion(h, known, alpha):
+    """The graph on n + E nodes with one pair (u, n + e) per incidence, of
+    weight w_u / |e|: w_u = alpha for a known vertex and 1 otherwise."""
+    members, edges = h.incidence().indices, h.edge_of
+    sizes = np.diff(h.incidence().indptr)[edges]
+    w = np.where(np.isin(members, known), alpha, 1.0)
+    return WeightedGraph(h.n + len(h.edges), np.column_stack((members, h.n + edges)), w / sizes)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("alpha", [1.0, 20.0])
+def test_star_expansion_solve_is_a_fixed_point_of_step(monkeypatch, alpha, dense):
+    # the loop is block coordinate descent on the star expansion's Tikhonov
+    # energy, so that solve at gamma' = 1/(m alpha gamma) is a fixed point of `step`
+    grid, gamma = QuantileGrid(8), 0.5
+    h = Hypergraph(9, [(0, 1, 2), (2, 3), (3, 4, 5), (5, 6, 7, 8), (1, 6), (0, 4, 8)])
+    rng = np.random.default_rng(41)
+    targets = {v: random_histogram_label(rng, grid) for v in (0, 5, 7)}
+    star = _star_expansion(h, list(targets), alpha)
+    if not dense:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", star.n - 1)
+    ts = TrainingSet(sorted(targets.items()))
+    op = TikhonovOperator(star, ts, 1.0 / (ts.m * alpha * gamma))
+    solution = op.field().values
+    x, y = solution[: h.n], solution[h.n:]
+    cfg = PropagationConfig(alpha=alpha, gamma=gamma)
+    start = initial_state(h, LabeledSubset(targets), cfg, QuantileBackend(grid),
+                          initial_labels=[QuantileLabel(grid, row) for row in x])
+    moved = step(start)
+    x_move = np.abs(moved.vertex_values - x).max()
+    y_move = np.abs(moved.edge_values - y).max()
+    if dense:
+        assert max(x_move, y_move) <= 1e-12
+    else:
+        # ||X - X*|| <= ||A^-1 1|| ||A X - E_L Y_L|| with A^-1 >= 0, and a
+        # step is an average that fixes X*, so it moves X by at most twice that
+        residual = op.matrix @ solution
+        residual[op.labeled] -= op.block
+        a_inv_ones = np.linalg.solve(op.matrix.toarray(), np.ones(star.n))
+        bound = 2 * np.abs(a_inv_ones).max() * np.abs(residual).max() + 1e-13
+        assert max(x_move, y_move) <= bound
 
 
 def test_deterministic_replay(grid32):
