@@ -327,7 +327,7 @@ def write_field(path, field: QuantileField) -> None:
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:
     """CSV rows `vertex,s_1,...,s_S` as `write_field` writes them: row i names
-    vertex i, and every sample is finite."""
+    vertex i, and every sample is finite and no smaller than the one before."""
     rows: List[List[float]] = []
     for line, row in _vertex_rows(path):
         try:
@@ -338,6 +338,8 @@ def read_field(path, grid: QuantileGrid) -> QuantileField:
             values = [float(x) for x in row[1:]]
             if not np.all(np.isfinite(values)):
                 raise ValueError("field samples must be finite")
+            if any(b < a for a, b in zip(values, values[1:])):
+                raise ValueError("field samples must be non-decreasing")
             rows.append(values)
         except ValueError as exc:
             raise InputError(f"{path}, line {line}: {exc}") from None

@@ -17,7 +17,9 @@ and row copy is made in place, and `propagate` frees the previous hyperedge
 block before the next step makes its own.  So the peak memory of a run is
 about one E x dim block, plus a few n x dim blocks (the current and the new
 vertex labels), plus the loss buffers of LOSS_BLOCK_VALUES floats each that
-the run's context keeps across steps.
+the run's context keeps across steps.  The loss sums rows of fewer than
+NUMPY_PAIRWISE_WIDTH values column by column, in numpy's own order, into
+those buffers, so it allocates nothing for them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .labels import standard_normal_quantiles
 DEFAULT_MAX_ITERS = 200
 DEFAULT_REL_TOL = 1e-6
 LOSS_BLOCK_VALUES = 1 << 16  # floats gathered per block of the loss (512 KiB)
+# np.sum adds a row of fewer values one by one from the left, starting at
+# +0.0; from this width on it sums pairwise, with 8 accumulators
+NUMPY_PAIRWISE_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,20 @@ def _edge_phase(ctx: _Context, vertex_values: np.ndarray) -> np.ndarray:
     return edge_values
 
 
+def _row_sums(block: np.ndarray, out: np.ndarray) -> None:
+    """`np.sum(block, axis=1, out=out)`, bit for bit.  np.sum loops once per
+    row, which costs more than the adds on a row this narrow, so a narrow
+    block is summed a whole column at a time, in numpy's order, in place
+    in `out`."""
+    width = block.shape[1]
+    if width >= NUMPY_PAIRWISE_WIDTH:
+        np.sum(block, axis=1, out=out)
+        return
+    np.add(block[:, 0], 0.0, out=out)  # as np.sum starts: -0.0 sums to +0.0
+    for j in range(1, width):
+        out += block[:, j]
+
+
 def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> float:
     """Sum over incidences (v, E) of ||x_v - y_E||^2 / |E|, plus the gamma-
     weighted anchor terms, in transport units.  The incidences are gathered
@@ -233,7 +252,7 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
             np.take(edge_values, ctx.h.edge_of[block], axis=0, out=e, mode="clip")
             d -= e
             d *= d
-            np.sum(d, axis=1, out=out)
+            _row_sums(d, out)
         loss = float(ctx.vertex_incidence.data @ sq_norms)
         anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
         scale = ctx.backend.metric_scale

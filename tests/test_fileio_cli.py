@@ -1521,6 +1521,7 @@ LINE_ENDINGS = {
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\nzz,1.0,0.0\n", 2),
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n7,0.0,1.0\n", 3),
         (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,nan,inf\n", 3),
+        (lambda p: fileio.read_field(p, QuantileGrid(2)), "vertex,s_1,s_2\n0,0.0,1.0\n1,1.0,0.0\n", 3),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n1\n", 3),
         (lambda p: fileio.read_truth(p), "vertex,class\n0,0\n0,1\n1,1\n", 3),
         (lambda p: fileio.read_categorical_csv(p), "f,class\na,x\nb\n", 3),
@@ -1530,6 +1531,7 @@ LINE_ENDINGS = {
          *[f"graph-{name}" for name in LINE_ENDINGS],
          *[f"graph-duplicate-{name}" for name in LINE_ENDINGS],
          "field-width", "field-value", "field-vertex", "field-order", "field-nan",
+         "field-decreasing",
          "truth", "truth-duplicate", "table"],
 )
 def test_readers_name_file_and_line(tmp_path, reader, text, line):

@@ -56,7 +56,8 @@ def test_graph_round_trip_exact(tmp_path, g):
 def fields(draw):
     n, S = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     values = draw(st.lists(finite, min_size=n * S, max_size=n * S))
-    return QuantileField(QuantileGrid(S), np.array(values).reshape(n, S))
+    # a field's rows are non-decreasing, and read_field refuses any other
+    return QuantileField(QuantileGrid(S), np.sort(np.array(values).reshape(n, S), axis=1))
 
 
 @ROUND_TRIP

@@ -30,6 +30,7 @@ from wassprop import (
     quantile_from_histogram,
     solve_field,
     step,
+    w2_squared_gaussian,
     w2_squared_quantile,
 )
 from wassprop import hypergraph, propagation, tikhonov
@@ -220,6 +221,55 @@ def test_loss_matches_per_incidence_sum(grid32):
     assert state.loss_history[-1] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_gaussian_loss_matches_per_incidence_sum(b):
+    rng = np.random.default_rng(17)
+    h = Hypergraph(6, [(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)])
+    known = LabeledSubset({v: DiagGaussianLabel(rng.uniform(-1.0, 1.0, b), rng.uniform(0.1, 1.0, b))
+                           for v in (0, 3)})
+    cfg = PropagationConfig(alpha=3.0, gamma=2.0, seed=4)
+    state = step(initial_state(h, known, cfg, GaussianBackend(b)))
+    expected = sum(
+        w2_squared_gaussian(state.vertex_label(v), state.hyperedge_label(e)) / len(edge)
+        for e, edge in enumerate(h.edges)
+        for v in edge
+    ) + cfg.gamma * sum(
+        w2_squared_gaussian(state.vertex_label(v), lab) for v, lab in known.targets.items()
+    )
+    assert state.loss_history[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def _row_sum_block(rng, rows, width):
+    """Rows whose sums depend on the order of the adds (values over 16
+    decades), rows of values from 1e-300 to 1e300, and, scattered through
+    both, signed zeros, infinities and NaN."""
+    signs = rng.choice([-1.0, 1.0], (rows, width))
+    spread = np.where(rng.random((rows, 1)) < 0.5, 8.0, 300.0)
+    block = signs * 10.0 ** rng.uniform(-spread, spread, (rows, width))
+    special = rng.random((rows, width)) < 0.1
+    block[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+    block[0], block[1] = -0.0, 0.0
+    return block
+
+
+@pytest.mark.parametrize("width", [*range(1, 10), 16, 256])
+def test_row_sums_match_numpy_bit_for_bit(width):
+    # narrow rows are summed in the order numpy adds them; if a numpy release
+    # changes that order, this fails before any loss moves.  A NaN sum is
+    # only checked to be NaN: which of two unlike NaNs an add keeps depends
+    # on the add loop, and np.sum itself keeps another for one row alone
+    rng = np.random.default_rng(width)
+    block = _row_sum_block(rng, 5000, width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in [block] + [block[i:i + 1] for i in range(40)]:
+            out = np.full(len(rows), 7.0)
+            propagation._row_sums(rows, out)
+            expected = np.sum(rows, axis=1)
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(out), nan)
+            assert out[~nan].view(np.uint64).tolist() == expected[~nan].view(np.uint64).tolist()
+
+
 def test_overflowing_loss_is_a_numerical_error():
     # |inf - inf| is NaN, so an overflowing loss never met the stop test and
     # the loop ran to max_iters; now the first step raises, with no warning
@@ -236,8 +286,11 @@ def test_loss_independent_of_gather_block(grid32, monkeypatch):
     h = random_hypergraph(rng, 8, max_edges=6)
     cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=3)
     gauss = DiagGaussianLabel(rng.uniform(-1.0, 1.0, 4), rng.uniform(0.1, 1.0, 4))
-    for backend, label in [(QuantileBackend(grid32), random_histogram_label(rng, grid32)),
-                           (GaussianBackend(4), gauss)]:
+    cases = [(QuantileBackend(grid32), random_histogram_label(rng, grid32)), (GaussianBackend(4), gauss)]
+    # dims 2 and 4 are summed by columns in _row_sums, dims 8 and 32 by np.sum
+    for b in (1, 2):
+        cases.append((GaussianBackend(b), DiagGaussianLabel(rng.uniform(-1.0, 1.0, b), rng.uniform(0.1, 1.0, b))))
+    for backend, label in cases:
         known = LabeledSubset({0: label})
         whole = evaluate_loss(initial_state(h, known, cfg, backend))
         incidences = h.incidence().nnz
