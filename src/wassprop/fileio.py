@@ -415,8 +415,8 @@ def write_predictions(path, predicted: np.ndarray, state) -> None:
 
 def write_ratios(path, trials) -> None:
     """CSV rows `swap,sample_index,slice_ratio,cost_ratio`, one per stability swap."""
-    rows = (f"{t.swap_index},{t.sample_index},{format_float(t.slice_shift_ratio)},"
-            f"{format_float(t.cost_shift_ratio)}" for t in trials)
+    rows = (f"{k},{t.sample_index},{format_float(t.slice_shift_ratio)},"
+            f"{format_float(t.cost_shift_ratio)}" for k, t in enumerate(trials))
     write_lines(path, "swap,sample_index,slice_ratio,cost_ratio", rows)
 
 

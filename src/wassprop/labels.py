@@ -208,15 +208,6 @@ _SQRT_2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 
 
-def _horner(x: np.ndarray, coefs: Tuple[float, ...]) -> np.ndarray:
-    """Cephes polevl: the polynomial at x by Horner's rule, highest power first."""
-    out = np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        out *= x
-        out += c
-    return out
-
-
 def _logs(x: np.ndarray) -> np.ndarray:
     """math.log of each element: numpy's vectorized log may differ in the last bit."""
     return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
@@ -228,7 +219,8 @@ def ndtri(y: np.ndarray) -> np.ndarray:
     A port of Cephes `ndtri`, the routine behind scipy.special.ndtri: the
     same coefficients, Horner order and branch points, so the two agree bit
     for bit.  Each step is one correctly rounded IEEE operation, elementwise
-    in numpy, and the logarithms are math.log's.
+    in numpy, and the logarithms are math.log's.  np.polyval is polevl: its
+    first step, 0*x + c0, is exact at finite x.
     """
     y = np.array(y, dtype=float)
     upper = y > 1.0 - _EXP_M2  # the upper tail is the lower one reflected
@@ -237,7 +229,7 @@ def ndtri(y: np.ndarray) -> np.ndarray:
     central = y > _EXP_M2
     t = y[central] - 0.5
     t2 = t * t
-    out[central] = (t + t * (t2 * _horner(t2, _NDTRI_P0) / _horner(t2, _NDTRI_Q0))) * _SQRT_2PI
+    out[central] = (t + t * (t2 * np.polyval(_NDTRI_P0, t2) / np.polyval(_NDTRI_Q0, t2))) * _SQRT_2PI
     # tails: x = sqrt(-2 log y) >= 2, less a rational correction in 1/x
     tail = ~central
     x = np.sqrt(-2.0 * _logs(y[tail]))
@@ -246,7 +238,7 @@ def ndtri(y: np.ndarray) -> np.ndarray:
     near = x < 8.0  # y > exp(-32)
     for part, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
         zp = z[part]
-        correction[part] = zp * _horner(zp, p) / _horner(zp, q)
+        correction[part] = zp * np.polyval(p, zp) / np.polyval(q, zp)
     x = (x - _logs(x) / x) - correction
     out[tail] = np.where(upper[tail], x, -x)
     return out

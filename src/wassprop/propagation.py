@@ -87,7 +87,7 @@ class QuantileBackend:
     def decode(self, vec: np.ndarray) -> QuantileLabel:
         return QuantileLabel(self.grid, vec)
 
-    def random_init(self, seed: int, n: int, anchors: Sequence[QuantileLabel]) -> np.ndarray:
+    def random_init(self, seed: int, n: int, anchor_values: np.ndarray) -> np.ndarray:
         shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
         return standard_normal_quantiles(self.grid) + shifts
 
@@ -101,7 +101,7 @@ class GaussianBackend:
     Averaging the concatenation averages means and stds coordinate-wise, and
     the squared norm of a difference is the closed-form squared distance.  A
     random start takes row v of one seeded (n, b) draw of U(0, 1) as its
-    means and the mean of the anchor stds as its stds.
+    means and the mean of the encoded anchors' std columns as its stds.
     """
 
     def __init__(self, dim: int):
@@ -119,8 +119,8 @@ class GaussianBackend:
     def decode(self, vec: np.ndarray) -> DiagGaussianLabel:
         return DiagGaussianLabel(vec[: self.b], np.maximum(vec[self.b:], 0.0))
 
-    def random_init(self, seed: int, n: int, anchors: Sequence[DiagGaussianLabel]) -> np.ndarray:
-        std = np.mean(np.stack([a.std for a in anchors]), axis=0)
+    def random_init(self, seed: int, n: int, anchor_values: np.ndarray) -> np.ndarray:
+        std = anchor_values[:, self.b:].mean(axis=0)
         means = np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
         return np.hstack([means, np.broadcast_to(std, means.shape)])
 
@@ -253,7 +253,9 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
             d -= e
             d *= d
             _row_sums(d, out)
-        loss = float(ctx.vertex_incidence.data @ sq_norms)
+        # numpy's pairwise sum, not a BLAS dot, whose order follows the thread count
+        np.multiply(sq_norms, ctx.vertex_incidence.data, out=sq_norms)
+        loss = float(sq_norms.sum())
         anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
         scale = ctx.backend.metric_scale
         total = loss * scale + ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
@@ -306,27 +308,26 @@ def initial_state(
     (n, draws), so it does not depend on n: the start of n vertices is the
     first n rows of the start of any larger n."""
     ctx = _Context(h, known, cfg, backend)
-    anchors = [known.targets[v] for v in known.vertices]
     if initial_labels is not None:
         if len(initial_labels) != h.n:
             raise InputError(f"expected {h.n} initial labels, got {len(initial_labels)}")
         values = np.stack([backend.encode(lab) for lab in initial_labels])
     else:
-        values = backend.random_init(cfg.seed, h.n, anchors)
+        values = backend.random_init(cfg.seed, h.n, ctx.anchor_values)
     return PropagationState(context=ctx, vertex_values=values)
 
 
 def _warn_unreached(ctx: _Context) -> None:
-    """Warn about vertices no anchor reaches: those in no hyperedge, and those
-    whose connected component of the bipartite vertex-hyperedge graph holds no
-    known vertex.  The graph scans its components once and keeps them, for
-    every known set; the bipartite graph has one link per incidence, so each
-    round of the scan is linear in the size of the hyperedges."""
+    """Warn about vertices no anchor reaches: those in no hyperedge, which are
+    the run's kept vertices (each is its own component, reached only if
+    known), and those whose component of the bipartite vertex-hyperedge graph
+    holds no known vertex.  The graph scans its components once and keeps
+    them for every known set; with one link per incidence, each round of the
+    scan is linear in the size of the hyperedges."""
     component = ctx.h.bipartite_components
     reached = np.isin(component, component[ctx.anchor_vertices])
-    in_some_edge = ctx.h.mean_degrees > 0
-    isolated = np.flatnonzero(~reached & ~in_some_edge).tolist()
-    unreached = np.flatnonzero(~reached & in_some_edge).tolist()
+    isolated = np.flatnonzero(ctx.kept).tolist()
+    unreached = np.flatnonzero(~reached & ~ctx.kept).tolist()
     if isolated:
         warnings.warn(
             f"{len(isolated)} vertices belong to no hyperedge and keep their "

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -96,17 +96,12 @@ def beta(si: StabilityInputs) -> float:
 @dataclass(frozen=True)
 class BoundReport:
     """The inputs of both generalization bounds; the bounds and their
-    sample-size and vacuity flags are derived from them.
-
-    margin_positive is None when the report was built from a raw beta with no
-    graph instance behind it.
-    """
+    sample-size and vacuity flags are derived from them."""
 
     beta: float
     M: float
     m: int
     epsilon: float
-    margin_positive: Optional[bool]
 
     @property
     def fraction_bound(self) -> float:
@@ -139,34 +134,26 @@ class BoundReport:
         return self.exponential_bound > 1.0
 
 
-def bounds_from_beta(
-    beta_value: float,
-    M: float,
-    m: int,
-    epsilon: float,
-    margin_positive: Optional[bool] = None,
-) -> BoundReport:
+def bounds_from_beta(beta_value: float, M: float, m: int, epsilon: float) -> BoundReport:
     """The report of given (beta, M) at m and epsilon, once those are checked;
     bounds above 1 are reported as-is with their vacuity flags."""
     check_positive("epsilon", epsilon)
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
-    return BoundReport(
-        beta=beta_value, M=M, m=m, epsilon=epsilon, margin_positive=margin_positive
-    )
+    return BoundReport(beta=beta_value, M=M, m=m, epsilon=epsilon)
 
 
 def generalization_bounds(si: StabilityInputs, epsilon: float) -> BoundReport:
     """Bounds for a concrete instance; beta raises HypothesisError unless the
     margin hypothesis holds."""
-    return bounds_from_beta(beta(si), 4.0 * si.phi_l2_squared, si.m, epsilon, margin_positive=True)
+    return bounds_from_beta(beta(si), 4.0 * si.phi_l2_squared, si.m, epsilon)
 
 
 @dataclass(frozen=True)
 class SwapTrial:
-    """Measured-over-bound ratios for one single-sample replacement."""
+    """Measured-over-bound ratios for one single-sample replacement; its
+    swap number is its position in the report's trials."""
 
-    swap_index: int
     sample_index: int
     slice_shift_ratio: float
     cost_shift_ratio: float
@@ -275,7 +262,7 @@ def empirical_stability(
             raise NumericalError(
                 f"swap {k}: cost shift ratio {cost_ratio:.6g} exceeds beta"
             )
-        trials.append(SwapTrial(k, idx, slice_ratio, float(cost_ratio)))
+        trials.append(SwapTrial(idx, slice_ratio, float(cost_ratio)))
 
     return EmpiricalStabilityReport(
         beta=beta_value, slice_coefficient=coeff, trials=tuple(trials)

@@ -280,8 +280,9 @@ def _writer_cases():
     g = dict_graph(4, {(3, 1): 0.1, (0, 2): 1 / 3, (0, 1): 1e300})
     classes = np.array([1, 0, 2, 0])
     losses = [12.5, 1 / 3, 5e-324]
-    trials = [SimpleNamespace(swap_index=0, sample_index=3, slice_shift_ratio=0.25, cost_shift_ratio=1 / 3),
-              SimpleNamespace(swap_index=1, sample_index=0, slice_shift_ratio=1e-17, cost_shift_ratio=0.0)]
+    # a trial holds no swap number: the writer numbers the rows
+    trials = [SimpleNamespace(sample_index=3, slice_shift_ratio=0.25, cost_shift_ratio=1 / 3),
+              SimpleNamespace(sample_index=0, slice_shift_ratio=1e-17, cost_shift_ratio=0.0)]
     result = ExperimentResult(accuracies=(0.5, 2 / 3))
     incidence = h.incidence().toarray().T.astype(int).tolist()
     return {
@@ -298,8 +299,8 @@ def _writer_cases():
                   [["vertex", "class"]] + [[v, c] for v, c in enumerate(classes.tolist())], ","),
         "ratios": (lambda p: fileio.write_ratios(p, trials),
                    [["swap", "sample_index", "slice_ratio", "cost_ratio"]]
-                   + [[t.swap_index, t.sample_index, repr(t.slice_shift_ratio), repr(t.cost_shift_ratio)]
-                      for t in trials], ","),
+                   + [[k, t.sample_index, repr(t.slice_shift_ratio), repr(t.cost_shift_ratio)]
+                      for k, t in enumerate(trials)], ","),
         "trace": (lambda p: fileio.write_trace(p, losses),
                   [["iter", "loss"]] + [[t, repr(x)] for t, x in enumerate(losses)], ","),
         "incidence": (lambda p: fileio.write_incidence(p, h),

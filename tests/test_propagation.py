@@ -1,6 +1,7 @@
 """Alternating barycenter propagation on hypergraphs."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -90,16 +91,35 @@ def test_random_init_rows_come_from_one_generator(grid4, seed):
     n = 6
     # the quantile shift (one draw in [-1, 1)) and the Gaussian means (b draws in [0, 1))
     shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
-    assert np.array_equal(quantile.random_init(seed, n, []), standard_normal_quantiles(grid4) + shifts)
-    block = gauss.random_init(seed, n, anchors)
+    no_anchors = np.empty((0, grid4.size))  # the quantile start reads no anchor
+    assert np.array_equal(quantile.random_init(seed, n, no_anchors), standard_normal_quantiles(grid4) + shifts)
+    encoded = np.stack([gauss.encode(a) for a in anchors])
+    block = gauss.random_init(seed, n, encoded)
     assert np.array_equal(block[:, :2], np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2)))
     assert np.allclose(block[:, 2:], 0.3, atol=1e-15)  # mean of the anchor stds
-    for backend, labels in [(quantile, []), (gauss, anchors)]:
+    for backend, labels in [(quantile, no_anchors), (gauss, encoded)]:
         # row v does not depend on n, and the seed picks the rows
         block = backend.random_init(seed, n, labels)
         assert np.array_equal(backend.random_init(seed, n + 5, labels)[:n], block)
         zero, one = backend.random_init(0, n, labels), backend.random_init(1, n, labels)
         assert not np.any(zero[:, :1] == one[:, :1])
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 6])
+def test_gaussian_start_std_is_the_mean_of_the_anchor_stds(b):
+    # the start reads the stds from the encoded anchors, in known-vertex
+    # order; it must give the bits of the mean of the stacked label stds
+    rng = np.random.default_rng(b)
+    n = 61
+    h = Hypergraph(n, [tuple(range(n))])
+    cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=5)
+    for k in range(1, 61):
+        anchors = [DiagGaussianLabel(rng.uniform(-1.0, 1.0, b), 10.0 ** rng.uniform(-8.0, 8.0, b))
+                   for _ in range(k)]
+        known = LabeledSubset(dict(zip(rng.permutation(n)[:k].tolist(), anchors)))
+        stds = initial_state(h, known, cfg, GaussianBackend(b)).vertex_values[:, b:]
+        expected = np.mean(np.stack([known.targets[v].std for v in known.vertices]), axis=0)
+        assert stds.view(np.uint64).tolist() == [expected.view(np.uint64).tolist()] * n
 
 
 def test_seed_must_be_a_non_negative_integer(grid4):
@@ -303,6 +323,34 @@ def test_loss_independent_of_gather_block(grid32, monkeypatch):
             assert state.context.loss_rows == max(1, block_values // backend.dim)
             assert evaluate_loss(state) == whole
         monkeypatch.undo()
+
+
+def test_loss_sums_in_numpy_order_not_blas_order():
+    # a BLAS dot of the weights and the squared norms adds in an order that
+    # depends on the thread count; the loss must give the bits of numpy's
+    # own pairwise sum, here over 12 000 incidences at each of 10 steps (one
+    # loss can agree with a dot's by chance; ten in a row seldom do)
+    rng = np.random.default_rng(29)
+    n = 3000
+    h = Hypergraph(n, [tuple(rng.choice(n, 4, replace=False).tolist()) for _ in range(n)])
+    assert h.incidence().nnz > 10_000
+    backend = GaussianBackend(1)
+    known = LabeledSubset({v: DiagGaussianLabel(rng.uniform(-1.0, 1.0, 1), rng.uniform(0.1, 1.0, 1))
+                           for v in range(0, n, 50)})
+    cfg = PropagationConfig(alpha=2.0, gamma=1.5, seed=6)
+    sizes = np.diff(h.incidence().indptr)[h.edge_of]
+    targets = np.stack([backend.encode(known.targets[v]) for v in known.vertices])
+    state = initial_state(h, known, cfg, backend)
+    losses, expected = [], []
+    for _ in range(10):
+        state = step(state)
+        x, y = state.vertex_values, state.edge_values
+        d = x[h.incidence().indices] - y[h.edge_of]
+        anchors = x[known.vertices] - targets
+        total = float((np.sum(d * d, axis=1) * (1.0 / sizes)).sum())
+        losses.append(state.loss_history[-1].hex())
+        expected.append((total + cfg.gamma * float(np.sum(anchors * anchors))).hex())
+    assert losses == expected
 
 
 def _frozen(state):
@@ -608,6 +656,22 @@ def test_isolated_vertex_warning(grid4):
     cfg = PropagationConfig(alpha=1.0, gamma=1.0, max_iters=3)
     with pytest.warns(UserWarning, match="no hyperedge"):
         propagate(h, known, cfg, QuantileBackend(grid4))
+
+
+def test_known_vertex_in_no_hyperedge_is_neither_isolated_nor_unreached(grid4):
+    # vertex 3 is known and in no hyperedge: its anchor reaches it, and it
+    # is not kept at its start; vertex 4, in no hyperedge and unknown, is
+    cfg = PropagationConfig(alpha=1.0, gamma=1.0, max_iters=3)
+    known = LabeledSubset({0: delta(grid4, 0.0), 3: delta(grid4, 2.0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = propagate(Hypergraph(4, [(0, 1), (1, 2)]), known, cfg, QuantileBackend(grid4))
+    assert np.array_equal(state.vertex_values[3], delta(grid4, 2.0).values)
+    with pytest.warns(UserWarning) as record:
+        propagate(Hypergraph(5, [(0, 1), (1, 2)]), known, cfg, QuantileBackend(grid4))
+    assert [str(w.message) for w in record] == [
+        "1 vertices belong to no hyperedge and keep their initialization: [4]"
+    ]
 
 
 def test_unreachable_component_warning(grid4):

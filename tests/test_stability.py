@@ -113,7 +113,6 @@ def test_exponential_bound_zero_beta():
     assert report.sample_size_ok  # 100 >= 8 * 1 / 0.25 = 32
     assert not report.fraction_vacuous
     assert not report.exponential_vacuous
-    assert report.margin_positive is None
 
 
 def test_fraction_bound_vacuous_flagged():
@@ -124,7 +123,6 @@ def test_fraction_bound_vacuous_flagged():
     assert report.fraction_bound == pytest.approx(expected_fraction, rel=1e-12)
     assert report.fraction_bound > 1.0
     assert report.fraction_vacuous
-    assert report.margin_positive is True
     assert report.M == pytest.approx(4.0)
 
 
