@@ -46,8 +46,9 @@ from .stability import (
     check_swap_plan,
     empirical_stability,
     generalization_bounds,
+    invertibility_margin,
 )
-from .tikhonov import TikhonovOperator, TrainingSet, invertibility_margin
+from .tikhonov import TikhonovOperator, TrainingSet
 
 
 DEFAULT_ARITY = 3  # the --k of gen-sbm and experiment

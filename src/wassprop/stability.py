@@ -10,9 +10,12 @@ valid whenever the margin m*gamma*lambda_1 - T is positive.  From beta and
 the uniform cost bound M = 4*||phi||_2^2 two generalization bounds follow: a
 polynomial one, (64*M*m*beta + 8*M^2)/(m*eps^2), requiring m >= 8*M^2/eps^2,
 and an exponential one, 2*exp(-m*eps^2 / (2*(m*beta + M)^2)), for any m >= 1.
-Bounds above 1 are vacuous and are reported flagged, never clipped.  A
-non-positive margin raises HypothesisError in `slice_shift_coefficient`
-alone, which beta, the bounds and the swap harness all go through.
+Bounds above 1 are vacuous and are reported flagged, never clipped; where
+their float expression under- or overflows, they are taken in exact
+rationals.  The margin has one computation, `stability_margin`.  A
+non-positive one raises HypothesisError in `slice_shift_coefficient` alone,
+which beta, the bounds and the swap harness all go through; it only warns in
+`invertibility_margin`, since the solve is well-posed for every gamma > 0.
 
 The empirical harness replaces single training labels and verifies, on each
 swap, that the measured per-slice solution shift and the measured cost shift
@@ -28,6 +31,7 @@ is reached at a step probe and one prefix sum per swap gives it exactly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -35,9 +39,28 @@ import numpy as np
 
 from .errors import HypothesisError, InputError, NumericalError, check_positive, check_seed
 from .labels import DominatedQuantileEnvelope, QuantileLabel
-from .tikhonov import TikhonovOperator, stability_margin
+from .tikhonov import TikhonovOperator
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
+
+
+def stability_margin(m: int, gamma: float, lambda1: float, T: int) -> float:
+    """m*gamma*lambda_1 - T, T the largest sample multiplicity: its one computation."""
+    return m * gamma * lambda1 - T
+
+
+def invertibility_margin(op: TikhonovOperator) -> float:
+    """m*gamma*lambda_1 - max multiplicity; positive means the stability
+    hypothesis holds.  Non-positive values only void the stability bound,
+    not the solve, so they warn instead of raising."""
+    margin = stability_margin(op.m, op.gamma, op.lambda1, op.training.max_multiplicity())
+    if margin <= 0:
+        warnings.warn(
+            f"invertibility margin {margin:.6g} <= 0: the stability bound is vacuous "
+            "for this (m, gamma); the solve itself is unaffected",
+            stacklevel=2,
+        )
+    return float(margin)
 
 
 @dataclass(frozen=True)
@@ -85,7 +108,11 @@ def slice_shift_coefficient(m: int, gamma: float, lambda1: float, T: int) -> flo
     margin = stability_margin(m, gamma, lambda1, T)
     if margin <= 0:
         raise HypothesisError(f"margin m*gamma*lambda1 - T = {margin:.6g} must be positive")
-    return 3.0 * math.sqrt(T * m) / margin**2 + 4.0 / margin + 2.0 / m
+    try:
+        first = 3.0 * math.sqrt(T * m) / margin**2
+    except OverflowError:  # margin > ~1.3e154: the term is far below the rounding of 2/m
+        first = 0.0
+    return first + 4.0 / margin + 2.0 / m
 
 
 def beta(si: StabilityInputs) -> float:
@@ -93,28 +120,53 @@ def beta(si: StabilityInputs) -> float:
     return 4.0 * si.phi_l2_squared * slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
 
 
+def _quotient(num: float, den: float, formula, values, at_inf: float = math.inf) -> float:
+    """num / den while both are normal floats; past an under- or overflow, the
+    same quotient `formula` of the floats `values` in exact rationals, rounded
+    once: inf past the float range, and its limit `at_inf` if a value is inf."""
+    if all(np.finfo(float).tiny <= abs(v) < math.inf for v in (num, den)):
+        return num / den
+    if math.inf in values:
+        return at_inf
+    from fractions import Fraction  # imported here: only under- and overflow need it
+    try:
+        return float(formula(*map(Fraction, values)))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """The inputs of both generalization bounds; the bounds and their
-    sample-size and vacuity flags are derived from them."""
+    """The inputs of both generalization bounds, with epsilon > 0 and m >= 1;
+    the bounds and their sample-size and vacuity flags are derived from them."""
 
     beta: float
     M: float
     m: int
     epsilon: float
 
+    def __post_init__(self):
+        check_positive("epsilon", self.epsilon)
+        if self.m < 1:
+            raise InputError(f"m must be >= 1, got {self.m}")
+
     @property
     def fraction_bound(self) -> float:
         """(64*M*m*beta + 8*M^2) / (m*eps^2)."""
         m, M, eps = self.m, self.M, self.epsilon
-        return (64.0 * M * m * self.beta + 8.0 * M * M) / (m * eps * eps)
+        return _quotient(64.0 * M * m * self.beta + 8.0 * M * M, m * eps * eps,
+                         lambda b, M, e: (64 * M * m * b + 8 * M * M) / (m * e * e), (self.beta, M, eps))
 
     @property
     def exponential_bound(self) -> float:
         """2*exp(-m*eps^2 / (2*(m*beta + M)^2)), and 0 when m*beta + M is 0."""
         m, eps = self.m, self.epsilon
         denom = m * self.beta + self.M
-        return 0.0 if denom == 0 else 2.0 * math.exp(-m * eps * eps / (2.0 * denom * denom))
+        if denom == 0:
+            return 0.0
+        return 2.0 * math.exp(-_quotient(m * eps * eps, 2.0 * denom * denom,
+                                         lambda b, M, e: m * e * e / (2 * (m * b + M) ** 2),
+                                         (self.beta, self.M, eps), at_inf=0.0))
 
     @property
     def m_ge_4(self) -> bool:
@@ -123,7 +175,8 @@ class BoundReport:
     @property
     def sample_size_ok(self) -> bool:
         """m >= 8*M^2/eps^2, the polynomial bound's sample-size condition."""
-        return self.m >= 8.0 * self.M * self.M / (self.epsilon * self.epsilon)
+        M, eps = self.M, self.epsilon
+        return self.m >= _quotient(8.0 * M * M, eps * eps, lambda M, e: 8 * M * M / (e * e), (M, eps))
 
     @property
     def fraction_vacuous(self) -> bool:
@@ -134,19 +187,10 @@ class BoundReport:
         return self.exponential_bound > 1.0
 
 
-def bounds_from_beta(beta_value: float, M: float, m: int, epsilon: float) -> BoundReport:
-    """The report of given (beta, M) at m and epsilon, once those are checked;
-    bounds above 1 are reported as-is with their vacuity flags."""
-    check_positive("epsilon", epsilon)
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    return BoundReport(beta=beta_value, M=M, m=m, epsilon=epsilon)
-
-
 def generalization_bounds(si: StabilityInputs, epsilon: float) -> BoundReport:
     """Bounds for a concrete instance; beta raises HypothesisError unless the
     margin hypothesis holds."""
-    return bounds_from_beta(beta(si), 4.0 * si.phi_l2_squared, si.m, epsilon)
+    return BoundReport(beta(si), 4.0 * si.phi_l2_squared, si.m, epsilon)
 
 
 @dataclass(frozen=True)
@@ -162,7 +206,6 @@ class SwapTrial:
 @dataclass(frozen=True)
 class EmpiricalStabilityReport:
     beta: float
-    slice_coefficient: float
     trials: Tuple[SwapTrial, ...]
 
     @property
@@ -264,6 +307,4 @@ def empirical_stability(
             )
         trials.append(SwapTrial(idx, slice_ratio, float(cost_ratio)))
 
-    return EmpiricalStabilityReport(
-        beta=beta_value, slice_coefficient=coeff, trials=tuple(trials)
-    )
+    return EmpiricalStabilityReport(beta=beta_value, trials=tuple(trials))

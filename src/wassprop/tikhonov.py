@@ -12,16 +12,13 @@ least one sample the matrix is a symmetric positive definite M-matrix.  Only
 the k labeled vertices carry data, so all slices are Phi = G Y_L with one
 block of Green's columns G = A^{-1} E_L (E_L: unit columns at those vertices;
 Y_L: their right-hand-side rows).  G >= 0 entrywise, so monotone rows of Y_L
-give monotone rows of Phi; the same G serves every same-vertex swap.
-The solve is well-posed for every gamma > 0; the margin m*gamma*lambda_1 - T
-(`stability_margin`, its one computation) decides only whether the stability
-bound applies.  The inputs are checked by the shared rules `check_same_grid`,
-`check_positive` and `check_vertex_range`.
+give monotone rows of Phi; the same G serves every same-vertex swap.  The
+inputs are checked by the shared rules `check_same_grid`, `check_positive`
+and `check_vertex_range`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -316,11 +313,6 @@ def monotone_field(grid: QuantileGrid, phi: np.ndarray) -> QuantileField:
     return QuantileField(grid=grid, values=phi)
 
 
-def solve_field(g: WeightedGraph, ts: TrainingSet, gamma: float) -> QuantileField:
-    """The field of one instance: `TikhonovOperator(g, ts, gamma).field()`."""
-    return TikhonovOperator(g, ts, gamma).field()
-
-
 @dataclass(frozen=True)
 class MaxPrincipleReport:
     """Outcome of the per-slice extrema checks over a solved field.
@@ -381,22 +373,3 @@ def check_apriori(
         ts.check_dominated(envelope)
     check_same_grid(field.grid, envelope.grid)
     return bool(np.all(np.abs(field.values) <= envelope.phi[None, :] + 1e-9))
-
-
-def stability_margin(m: int, gamma: float, lambda1: float, T: int) -> float:
-    """m*gamma*lambda_1 - T, T the largest sample multiplicity: its one computation."""
-    return m * gamma * lambda1 - T
-
-
-def invertibility_margin(op: TikhonovOperator) -> float:
-    """m*gamma*lambda_1 - max multiplicity; positive means the stability
-    hypothesis holds.  Non-positive values only void the stability bound,
-    not the solve, so they warn instead of raising."""
-    margin = stability_margin(op.m, op.gamma, op.lambda1, op.training.max_multiplicity())
-    if margin <= 0:
-        warnings.warn(
-            f"invertibility margin {margin:.6g} <= 0: the stability bound is vacuous "
-            "for this (m, gamma); the solve itself is unaffected",
-            stacklevel=2,
-        )
-    return float(margin)

@@ -36,7 +36,6 @@ from wassprop import (
     laplacian,
     quantile_from_histogram,
     run_experiment,
-    solve_field,
     spectral_gap,
     w2_squared_quantile,
 )
@@ -136,7 +135,7 @@ def test_criterion_03_tikhonov_oracle(capsys):
         ts = random_training_set(rng, grid, n, int(rng.integers(1, 7)))
         gamma = float(rng.uniform(0.1, 3.0))
         s_index = int(rng.integers(0, grid.size))
-        sol = solve_field(g, ts, gamma).values[:, s_index]
+        sol = TikhonovOperator(g, ts, gamma).field().values[:, s_index]
         oracle = _dense_quadratic_minimizer(g, ts, gamma, s_index)
         worst = max(worst, float(np.max(np.abs(sol - oracle))))
     # hand-derived two-vertex instance
@@ -148,7 +147,7 @@ def test_criterion_03_tikhonov_oracle(capsys):
             (1, quantile_from_histogram([1.0], [1.0], grid4)),
         ]
     )
-    hand = solve_field(g2, ts2, 1.0).values[:, 0]
+    hand = TikhonovOperator(g2, ts2, 1.0).field().values[:, 0]
     hand_ok = bool(np.allclose(hand, [0.4, 0.6], atol=1e-8))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and hand_ok and elapsed < 30.0
@@ -170,7 +169,7 @@ def test_criterion_04_monotone_and_max_principle(capsys):
         n = int(rng.integers(2, 13))
         g = random_connected_graph(rng, n)
         ts = random_training_set(rng, grid, n, int(rng.integers(1, 7)))
-        field = solve_field(g, ts, gamma=float(rng.uniform(0.2, 2.0)))
+        field = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.2, 2.0))).field()
         if np.min(np.diff(field.values, axis=1)) < -1e-9:
             monotone_violations += 1
         if not check_maximum_principle(field, ts).extrema_on_labeled:

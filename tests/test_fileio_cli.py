@@ -5,11 +5,13 @@ import csv
 import dataclasses
 import gc
 import io
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,11 +34,11 @@ from wassprop import (
     QuantileField,
     QuantileGrid,
     QuantileLabel,
+    TikhonovOperator,
     TrainingSet,
     classify,
     propagate,
     quantile_from_histogram,
-    solve_field,
 )
 from conftest import dict_graph, edge_dict
 
@@ -234,7 +236,7 @@ def test_field_round_trip(tmp_path):
             (1, quantile_from_histogram([1.0], [1.0], grid)),
         ]
     )
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     fileio.write_field(path, field)
     back = fileio.read_field(path, grid)
     assert np.array_equal(back.values, field.values)
@@ -1311,6 +1313,49 @@ def test_cli_gate_inputs_are_good(tmp_path):
     # the commands the gates below run succeed on the unbroken files
     for command, argv in _command_argvs(tmp_path, GOOD_LABELS).items():
         assert cli.main(argv) == 0, command
+
+
+# stability inputs on which a float expression of the bounds under- or
+# overflows: (labels, flags appended to the stability command line)
+EXTREME_STABILITY = {
+    "margin-squared-overflows": (GOOD_LABELS, ["--gamma", "1e155"]),
+    "m-eps-squared-underflows": (GOOD_LABELS, ["--epsilon", "1e-170"]),
+    "beta-plus-M-squared-underflows": (
+        "vertex,kind,params\n0,hist,1e-150:1.0\n2,hist,2e-150:1.0\n", []),
+    "inf-over-inf": (
+        "vertex,kind,params\n0,hist,1e100:1.0\n2,hist,2e100:1.0\n", ["--epsilon", "1e200"]),
+    "zero-labels-eps-underflows": (
+        "vertex,kind,params\n0,hist,0.0:1.0\n2,hist,0.0:1.0\n", ["--epsilon", "1e-170"]),
+}
+
+
+def _exact_bound_flags(report):
+    """(fraction_vacuous, exponential_vacuous, sample_size_ok) of a printed
+    report, from its beta, M, m and epsilon in exact rationals."""
+    beta, M, eps = (Fraction(float(report[k])) for k in ("beta", "M", "epsilon"))
+    m = int(report["m"])
+    fraction = (64 * M * m * beta + 8 * M * M) / (m * eps * eps)
+    exponent = m * eps * eps / (2 * (m * beta + M) ** 2) if m * beta + M else math.inf
+    return fraction > 1, exponent < math.log(2), m * eps * eps >= 8 * M * M
+
+
+@pytest.mark.parametrize("case", EXTREME_STABILITY)
+def test_cli_stability_bounds_past_the_float_range(tmp_path, capsys, case):
+    # a full report, exit 0, no nan, and vacuity flags as in exact arithmetic
+    labels, flags = EXTREME_STABILITY[case]
+    argv = _command_argvs(tmp_path, labels)["stability"] + flags
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "r.txt").read_text()
+    assert "nan" not in text
+    report = dict(line.split("=", 1) for line in text.splitlines())
+    good = tmp_path / "good"
+    good.mkdir()
+    assert cli.main(_command_argvs(good, GOOD_LABELS)["stability"]) == 0
+    assert list(report) == [line.split("=", 1)[0] for line in (good / "r.txt").read_text().splitlines()]
+    printed = tuple(report[k] == "True" for k in ("fraction_vacuous", "exponential_vacuous",
+                                                  "sample_size_ok"))
+    assert printed == _exact_bound_flags(report)
 
 
 # the solve builds no envelope, and solves these labels to a finite field

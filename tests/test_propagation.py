@@ -29,7 +29,6 @@ from wassprop import (
     initial_state,
     propagate,
     quantile_from_histogram,
-    solve_field,
     step,
     w2_squared_gaussian,
     w2_squared_quantile,
@@ -543,7 +542,7 @@ def test_objective_link_tikhonov_dominates(grid32):
 
         ts = TrainingSet(sorted(targets.items()))
         g = clique_expand(h)
-        field = solve_field(g, ts, gamma=1.0 / (ts.m * gamma_prop))
+        field = TikhonovOperator(g, ts, gamma=1.0 / (ts.m * gamma_prop)).field()
         loss_prop = evaluate_loss(final)
         loss_tik = evaluate_loss(final, vertex_values=field.values)
         assert loss_tik <= loss_prop + 1e-6

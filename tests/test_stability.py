@@ -1,6 +1,8 @@
 """Stability constant, generalization bounds, and the swap stress harness."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 import scipy.optimize
 
 from wassprop import (
+    BoundReport,
     DimensionError,
     DominatedQuantileEnvelope,
     HypothesisError,
@@ -18,16 +21,14 @@ from wassprop import (
     StabilityInputs,
     TrainingSet,
     beta,
-    bounds_from_beta,
     empirical_stability,
     generalization_bounds,
     laplacian,
     quantile_from_histogram,
     slice_shift_coefficient,
-    solve_field,
     spectral_gap,
 )
-from wassprop import tikhonov
+from wassprop import stability, tikhonov
 from wassprop.labels import check_quantile_samples
 from wassprop.stability import _random_dominated_label
 from wassprop.tikhonov import TikhonovOperator
@@ -106,7 +107,7 @@ def test_nonpositive_margin_raises():
 
 
 def test_exponential_bound_zero_beta():
-    report = bounds_from_beta(0.0, 1.0, 100, 0.5)
+    report = BoundReport(0.0, 1.0, 100, 0.5)
     assert report.exponential_bound == pytest.approx(2.0 * math.exp(-12.5), rel=1e-12)
     assert report.fraction_bound == pytest.approx(8.0 / 25.0, rel=1e-12)
     assert report.m_ge_4
@@ -140,14 +141,71 @@ def test_bounds_monotone_in_epsilon():
 
 def test_bounds_input_validation():
     with pytest.raises(InputError):
-        bounds_from_beta(0.1, 1.0, 100, 0.0)
+        BoundReport(0.1, 1.0, 100, 0.0)
     with pytest.raises(InputError):
-        bounds_from_beta(0.1, 1.0, 0, 0.5)
+        BoundReport(0.1, 1.0, 0, 0.5)
+
+
+def test_bound_report_refuses_what_the_cli_refuses():
+    # the constructor itself checks epsilon and m, with the CLI's messages
+    for eps in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(InputError, match=rf"^epsilon must be positive and finite, got {eps}$"):
+            BoundReport(0.1, 1.0, 100, eps)
+    for m in (0, -3):
+        with pytest.raises(InputError, match=rf"^m must be >= 1, got {m}$"):
+            BoundReport(0.1, 1.0, m, 0.5)
+
+
+SCALES = (1e-170, 1e-150, 1e-100, 1e-5, 1.0, 1e5, 1e100, 1e150, 1e200)
+
+
+def _rounded(x: Fraction) -> float:
+    """x rounded once to a float, inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def test_bounds_match_exact_rationals_across_scales():
+    # where the float expressions under- or overflow, the bounds still read
+    # as the same formulas in exact rationals
+    for b, M, eps, m in itertools.product((0.0, *SCALES), (0.0, *SCALES), SCALES, (1, 7, 1000)):
+        report = BoundReport(b, M, m, eps)
+        beta_, M_, eps_ = Fraction(b), Fraction(M), Fraction(eps)
+        fraction = (64 * M_ * m * beta_ + 8 * M_ * M_) / (m * eps_ * eps_)
+        exponent = m * eps_ * eps_ / (2 * (m * beta_ + M_) ** 2) if b or M else math.inf
+        case = (b, M, eps, m)
+        assert report.fraction_bound == pytest.approx(_rounded(fraction), rel=1e-12, abs=1e-300), case
+        assert report.exponential_bound == pytest.approx(
+            2.0 * math.exp(-_rounded(exponent)), rel=1e-12, abs=1e-300), case
+        assert report.sample_size_ok == (m * eps_ * eps_ >= 8 * M_ * M_), case
+
+
+def test_bounds_of_an_infinite_beta_or_M_are_vacuous():
+    # an overflowed beta or M gives the bounds' limits, never nan
+    for (b, M), eps, m in itertools.product(((math.inf, 4.0), (math.inf, math.inf)), SCALES, (1, 1000)):
+        report = BoundReport(b, M, m, eps)
+        assert report.fraction_bound == math.inf and report.fraction_vacuous
+        assert report.exponential_bound == 2.0 and report.exponential_vacuous
+        assert report.sample_size_ok == (M < math.inf and m * Fraction(eps) ** 2 >= 8 * Fraction(M) ** 2)
+
+
+def test_slice_shift_coefficient_matches_exact_rationals_across_scales():
+    # margin**2 overflows past about 1.3e154, where the first term is 0
+    for gamma, lambda1, (m, T) in itertools.product(SCALES, SCALES, ((1, 1), (7, 3), (1000, 10))):
+        margin = m * gamma * lambda1 - T
+        if margin <= 0:
+            continue
+        exact = Fraction(2, m)
+        if margin < math.inf:
+            exact += 3 * Fraction(math.sqrt(T * m)) / Fraction(margin) ** 2 + 4 / Fraction(margin)
+        assert slice_shift_coefficient(m, gamma, lambda1, T) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_zero_beta_zero_m_denominator():
     # beta = M = 0 makes the exponential denominator vanish; bound is 0
-    report = bounds_from_beta(0.0, 0.0, 10, 1.0)
+    report = BoundReport(0.0, 0.0, 10, 1.0)
     assert report.exponential_bound == 0.0
     assert report.fraction_bound == 0.0
 
@@ -160,8 +218,8 @@ def test_self_swap_is_exactly_zero(grid32):
     ]
     ts = TrainingSet([(0, labels[0]), (2, labels[1]), (4, labels[2])])
     same = ts.replaced(1, 2, labels[1])
-    f0 = solve_field(g, ts, gamma=1.0)
-    f1 = solve_field(g, same, gamma=1.0)
+    f0 = TikhonovOperator(g, ts, gamma=1.0).field()
+    f1 = TikhonovOperator(g, same, gamma=1.0).field()
     assert np.array_equal(f0.values, f1.values)
 
 
@@ -169,8 +227,8 @@ def test_p2_hand_swap(grid4):
     g = dict_graph(2, {(0, 1): 1.0})
     base = TrainingSet([(0, delta(grid4, 0.0)), (1, delta(grid4, 1.0))])
     swapped = base.replaced(1, 1, delta(grid4, 0.0))
-    f0 = solve_field(g, base, gamma=1.0)
-    f1 = solve_field(g, swapped, gamma=1.0)
+    f0 = TikhonovOperator(g, base, gamma=1.0).field()
+    f1 = TikhonovOperator(g, swapped, gamma=1.0).field()
     assert np.allclose(f0.values[0], 0.4, atol=1e-12)
     assert np.allclose(f0.values[1], 0.6, atol=1e-12)
     assert np.allclose(f1.values, 0.0, atol=1e-12)
@@ -226,7 +284,7 @@ def test_nonpositive_margin_reads_the_same_everywhere(grid4):
     op = TikhonovOperator(g, TrainingSet([(0, delta(grid4, 0.0))]), 0.4)
     si = StabilityInputs.from_instance(op, env)
     with pytest.warns(UserWarning, match="invertibility margin"):
-        assert tikhonov.invertibility_margin(op) == si.margin == 1 * 0.4 * op.lambda1 - 1
+        assert stability.invertibility_margin(op) == si.margin == 1 * 0.4 * op.lambda1 - 1
     message = rf"^margin m\*gamma\*lambda1 - T = {si.margin:.6g} must be positive$"
     for call in (lambda: slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T),
                  lambda: beta(si), lambda: generalization_bounds(si, 0.5),
@@ -265,7 +323,7 @@ def test_swap_update_matches_fresh_solve(grid32, monkeypatch, cg_path):
         for idx in range(base.m):
             label = random_monotone_label(rng, grid32)
             updated = op.swapped_field(idx, label).values
-            fresh = solve_field(g, base.replaced(idx, base.samples[idx][0], label), 0.8).values
+            fresh = TikhonovOperator(g, base.replaced(idx, base.samples[idx][0], label), 0.8).field().values
             assert np.max(np.abs(updated - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
 

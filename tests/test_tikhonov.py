@@ -26,7 +26,6 @@ from wassprop import (
     gaussian_quantile_label,
     invertibility_margin,
     quantile_from_histogram,
-    solve_field,
     laplacian,
     spectral_gap,
     tight_envelope,
@@ -88,7 +87,7 @@ def test_assembly_p2_single_sample(grid4):
     assert np.allclose(op.matrix.toarray(), [[2.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(dense_rhs(ts, 2)[:, 2], [0.7, 0.0])
     # [[2, -1], [-1, 1]] x = (0.7, 0) gives x = (0.7, 0.7)
-    assert np.allclose(solve_field(g, ts, gamma=1.0).values[:, 2], [0.7, 0.7], atol=1e-12)
+    assert np.allclose(TikhonovOperator(g, ts, gamma=1.0).field().values[:, 2], [0.7, 0.7], atol=1e-12)
 
 
 def test_assembly_multiplicity_doubles(grid4):
@@ -98,7 +97,7 @@ def test_assembly_multiplicity_doubles(grid4):
     assert np.allclose(op.matrix.toarray(), [[3.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(dense_rhs(ts, 2)[:, 0], [1.4, 0.0])
     # [[3, -1], [-1, 1]] x = (1.4, 0) gives x = (0.7, 0.7)
-    assert np.allclose(solve_field(g, ts, gamma=0.5).values[:, 0], [0.7, 0.7], atol=1e-12)
+    assert np.allclose(TikhonovOperator(g, ts, gamma=0.5).field().values[:, 0], [0.7, 0.7], atol=1e-12)
 
 
 def test_assembly_centering_invariant(grid32):
@@ -119,12 +118,12 @@ def test_assembly_disconnected_rejected(grid4):
     g = dict_graph(3, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.0))])
     with pytest.raises(StructureError):
-        solve_field(g, ts, gamma=1.0)
+        TikhonovOperator(g, ts, gamma=1.0).field()
 
 
 def test_solve_slice_p2_hand_value(grid4):
     g, ts = p2_instance(grid4)
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     for s_index in range(4):
         assert np.allclose(field.values[:, s_index], [0.4, 0.6], atol=1e-12)
 
@@ -132,7 +131,7 @@ def test_solve_slice_p2_hand_value(grid4):
 def test_solve_slice_consensus(grid4):
     g = random_connected_graph(np.random.default_rng(47), 5)
     ts = TrainingSet([(0, delta(grid4, 2.5)), (3, delta(grid4, 2.5))])
-    sol = solve_field(g, ts, gamma=3.0).values[:, 1]
+    sol = TikhonovOperator(g, ts, gamma=3.0).field().values[:, 1]
     assert np.allclose(sol, 2.5, atol=1e-10)
 
 
@@ -155,7 +154,7 @@ def test_solve_slice_matches_lstsq_oracle(grid32):
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, 7)))
         gamma = float(rng.uniform(0.1, 3.0))
         s_index = int(rng.integers(0, 32))
-        sol = solve_field(g, ts, gamma).values[:, s_index]
+        sol = TikhonovOperator(g, ts, gamma).field().values[:, s_index]
         oracle = lstsq_minimizer(g, ts, gamma, s_index)
         assert np.max(np.abs(sol - oracle)) <= 1e-8
 
@@ -164,7 +163,7 @@ def test_solve_field_constant_training(grid32):
     g = dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
     lab = gaussian_quantile_label(0.0, 1.0, grid32)
     ts = TrainingSet([(0, lab), (1, lab), (2, lab)])
-    field = solve_field(g, ts, gamma=0.8)
+    field = TikhonovOperator(g, ts, gamma=0.8).field()
     for v in range(3):
         assert np.allclose(field.values[v], lab.values, atol=1e-9)
         assert np.all(np.diff(field.values[v]) >= 0)
@@ -172,7 +171,7 @@ def test_solve_field_constant_training(grid32):
 
 def test_solve_field_p2_rows(grid4):
     g, ts = p2_instance(grid4)
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     assert np.allclose(field.values[0], 0.4, atol=1e-12)
     assert np.allclose(field.values[1], 0.6, atol=1e-12)
     lab = field.label(0)
@@ -184,7 +183,7 @@ def test_solve_field_uniform_rows_strictly_increasing(grid32):
     u01 = QuantileLabel(grid32, grid32.nodes)
     u23 = QuantileLabel(grid32, 2.0 + grid32.nodes)
     ts = TrainingSet([(0, u01), (1, u23)])
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     for v in range(2):
         assert np.all(np.diff(field.values[v]) > 0)
 
@@ -195,7 +194,7 @@ def test_field_monotone_and_max_principle_random(grid32):
         n = int(rng.integers(2, 13))
         g = random_connected_graph(rng, n)
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, 7)))
-        field = solve_field(g, ts, gamma=float(rng.uniform(0.2, 2.0)))
+        field = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.2, 2.0))).field()
         assert np.all(np.diff(field.values, axis=1) >= -1e-9)
         report = check_maximum_principle(field, ts)
         assert report.ok
@@ -204,7 +203,7 @@ def test_field_monotone_and_max_principle_random(grid32):
 
 def test_max_principle_p2(grid4):
     g, ts = p2_instance(grid4)
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     report = check_maximum_principle(field, ts)
     assert report.ok
     # extrema 0.4 and 0.6 both sit at the labeled vertices
@@ -220,7 +219,7 @@ def test_max_principle_nonnegative_training(grid32):
         vals = np.asarray(random_histogram_label(rng, grid32).values)
         samples.append((v, QuantileLabel(grid32, vals - min(vals.min(), 0.0))))
     ts = TrainingSet(samples)
-    field = solve_field(g, ts, gamma=0.5)
+    field = TikhonovOperator(g, ts, gamma=0.5).field()
     assert field.values.min() >= -1e-9
     assert check_maximum_principle(field, ts).nonnegative_ok
 
@@ -228,7 +227,7 @@ def test_max_principle_nonnegative_training(grid32):
 def test_max_principle_star_center_between_leaves(grid4):
     g = dict_graph(4, {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0})
     ts = TrainingSet([(1, delta(grid4, 0.0)), (2, delta(grid4, 1.0)), (3, delta(grid4, 2.0))])
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     leaves = field.values[[1, 2, 3], 0]
     center = field.values[0, 0]
     assert leaves.min() < center < leaves.max()
@@ -244,8 +243,8 @@ def test_translation_equivariance(grid32):
     shifted = TrainingSet(
         [(v, QuantileLabel(grid32, np.asarray(lab.values) + c)) for v, lab in ts.samples]
     )
-    f0 = solve_field(g, ts, gamma=0.6)
-    f1 = solve_field(g, shifted, gamma=0.6)
+    f0 = TikhonovOperator(g, ts, gamma=0.6).field()
+    f1 = TikhonovOperator(g, shifted, gamma=0.6).field()
     assert np.max(np.abs(f1.values - (f0.values + c))) <= 1e-10
 
 
@@ -254,7 +253,7 @@ def test_check_apriori(grid32):
     g = random_connected_graph(rng, 5)
     ts = random_training_set(rng, grid32, 5, 3)
     env = tight_envelope([lab for _, lab in ts.samples])
-    field = solve_field(g, ts, gamma=0.5)
+    field = TikhonovOperator(g, ts, gamma=0.5).field()
     assert check_apriori(field, env, ts)
     wide = DominatedQuantileEnvelope(grid32, np.full(32, 10.0))
     assert check_apriori(field, wide, ts)
@@ -263,7 +262,7 @@ def test_check_apriori(grid32):
 def test_check_apriori_constant_delta_equality(grid4):
     g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, -1.5)), (1, delta(grid4, -1.5))])
-    field = solve_field(g, ts, gamma=2.0)
+    field = TikhonovOperator(g, ts, gamma=2.0).field()
     env = DominatedQuantileEnvelope(grid4, np.full(4, 1.5))
     assert check_apriori(field, env, ts)
 
@@ -271,7 +270,7 @@ def test_check_apriori_constant_delta_equality(grid4):
 def test_check_apriori_rejects_undominated_training(grid4):
     g = dict_graph(2, {(0, 1): 1.0})
     ts = TrainingSet([(0, delta(grid4, 5.0)), (1, delta(grid4, 0.0))])
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     with pytest.raises(InputError):
         check_apriori(field, env, ts)
@@ -308,8 +307,8 @@ def test_slice_stability_bound_random_pairs(grid32):
         if margin <= 0:
             continue
         env = tight_envelope([lab for _, lab in base.samples + other.samples])
-        f0 = solve_field(g, base, gamma)
-        f1 = solve_field(g, other, gamma)
+        f0 = TikhonovOperator(g, base, gamma).field()
+        f1 = TikhonovOperator(g, other, gamma).field()
         shift = np.max(np.abs(f0.values - f1.values), axis=0)
         coeff = 3.0 * math.sqrt(T * m) / margin**2 + 4.0 / margin + 2.0 / m
         assert np.all(shift <= coeff * env.phi + 1e-9)
@@ -322,7 +321,7 @@ def test_operator_shared_across_slices(grid32):
     op = TikhonovOperator(g, ts, gamma=1.2)
     shared = op.field()
     assert op.field() is shared  # solved once
-    field = solve_field(g, ts, gamma=1.2)
+    field = TikhonovOperator(g, ts, gamma=1.2).field()
     for s in (0, 31):
         assert np.allclose(field.values[:, s], shared.values[:, s], atol=1e-12)
         assert np.allclose(op.solve(dense_rhs(ts, g.n)[:, [s]])[:, 0], shared.values[:, s], atol=1e-12)
@@ -627,7 +626,7 @@ def test_slice_rhs_is_column_of_dense_reference(grid32):
     ts = TrainingSet([(1, labs[0]), (3, labs[1]), (1, labs[2]), (0, labs[3])])
     op = TikhonovOperator(g, ts, gamma=0.8)
     rhs = dense_rhs(ts, g.n)
-    fields = (solve_field(g, ts, 0.8), op.field())
+    fields = (TikhonovOperator(g, ts, 0.8).field(), op.field())
     for s in (0, 7, 31):
         ref = np.zeros(g.n)
         for v, lab in ts.samples:
@@ -669,7 +668,7 @@ def test_counts_match_per_sample_loop(grid4):
 def test_training_dominance_one_error(grid4):
     g = dict_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
     ts = TrainingSet([(0, delta(grid4, 0.5)), (2, delta(grid4, 3.0)), (1, delta(grid4, 4.0))])
-    field = solve_field(g, ts, gamma=1.0)
+    field = TikhonovOperator(g, ts, gamma=1.0).field()
     env = DominatedQuantileEnvelope(grid4, np.ones(4))
     messages = []
     for check in (
