@@ -8,15 +8,17 @@ histogram as `b1:m1;b2:m2;...` (bin:mass pairs); kind "gauss" encodes a
 diagonal Gaussian as `mu1,...,mub|sd1,...,sdb`.  Hypergraph files hold one
 hyperedge per line as whitespace-separated 0-based vertex indices; graph
 files hold lines `i j w`.  All floats are written with `.` decimals via repr
-(shortest round-trip).  Every output file is written by `write_lines`, so
-every line ends in `\n` on every platform, and `_csv_field` is the one CSV
-quoting rule: a field holding `,`, `"` or a newline is quoted, its inner
-quotes doubled.  `_read_lines` opens every input file, as UTF-8 with a
-leading byte-order mark dropped.  Readers raise InputError naming the file,
-and the line for a line that does not parse.  `_vertex_rows` is the header
-rule of the three vertex-keyed CSVs, and `read_labels` checks every
-label-row rule in one pass, the vertex range included once the caller knows
-the vertex count.
+(shortest round-trip).  The block writers, `write_field` and the quantile
+rows of `write_predictions`, make repr's exact text for a whole (n, S)
+block at a time through `floattext.repr_rows`.  Every output file is
+written by `write_lines`, so every line ends in `\n` on every platform, and
+`_csv_field` is the one CSV quoting rule: a field holding `,`, `"` or a
+newline is quoted, its inner quotes doubled.  `_read_lines` opens every
+input file, as UTF-8 with a leading byte-order mark dropped.  Readers raise
+InputError naming the file, and the line for a line that does not parse.
+`_vertex_rows` is the header rule of the three vertex-keyed CSVs, and
+`read_labels` checks every label-row rule in one pass, the vertex range
+included once the caller knows the vertex count.
 """
 
 from __future__ import annotations
@@ -320,9 +322,11 @@ def write_graph(path, g: WeightedGraph) -> None:
 
 def write_field(path, field: QuantileField) -> None:
     """CSV rows `vertex,s_1,...,s_S` of quantile samples."""
+    from .floattext import repr_rows  # loaded only by the commands that write a block
+
     header = ",".join(["vertex"] + [f"s_{j}" for j in range(1, field.grid.size + 1)])
     # float reprs hold no comma or quote, so need no quoting
-    write_lines(path, header, (f"{v},{_joined(row, ',')}" for v, row in enumerate(field.values)))
+    write_lines(path, header, (f"{v},{text}" for v, text in enumerate(repr_rows(field.values, ","))))
 
 
 def read_field(path, grid: QuantileGrid) -> QuantileField:
@@ -404,8 +408,10 @@ def write_predictions(path, predicted: np.ndarray, state) -> None:
     QuantileLabel obeys, and formatted straight from the state's values."""
     backend = state.context.backend
     if isinstance(backend, QuantileBackend):
+        from .floattext import repr_rows  # loaded only by the commands that write a block
+
         check_quantile_samples(state.vertex_values, (len(predicted), backend.grid.size))
-        params = (_joined(row, ";") for row in state.vertex_values)
+        params = repr_rows(state.vertex_values, ";")
     else:
         params = (label_params(state.vertex_label(v)) for v in range(len(predicted)))
     rows = (f"{v},{c},{_csv_field(text)}"

@@ -264,6 +264,9 @@ def empirical_stability(
     si = StabilityInputs.from_instance(op, envelope)
     coeff = slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
     beta_value = beta(si)
+    if not math.isfinite(beta_value):
+        raise NumericalError(f"beta = {beta_value} overflows the float range: no cost shift can be "
+                             "measured against it")
     S = envelope.grid.size
     bound = coeff * envelope.phi
     c = float(envelope.phi.min())
@@ -290,10 +293,13 @@ def empirical_stability(
         # extremes are at the S+1 step probes, -c before node t and +c from t
         # on, where (x - x').p = c(D_S - 2 D_t) with D_t the prefix sum of x - x'.
         prefix = np.zeros((d.shape[0], S + 1))
-        np.cumsum(d, axis=1, out=prefix[:, 1:])
-        shifts = np.einsum("vs,vs->v", d, base_field + other_field)[:, None] - 2.0 * c * (
-            prefix[:, -1:] - 2.0 * prefix
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            np.cumsum(d, axis=1, out=prefix[:, 1:])
+            shifts = np.einsum("vs,vs->v", d, base_field + other_field)[:, None] - 2.0 * c * (
+                prefix[:, -1:] - 2.0 * prefix
+            )
+        if not np.isfinite(shifts).all():
+            raise NumericalError(f"swap {k}: the cost shift overflows the float range")
         worst_shift = float(np.max(np.abs(shifts))) / S
         cost_ratio = worst_shift / beta_value if beta_value > 0 else (0.0 if worst_shift == 0 else np.inf)
 

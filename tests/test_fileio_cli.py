@@ -412,9 +412,9 @@ def test_trace_and_incidence(tmp_path):
 def import_child(tmp_path_factory):
     """One fresh interpreter, run once for the import guards: it says whether
     `scipy.stats` is loaded right after `from wassprop import cli`, and which
-    heavy scipy modules are loaded after `import wassprop`, after the cli
-    import and after each of two commands.  Returns its stdout lines and the
-    directory the commands wrote in."""
+    heavy scipy modules and whether `wassprop.floattext` are loaded after
+    `import wassprop`, after the cli import and after each of two commands.
+    Returns its stdout lines and the directory the commands wrote in."""
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
     # together cost about a quarter of a second of start-up; the package and
     # the experiment trials need only scipy.sparse
@@ -429,7 +429,8 @@ def import_child(tmp_path_factory):
                       "--gamma", "1", "--grid-size", "8", "--output", "p.csv"]
     script = "\n".join([
         "import sys",
-        f"def loaded(): print('loaded:', *[m for m in {heavy!r} if m in sys.modules])",
+        f"def loaded(): print('loaded:', *[m for m in {heavy!r} if m in sys.modules]);"
+        " print('floattext:', 'wassprop.floattext' in sys.modules)",
         "import wassprop", "loaded()",
         "from wassprop import cli", "print('scipy.stats:', 'scipy.stats' in sys.modules)", "loaded()",
         f"assert cli.main({experiment!r}) == 0", "loaded()",
@@ -452,6 +453,15 @@ def test_commands_load_only_the_scipy_they_run(import_child):
     # quantile initialization takes the standard normal quantiles from the Cephes port
     assert reports == [[], [], [], []]
     assert (work / "m.csv").is_file() and (work / "p.csv").is_file()
+
+
+def test_only_block_writers_load_the_float_text_kernel(import_child):
+    # floattext is loaded by the first block write, so start-up and the
+    # commands that write no (n, S) block never compile or import it
+    lines, _ = import_child
+    reports = [line.split()[1] for line in lines if line.startswith("floattext:")]
+    # after import wassprop, the cli import, experiment and the hist propagate
+    assert reports == ["False", "False", "False", "True"]
 
 
 def _entry_point_commands(tmp_path):
@@ -1356,6 +1366,15 @@ def test_cli_stability_bounds_past_the_float_range(tmp_path, capsys, case):
     printed = tuple(report[k] == "True" for k in ("fraction_vacuous", "exponential_vacuous",
                                                   "sample_size_ok"))
     assert printed == _exact_bound_flags(report)
+
+
+def test_cli_stability_empirical_past_the_float_range(tmp_path, capsys):
+    # labels of ±4e153 make beta overflow, so the swap harness has no finite
+    # bound: one error line naming the overflow, no warning, nan or report
+    labels = "vertex,kind,params\n0,hist,-4e153:1.0\n2,hist,4e153:1.0\n"
+    line = _only_error_line(capsys, _command_argvs(tmp_path, labels)["stability"])
+    assert "overflows the float range" in line and "nan" not in line
+    assert not (tmp_path / "r.txt").exists()
 
 
 # the solve builds no envelope, and solves these labels to a finite field
