@@ -9,31 +9,41 @@ vertices additionally carry weight alpha inside hyperedge barycenters.
 Both label backends embed labels into a Euclidean vector space in which the
 barycenter is a plain weighted average and the squared transport distance is
 a scaled squared norm, so each phase is exact: a product of the (n, dim)
-label block with a weighted sparse incidence matrix.
+label block with a weighted sparse incidence matrix.  Every iterate of a
+seeded quantile run with k anchors is an average of the anchors and the
+start, so it lies in the span of the r = k + 2 rows [anchors; standard
+normal quantiles; 1] (Solomon et al., ICML 2014: 1-D barycenters average
+quantile functions).  Where r < S, `propagate` runs the same phases on the
+(n, r) block of coefficients over those rows, measures the loss with their
+r x r Gram matrix, and encodes the coefficients once, at exit.
 
 Working set: a step allocates only the two blocks it returns, the new
-(E, dim) hyperedge block and the new (n, dim) vertex block; every quotient
-and row copy is made in place, and `propagate` frees the previous hyperedge
-block before the next step makes its own.  So the peak memory of a run is
-about one E x dim block, plus a few n x dim blocks (the current and the new
-vertex labels), plus the loss buffers of LOSS_BLOCK_VALUES floats each that
-the run's context keeps across steps.  The loss sums rows of fewer than
+(E, width) hyperedge block and the new (n, width) vertex block, where width
+is dim, or r on coefficients; every quotient and row copy is made in place,
+and `propagate` frees the previous hyperedge block before the next step
+makes its own.  So the peak memory of the loop is about one E x width block,
+plus a few n x width blocks (the current and the new vertex labels), plus
+the loss buffers of LOSS_BLOCK_VALUES floats each that the run's context
+makes at its first loss and keeps across steps; a run on coefficients makes
+the E x S and n x S blocks only at exit.  The loss sums rows of fewer than
 NUMPY_PAIRWISE_WIDTH values column by column, in numpy's own order, into
 those buffers, so it allocates nothing for them.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError, check_positive, check_seed, check_vertex_range
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, WeightedGraph
 from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, check_same_grid
 from .labels import standard_normal_quantiles
 
@@ -88,11 +98,26 @@ class QuantileBackend:
         return QuantileLabel(self.grid, vec)
 
     def random_init(self, seed: int, n: int, anchor_values: np.ndarray) -> np.ndarray:
-        shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
-        return standard_normal_quantiles(self.grid) + shifts
+        return standard_normal_quantiles(self.grid) + _shifts(seed, n)
+
+    def random_span(self, seed: int, n: int, anchor_values: np.ndarray):
+        """The random start as (basis, coefficients), both exact: the rows
+        [anchors; standard normal quantiles; 1] and, per vertex, 1 on the
+        quantiles and its shift on the constant row."""
+        k, size = anchor_values.shape
+        basis = np.vstack([anchor_values, standard_normal_quantiles(self.grid), np.ones(size)])
+        coefficients = np.zeros((n, k + 2))
+        coefficients[:, k] = 1.0
+        coefficients[:, k + 1:] = _shifts(seed, n)
+        return basis, coefficients
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=1, keepdims=True)
+
+
+def _shifts(seed: int, n: int) -> np.ndarray:
+    """The quantile start's shifts: one seeded (n, 1) draw of U(-1, 1)."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
 
 
 class GaussianBackend:
@@ -124,6 +149,10 @@ class GaussianBackend:
         means = np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
         return np.hstack([means, np.broadcast_to(std, means.shape)])
 
+    def random_span(self, seed: int, n: int, anchor_values: np.ndarray) -> None:
+        """None: the random means span all b mean columns."""
+        return None
+
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values[:, : self.b]
 
@@ -143,9 +172,30 @@ class LabeledSubset:
         return sorted(self.targets)
 
 
+def _member_weights(h: Hypergraph, known_vertices, alpha: float) -> np.ndarray:
+    """Per incidence of h, in storage order: alpha for a known member, 1
+    otherwise."""
+    is_known = np.zeros(h.n, dtype=bool)
+    is_known[known_vertices] = True
+    return np.where(is_known[h.incidence().indices], alpha, 1.0)
+
+
+def star_graph(h: Hypergraph, known: LabeledSubset, alpha: float) -> WeightedGraph:
+    """The star expansion of h: a graph on the n vertices and the E hyperedge
+    nodes n, ..., n + E - 1, with one pair (u, n + e) per incidence of
+    weight w_u / |e|, where w_u is alpha for a known vertex and 1 otherwise.
+    The alternating loop is block coordinate descent on its Tikhonov energy,
+    so that solve, at gamma' = 1 / (m alpha gamma) for m known vertices, is
+    a fixed point of `step`."""
+    weights = _member_weights(h, check_vertex_range("known", known.vertices, h.n), alpha)
+    inc = h.incidence()
+    pairs = np.column_stack((inc.indices, h.n + h.edge_of))
+    return WeightedGraph(h.n + len(h.edges), pairs, weights / np.diff(inc.indptr)[h.edge_of])
+
+
 class _Context:
     """The two weighted incidence operators shared by all steps of one run,
-    and the scratch buffers of the loss.
+    the form the labels are held in, and the scratch buffers of the loss.
 
     Both operators reuse the index arrays of the hypergraph's incidence
     matrix B and differ only in their data: ``edge_incidence`` (E x n) weighs
@@ -153,6 +203,10 @@ class _Context:
     ``vertex_incidence`` (n x E, the transpose) weighs hyperedge E by 1/|E|.
     The latter does not depend on the known set, so it is the hypergraph's
     own `mean_incidence`, shared by every run on the graph.
+
+    Labels are held as the backend encodes them (``basis`` None), or, by
+    `over`, as coefficients over the rows of ``basis``, with its Gram matrix
+    ``gram`` for their squared norms.
     """
 
     def __init__(self, h: Hypergraph, known: LabeledSubset, cfg: PropagationConfig, backend):
@@ -161,14 +215,9 @@ class _Context:
         self.backend = backend
 
         self.anchor_vertices = check_vertex_range("known", known.vertices, h.n)
-        self.anchor_values = np.stack([backend.encode(known.targets[v]) for v in known.vertices])
-        with np.errstate(over="ignore"):  # the loss raises the non-finite labels it makes
-            self.anchor_pull = cfg.gamma * self.anchor_values
 
         inc = h.incidence()
-        is_known = np.zeros(h.n, dtype=bool)
-        is_known[self.anchor_vertices] = True
-        alpha_weights = np.where(is_known[inc.indices], cfg.alpha, 1.0)
+        alpha_weights = _member_weights(h, self.anchor_vertices, cfg.alpha)
         self.edge_incidence = sp.csr_matrix((alpha_weights, inc.indices, inc.indptr), inc.shape)
         self.vertex_incidence = h.mean_incidence
         # a matvec adds each total in storage order; .sum(axis=1) would not
@@ -180,16 +229,39 @@ class _Context:
         self.kept = ~updated
         self.vertex_totals = np.where(updated, den, 1.0)
 
+        self._hold(np.stack([backend.encode(known.targets[v]) for v in known.vertices]), None, None)
+
+    def _hold(self, anchor_values: np.ndarray, basis: Optional[np.ndarray], gram: Optional[np.ndarray]):
+        """Hold labels in rows as wide as the anchors' rows, and size the loss
+        buffers to them."""
+        self.basis, self.gram = basis, gram
+        self.anchor_values = anchor_values
+        with np.errstate(over="ignore"):  # the loss raises the non-finite labels it makes
+            self.anchor_pull = self.cfg.gamma * anchor_values
         # the loss gathers incidences in blocks of `loss_rows` into two buffers
-        incidences = inc.nnz
-        self.loss_rows = max(1, LOSS_BLOCK_VALUES // backend.dim)
-        shape = (min(self.loss_rows, incidences), backend.dim)
-        self.loss_buffers = (np.empty(incidences), np.empty(shape), np.empty(shape))
+        self.loss_rows = max(1, LOSS_BLOCK_VALUES // anchor_values.shape[1])
+        vars(self).pop("loss_buffers", None)
+
+    @cached_property
+    def loss_buffers(self):
+        """Made by the first loss, so that a run that steps on coefficients
+        makes none for its encoded labels."""
+        incidences = self.edge_incidence.nnz
+        shape = (min(self.loss_rows, incidences), self.anchor_values.shape[1])
+        return np.empty(incidences), np.empty(shape), np.empty(shape)
+
+    def over(self, basis: np.ndarray, gram: np.ndarray) -> "_Context":
+        """This run's operators, with labels held as coefficients over the rows
+        of `basis`, whose first k rows are the k anchors."""
+        span = copy.copy(self)
+        span._hold(np.eye(len(self.anchor_vertices), len(basis)), basis, gram)
+        return span
 
 
 @dataclass(frozen=True)
 class PropagationState:
-    """Working state of one run: encoded vertex and hyperedge labels and the
+    """Working state of one run: encoded vertex and hyperedge labels (inside
+    `propagate`, maybe their coefficients over the context's basis) and the
     loss trace, one loss per step taken."""
 
     context: _Context = field(repr=False)
@@ -232,6 +304,16 @@ def _row_sums(block: np.ndarray, out: np.ndarray) -> None:
         out += block[:, j]
 
 
+def _gram_times(ctx: _Context, rows: np.ndarray) -> np.ndarray:
+    """`rows` times the context's Gram matrix, so that the row sums of
+    d * _gram_times(d) are squared norms: `rows` itself for encoded labels.
+    einsum adds in a fixed order; a BLAS product's order can follow the
+    thread count."""
+    if ctx.gram is None:
+        return rows
+    return np.einsum("ij,jk->ik", rows, ctx.gram)
+
+
 def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> float:
     """Sum over incidences (v, E) of ||x_v - y_E||^2 / |E|, plus the gamma-
     weighted anchor terms, in transport units.  The incidences are gathered
@@ -239,26 +321,38 @@ def _loss(ctx: _Context, vertex_values: np.ndarray, edge_values: np.ndarray) -> 
     memory; each squared norm is summed whole, so the result does not depend
     on the block size.  A loss that is not finite (labels too large to
     compare) raises NumericalError."""
-    members = ctx.edge_incidence.indices
+    members, edges = ctx.edge_incidence.indices, ctx.h.edge_of
     rows = ctx.loss_rows
     sq_norms, diffs, others = ctx.loss_buffers
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
+        if ctx.gram is not None:
+            # on coefficients the quadratic form of x_v - y_E is its dot product
+            # with G x_v - G y_E, so the Gram matrix multiplies each label once
+            vertex_images, edge_images = _gram_times(ctx, vertex_values), _gram_times(ctx, edge_values)
         for start in range(0, members.size, rows):
             block = slice(start, start + rows)
             out = sq_norms[block]
             d, e = diffs[:out.size], others[:out.size]
             # the indices are valid, so "clip" only spares take a buffered copy
             np.take(vertex_values, members[block], axis=0, out=d, mode="clip")
-            np.take(edge_values, ctx.h.edge_of[block], axis=0, out=e, mode="clip")
+            np.take(edge_values, edges[block], axis=0, out=e, mode="clip")
             d -= e
-            d *= d
+            if ctx.gram is None:
+                e = d
+            else:
+                np.take(vertex_images, members[block], axis=0, out=e, mode="clip")
+                e -= edge_images[edges[block]]
+            d *= e
             _row_sums(d, out)
         # numpy's pairwise sum, not a BLAS dot, whose order follows the thread count
         np.multiply(sq_norms, ctx.vertex_incidence.data, out=sq_norms)
         loss = float(sq_norms.sum())
         anchor_diffs = vertex_values[ctx.anchor_vertices] - ctx.anchor_values
         scale = ctx.backend.metric_scale
-        total = loss * scale + ctx.cfg.gamma * float(np.sum(anchor_diffs * anchor_diffs)) * scale
+        anchor_loss = float(np.sum(anchor_diffs * _gram_times(ctx, anchor_diffs)))
+        total = loss * scale + ctx.cfg.gamma * anchor_loss * scale
+    if total < 0.0:  # a Gram matrix's quadratic form can round below 0 where the loss is ~0
+        total = 0.0
     if not math.isfinite(total):
         raise NumericalError(f"propagation loss is {total}: the labels are too large to compare")
     return total
@@ -343,6 +437,44 @@ def _warn_unreached(ctx: _Context) -> None:
         )
 
 
+def _seeded_span(state: PropagationState) -> PropagationState:
+    """The seeded start as coefficients over the backend's basis, when it has
+    fewer rows than a label has columns and 16 times its Gram matrix is
+    finite; otherwise `state` itself.
+
+    Every coefficient row is a convex combination of the anchors' and the
+    start's, plus a constant in [-1, 1], so a difference of two has 1-norm at
+    most 4, and the loss's quadratic form of it adds terms no larger than 16
+    times the largest Gram entry: where that is finite, the loss overflows
+    only where the loss of the encoded labels does."""
+    ctx = state.context
+    span = ctx.backend.random_span(ctx.cfg.seed, ctx.h.n, ctx.anchor_values)
+    if span is None or len(span[0]) >= ctx.anchor_values.shape[1]:
+        return state
+    basis, coefficients = span
+    with np.errstate(over="ignore", invalid="ignore"):  # anchors too large for this form
+        gram = np.einsum("ik,jk->ij", basis, basis)
+        if not np.isfinite(16.0 * gram).all():
+            return state
+    return PropagationState(context=ctx.over(basis, gram), vertex_values=coefficients)
+
+
+def _encoded(state: PropagationState, ctx: _Context) -> PropagationState:
+    """The state with encoded labels under `ctx`: its coefficient blocks
+    times the basis, added in a fixed order.  Each row is a non-negative
+    combination of non-decreasing rows plus a constant, so it does not
+    decrease."""
+    basis = state.context.basis
+    if basis is None:
+        return state
+    return replace(
+        state,
+        context=ctx,
+        vertex_values=np.einsum("ij,jk->ik", state.vertex_values, basis),
+        edge_values=np.einsum("ij,jk->ik", state.edge_values, basis),
+    )
+
+
 def propagate(
     h: Hypergraph,
     known: LabeledSubset,
@@ -352,9 +484,13 @@ def propagate(
 ) -> PropagationState:
     """Run alternating propagation until the relative loss change drops below
     cfg.rel_tol or cfg.max_iters is reached; returns the final state with the
-    full loss history."""
+    full loss history.  A seeded quantile run steps on coefficients over
+    [anchors; standard normal quantiles; 1] and encodes them once, at exit."""
     state = initial_state(h, known, cfg, backend, initial_labels)  # validates known vertices
-    _warn_unreached(state.context)
+    encoded = state.context
+    _warn_unreached(encoded)
+    if initial_labels is None:
+        state = _seeded_span(state)
     for _ in range(cfg.max_iters):
         # free the previous hyperedge block before the step makes the next one
         state = replace(state, edge_values=None)
@@ -362,7 +498,7 @@ def propagate(
         hist = state.loss_history
         if len(hist) >= 2 and abs(hist[-1] - hist[-2]) <= cfg.rel_tol * max(1.0, hist[-2]):
             break
-    return state
+    return _encoded(state, encoded)
 
 
 def classify(state: PropagationState) -> np.ndarray:

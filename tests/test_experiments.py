@@ -15,6 +15,7 @@ from wassprop import (
     InputError,
     PropagationConfig,
     SbmConfig,
+    classify,
     emit_metrics,
     expected_sbm_counts,
     gen_sbm,
@@ -337,6 +338,63 @@ def test_run_experiment_shares_graph_parts_across_trials(monkeypatch):
     assert len(scans) == 2  # once per graph
     assert len(operators) == 8 and all(op is h.mean_incidence for op in operators[:4])
     assert shared.accuracies == fresh.accuracies
+
+
+class _MeanColumns:
+    """The Gaussian backend's mean columns alone, from the same seeded start:
+    scalar harmonic propagation of the anchor means (Zhu, Ghahramani &
+    Lafferty 2003; Zhou, Huang & Schoelkopf 2006) on the run's own context."""
+
+    metric_scale = 1.0
+
+    def __init__(self, b):
+        self.b = self.dim = b
+
+    def encode(self, label):
+        return np.array(label.mean)
+
+    def random_init(self, seed, n, anchor_values):
+        return np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
+
+    def random_span(self, seed, n, anchor_values):
+        return None
+
+    def mean_stats(self, values):
+        return values
+
+
+@pytest.mark.parametrize("kind", ["onehot", "sign"])
+def test_experiment_classes_are_scalar_propagation_of_the_anchor_means(monkeypatch, kind):
+    # classify reads only the mean columns, and both phases average each
+    # column in storage order whatever the width: with or without the std
+    # columns, every trial's mean columns have the same bits, so the classes
+    # and accuracies are those of propagating the anchor means alone
+    h, truth = small_sbm(seed=3)
+    cfg = PropagationConfig(alpha=20.0, gamma=10.0, max_iters=30, rel_tol=1e-300, seed=5)
+    anchors = AnchorSpec(kind=kind, variance=0.05)
+    real = experiments.propagate
+    runs = {}
+    for means_only in (False, True):
+        states = []
+
+        def recording(h, known, cfg, backend):
+            state = real(h, known, cfg, _MeanColumns(backend.b) if means_only else backend)
+            states.append(state)
+            return state
+
+        monkeypatch.setattr(experiments, "propagate", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(h, truth, labels_per_class=3, trials=3, cfg=cfg, anchors=anchors)
+        runs[means_only] = (result.accuracies, states)
+    (accuracies, gauss), (scalar_accuracies, means) = runs[False], runs[True]
+    assert accuracies == scalar_accuracies
+    assert len(gauss) == len(means) == 3
+    for g, m in zip(gauss, means):
+        assert g.iterations == m.iterations == 30
+        b = m.vertex_values.shape[1]
+        assert g.vertex_values[:, :b].tobytes() == m.vertex_values.tobytes()
+        assert np.array_equal(classify(g), classify(m))
 
 
 def test_run_experiment_all_known_flagged():

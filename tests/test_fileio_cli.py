@@ -748,6 +748,35 @@ def test_cli_propagate_gauss_rerun_identical(tmp_path):
     assert classes[0] == 0 and classes[3] == 1
 
 
+def test_cli_propagate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a hist-label run with k + 2 < S, so the loop steps on coefficients over
+    # [anchors; standard normal quantiles; 1], and n = 160 vertices, past the
+    # sizes at which a BLAS product would split its work across threads
+    rng = np.random.default_rng(61)
+    n = 160
+    edges = [rng.choice(n, int(rng.integers(2, 6)), replace=False) for _ in range(2 * n)]
+    (tmp_path / "h.txt").write_text("".join(" ".join(map(str, e)) + "\n" for e in edges))
+    hists = {int(v): (np.sort(rng.uniform(-2.0, 2.0, 3)).tolist(), rng.dirichlet(np.ones(3)).tolist())
+             for v in rng.choice(n, 12, replace=False)}
+    fileio.write_hist_labels(tmp_path / "l.csv", hists)
+    argv = ["propagate", "--hypergraph", "h.txt", "--labels", "l.csv", "--alpha", "20",
+            "--gamma", "10", "--grid-size", "64", "--max-iters", "40", "--seed", "5"]
+    children = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        children[threads] = subprocess.Popen(
+            [sys.executable, "-m", "wassprop.cli", *argv, "--output", f"p{threads}.csv"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    outputs = []
+    for threads, child in children.items():
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        outputs.append((stdout, (tmp_path / f"p{threads}.csv").read_bytes()))
+    assert outputs[0][0].startswith("iterations=")
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("kind", ["hist", "gauss"])
 def test_cli_propagate_extra_vertices_only_add_rows(tmp_path, capsys, kind):
     # --n past the largest vertex adds isolated vertices; the seeded start of

@@ -20,7 +20,6 @@ from wassprop import (
     QuantileLabel,
     TikhonovOperator,
     TrainingSet,
-    WeightedGraph,
     barycenter_gaussian,
     barycenter_quantile,
     classify,
@@ -29,6 +28,7 @@ from wassprop import (
     initial_state,
     propagate,
     quantile_from_histogram,
+    star_graph,
     step,
     w2_squared_gaussian,
     w2_squared_quantile,
@@ -384,10 +384,179 @@ def test_step_leaves_its_input_unchanged(grid32, kind):
     with pytest.warns(UserWarning, match="no hyperedge"):
         final = propagate(h, known, replace(cfg, max_iters=3, rel_tol=1e-300), backend)
     assert final.iterations == 3
-    assert final.edge_values.tobytes() == state.edge_values.tobytes()
+    # a seeded quantile run steps on coefficients over its anchors' span and
+    # encodes them at exit (a Gaussian run on the encoded labels, where both
+    # helpers return their input): the same steps give the same bits
+    span = propagation._seeded_span(initial_state(h, known, cfg, backend))
+    assert (span.context.basis is None) == (kind == "gauss")
+    for _ in range(3):
+        span = step(span)
+    span = propagation._encoded(span, final.context)
+    assert final.loss_history == span.loss_history
+    assert final.vertex_values.tobytes() == span.vertex_values.tobytes()
+    assert final.edge_values.tobytes() == span.edge_values.tobytes()
     for e in range(len(h.edges)):
-        want = backend.decode(state.edge_values[e])
+        want = backend.decode(span.edge_values[e])
         assert np.array_equal(backend.encode(final.hyperedge_label(e)), backend.encode(want))
+    # and within rounding of the steps on the encoded labels
+    assert np.abs(final.edge_values - state.edge_values).max() <= 1e-14
+    assert np.abs(final.vertex_values - state.vertex_values).max() <= 1e-14
+
+
+def _loss_scale(ctx, x, y):
+    """The loss with each squared norm ||x - y||^2 taken as ||x||^2 + ||y||^2:
+    the size its rounding errors scale with."""
+    h = ctx.h
+    sizes = np.diff(h.incidence().indptr)[h.edge_of]
+    x2, y2, a2 = (np.sum(z * z, axis=1) for z in (x, y, ctx.anchor_values))
+    incidences = np.sum((x2[h.incidence().indices] + y2[h.edge_of]) / sizes)
+    return (incidences + ctx.cfg.gamma * np.sum(x2[ctx.anchor_vertices] + a2)) / x.shape[1]
+
+
+def _span_anchors(rng, grid, k, kind):
+    """k anchors: separated random labels, or rows of one label 1e-8 apart
+    along a monotone direction, the constant row, or the label itself."""
+    base = random_histogram_label(rng, grid).values
+    if kind == "separated":
+        return [random_histogram_label(rng, grid) for _ in range(k)]
+    directions = {
+        "collinear": lambda: np.sort(rng.uniform(0.0, 1.0, grid.size)),
+        "shifted": lambda: np.full(grid.size, rng.uniform()),
+        "scaled": lambda: base * rng.uniform(),
+    }
+    return [QuantileLabel(grid, base + 1e-8 * directions[kind]()) for _ in range(k)]
+
+
+@pytest.mark.parametrize("kind", ["separated", "collinear", "shifted", "scaled"])
+def test_gram_form_loss_matches_the_loss_of_the_encoded_labels(kind):
+    # a seeded run's loss is the quadratic form of the basis's Gram matrix on
+    # coefficient differences.  Against the loss of the encoded labels, over
+    # 100 instances of each kind and 15 steps each, it was within 1.3e-16 of
+    # the loss's scale, and, with separated anchors, within 2.7e-12 of the
+    # loss itself (6.5e-16 on the instances here).  Rows 1e-8 apart cancel
+    # in the quadratic form, so there it matches only to the scale: the
+    # relative error grows as the loss falls toward the rounding level of
+    # its scale, and the loss is clamped at 0 where it rounds below
+    rng = np.random.default_rng(["separated", "collinear", "shifted", "scaled"].index(kind))
+    worst_scaled = worst_relative = 0.0
+    for trial in range(20):
+        n = int(rng.integers(4, 40))
+        grid = QuantileGrid(int(rng.choice([16, 32, 64])))
+        h = random_hypergraph(rng, n, max_edges=3 * n, max_size=5)
+        k = int(rng.integers(1, min(n, grid.size - 2)))
+        targets = dict(zip(rng.choice(n, k, replace=False).tolist(), _span_anchors(rng, grid, k, kind)))
+        cfg = PropagationConfig(alpha=float(rng.choice([1.0, 20.0])), gamma=float(rng.choice([0.5, 10.0])),
+                                seed=trial)
+        start = initial_state(h, LabeledSubset(targets), cfg, QuantileBackend(grid))
+        encoded = start.context
+        span = propagation._seeded_span(start)
+        assert span.context.basis.shape == (k + 2, grid.size)
+        for _ in range(15):
+            span = step(span)
+            labels = propagation._encoded(span, encoded)
+            x, y = labels.vertex_values, labels.edge_values
+            assert span.loss_history[-1] >= 0.0
+            gap = abs(span.loss_history[-1] - propagation._loss(encoded, x, y))
+            worst_scaled = max(worst_scaled, gap / _loss_scale(encoded, x, y))
+            if kind == "separated":
+                worst_relative = max(worst_relative, gap / span.loss_history[-1])
+    assert worst_scaled <= 4e-15
+    assert worst_relative <= 1e-11
+
+
+def test_seeded_run_steps_in_the_span_and_matches_the_encoded_loop():
+    # the span is chosen from the input: k + 2 rows against S columns.  A
+    # seeded run steps on coefficients and encodes them at exit; it stays
+    # within 1e-12 of the same steps on the encoded labels, with the same
+    # classes and non-decreasing rows
+    rng = np.random.default_rng(43)
+    n, grid = 300, QuantileGrid(64)
+    h = Hypergraph(n, [rng.choice(n, int(rng.integers(2, 6)), replace=False) for _ in range(2 * n)])
+    backend = QuantileBackend(grid)
+    for k, spanned in ((10, True), (61, True), (62, False)):
+        targets = {int(v): random_histogram_label(rng, grid) for v in rng.choice(n, k, replace=False)}
+        known = LabeledSubset(targets)
+        cfg = PropagationConfig(alpha=20.0, gamma=10.0, seed=k)
+        start = initial_state(h, known, cfg, backend)
+        assert (propagation._seeded_span(start).context.basis is not None) == spanned
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            final = propagate(h, known, cfg, backend)
+        assert final.context.basis is None and final.vertex_values.shape == (n, grid.size)
+        wide = start
+        for _ in range(final.iterations):
+            wide = step(wide)
+        if not spanned:
+            assert final.vertex_values.tobytes() == wide.vertex_values.tobytes()
+            assert final.loss_history == wide.loss_history
+        assert np.abs(final.vertex_values - wide.vertex_values).max() <= 1e-12
+        assert np.abs(final.edge_values - wide.edge_values).max() <= 1e-12
+        assert np.array_equal(classify(final), classify(wide))
+        assert np.all(np.diff(final.vertex_values, axis=1) >= 0)
+        assert np.all(np.diff(final.edge_values, axis=1) >= 0)
+
+
+def test_explicit_initial_labels_step_on_the_encoded_labels(grid32):
+    # explicit labels can span every column, so the run keeps the loop on
+    # the encoded labels, bit for bit
+    rng = np.random.default_rng(47)
+    h = random_hypergraph(rng, 12, max_edges=20)
+    known = LabeledSubset({v: random_histogram_label(rng, grid32) for v in (0, 5)})
+    cfg = PropagationConfig(alpha=3.0, gamma=2.0, max_iters=25, seed=4)
+    labels = [random_histogram_label(rng, grid32) for _ in range(12)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        final = propagate(h, known, cfg, QuantileBackend(grid32), initial_labels=labels)
+    state = initial_state(h, known, cfg, QuantileBackend(grid32), initial_labels=labels)
+    for _ in range(final.iterations):
+        state = step(state)
+    assert final.vertex_values.tobytes() == state.vertex_values.tobytes()
+    assert final.edge_values.tobytes() == state.edge_values.tobytes()
+    assert final.loss_history == state.loss_history
+
+
+def test_overflowing_loss_in_the_span_is_a_numerical_error():
+    # anchors of +-1.6e152 at S = 64: 16 times the Gram matrix is finite, so
+    # the run steps on coefficients, and the loss of 9000 incidences passes
+    # the float range there as it does on the encoded labels
+    grid = QuantileGrid(64)
+    rng = np.random.default_rng(5)
+    n = 40
+    h = Hypergraph(n, [tuple(rng.choice(n, 3, replace=False).tolist()) for _ in range(3000)])
+    known = LabeledSubset({v: delta(grid, (-1) ** v * 1.6e152) for v in range(0, n, 2)})
+    cfg = PropagationConfig(alpha=2.0, gamma=10.0, seed=3)
+    start = initial_state(h, known, cfg, QuantileBackend(grid))
+    assert propagation._seeded_span(start).context.basis is not None
+    with pytest.raises(NumericalError, match="propagation loss is (inf|nan)"):
+        step(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="propagation loss is (inf|nan)"):
+            propagate(h, known, cfg, QuantileBackend(grid))
+
+
+def test_gram_past_the_float_range_keeps_the_encoded_labels(grid32):
+    # nearly equal anchors near 1e160 on known vertices in no hyperedge:
+    # their squared norms pass the float range, so the Gram matrix is not
+    # finite, but the loss of the encoded labels is.  The run is accepted,
+    # on the encoded labels, bit for bit
+    rng = np.random.default_rng(53)
+    h = Hypergraph(8, [(0, 1, 2), (2, 3), (3, 4, 5), (1, 5)])
+    targets = {0: random_histogram_label(rng, grid32), 4: random_histogram_label(rng, grid32),
+               6: delta(grid32, 1e160), 7: delta(grid32, 1e160 * (1 + 1e-12))}
+    known = LabeledSubset(targets)
+    cfg = PropagationConfig(alpha=2.0, gamma=3.0, seed=9)
+    start = initial_state(h, known, cfg, QuantileBackend(grid32))
+    assert propagation._seeded_span(start) is start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final = propagate(h, known, cfg, QuantileBackend(grid32))
+    state = start
+    for _ in range(final.iterations):
+        state = step(state)
+    assert final.vertex_values.tobytes() == state.vertex_values.tobytes()
+    assert final.loss_history == state.loss_history
+    assert list(classify(final)[6:]) == [1, 1]
 
 
 def test_propagate_working_set_is_one_hyperedge_block():
@@ -548,15 +717,6 @@ def test_objective_link_tikhonov_dominates(grid32):
         assert loss_tik <= loss_prop + 1e-6
 
 
-def _star_expansion(h, known, alpha):
-    """The graph on n + E nodes with one pair (u, n + e) per incidence, of
-    weight w_u / |e|: w_u = alpha for a known vertex and 1 otherwise."""
-    members, edges = h.incidence().indices, h.edge_of
-    sizes = np.diff(h.incidence().indptr)[edges]
-    w = np.where(np.isin(members, known), alpha, 1.0)
-    return WeightedGraph(h.n + len(h.edges), np.column_stack((members, h.n + edges)), w / sizes)
-
-
 @pytest.mark.parametrize("dense", [True, False])
 @pytest.mark.parametrize("alpha", [1.0, 20.0])
 def test_star_expansion_solve_is_a_fixed_point_of_step(monkeypatch, alpha, dense):
@@ -566,7 +726,7 @@ def test_star_expansion_solve_is_a_fixed_point_of_step(monkeypatch, alpha, dense
     h = Hypergraph(9, [(0, 1, 2), (2, 3), (3, 4, 5), (5, 6, 7, 8), (1, 6), (0, 4, 8)])
     rng = np.random.default_rng(41)
     targets = {v: random_histogram_label(rng, grid) for v in (0, 5, 7)}
-    star = _star_expansion(h, list(targets), alpha)
+    star = star_graph(h, LabeledSubset(targets), alpha)
     if not dense:
         monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", star.n - 1)
     ts = TrainingSet(sorted(targets.items()))
