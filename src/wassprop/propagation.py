@@ -8,26 +8,28 @@ vertices additionally carry weight alpha inside hyperedge barycenters.
 
 Both label backends embed labels into a Euclidean vector space in which the
 barycenter is a plain weighted average and the squared transport distance is
-a scaled squared norm, so each phase is exact: a product of the (n, dim)
+a scaled squared norm, so each phase is exact: a product of the (n, width)
 label block with a weighted sparse incidence matrix.  Every iterate of a
 seeded quantile run with k anchors is an average of the anchors and the
 start, so it lies in the span of the r = k + 2 rows [anchors; standard
 normal quantiles; 1] (Solomon et al., ICML 2014: 1-D barycenters average
 quantile functions).  Where r < S, `propagate` runs the same phases on the
 (n, r) block of coefficients over those rows, measures the loss with their
-r x r Gram matrix, and encodes the coefficients once, at exit.
+r x r Gram matrix, and encodes the vertex coefficients once, at exit.  The
+hyperedge labels are one step's messages: `step` returns them, and
+`propagate` returns the vertex labels and the loss trace alone.
 
 Working set: a step allocates only the two blocks it returns, the new
 (E, width) hyperedge block and the new (n, width) vertex block, where width
-is dim, or r on coefficients; every quotient and row copy is made in place,
-and `propagate` frees the previous hyperedge block before the next step
-makes its own.  So the peak memory of the loop is about one E x width block,
-plus a few n x width blocks (the current and the new vertex labels), plus
-the loss buffers of LOSS_BLOCK_VALUES floats each that the run's context
-makes at its first loss and keeps across steps; a run on coefficients makes
-the E x S and n x S blocks only at exit.  The loss sums rows of fewer than
-NUMPY_PAIRWISE_WIDTH values column by column, in numpy's own order, into
-those buffers, so it allocates nothing for them.
+is that of the encoded labels, or r on coefficients; every quotient and row
+copy is made in place, and `propagate` drops each hyperedge block once its
+step has returned.  So the peak memory of the loop is about one E x width
+block, plus a few n x width blocks (the current and the new vertex labels),
+plus the loss buffers of LOSS_BLOCK_VALUES floats each that the run's
+context makes at its first loss and keeps across steps; a run on
+coefficients makes the n x S block only at exit.  The loss sums rows of
+fewer than NUMPY_PAIRWISE_WIDTH values column by column, in numpy's own
+order, into those buffers, so it allocates nothing for them.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ class QuantileBackend:
 
     def __init__(self, grid: QuantileGrid):
         self.grid = grid
-        self.dim = grid.size
         self.metric_scale = 1.0 / grid.size
 
     def encode(self, label: QuantileLabel) -> np.ndarray:
@@ -133,7 +134,6 @@ class GaussianBackend:
         if dim < 1:
             raise InputError(f"Gaussian dimension must be >= 1, got {dim}")
         self.b = dim
-        self.dim = 2 * dim
         self.metric_scale = 1.0
 
     def encode(self, label: DiagGaussianLabel) -> np.ndarray:
@@ -260,9 +260,10 @@ class _Context:
 
 @dataclass(frozen=True)
 class PropagationState:
-    """Working state of one run: encoded vertex and hyperedge labels (inside
-    `propagate`, maybe their coefficients over the context's basis) and the
-    loss trace, one loss per step taken."""
+    """Working state of one run: encoded vertex labels (inside `propagate`,
+    maybe their coefficients over the context's basis), the hyperedge labels
+    of a state that `step` returned, and the loss trace, one loss per step
+    taken."""
 
     context: _Context = field(repr=False)
     vertex_values: np.ndarray = field(repr=False)
@@ -278,7 +279,7 @@ class PropagationState:
 
     def hyperedge_label(self, e: int):
         if self.edge_values is None:
-            raise InputError("no hyperedge labels before the first step")
+            raise InputError("no hyperedge labels: only a state that step returns holds them")
         return self.context.backend.decode(self.edge_values[e])
 
 
@@ -460,18 +461,19 @@ def _seeded_span(state: PropagationState) -> PropagationState:
 
 
 def _encoded(state: PropagationState, ctx: _Context) -> PropagationState:
-    """The state with encoded labels under `ctx`: its coefficient blocks
-    times the basis, added in a fixed order.  Each row is a non-negative
-    combination of non-decreasing rows plus a constant, so it does not
-    decrease."""
+    """The state with encoded labels under `ctx`: each coefficient block it
+    holds times the basis, added in a fixed order.  Each row is a
+    non-negative combination of non-decreasing rows plus a constant, so it
+    does not decrease."""
     basis = state.context.basis
     if basis is None:
         return state
+    edges = state.edge_values
     return replace(
         state,
         context=ctx,
         vertex_values=np.einsum("ij,jk->ik", state.vertex_values, basis),
-        edge_values=np.einsum("ij,jk->ik", state.edge_values, basis),
+        edge_values=None if edges is None else np.einsum("ij,jk->ik", edges, basis),
     )
 
 
@@ -483,18 +485,18 @@ def propagate(
     initial_labels: Optional[Sequence] = None,
 ) -> PropagationState:
     """Run alternating propagation until the relative loss change drops below
-    cfg.rel_tol or cfg.max_iters is reached; returns the final state with the
-    full loss history.  A seeded quantile run steps on coefficients over
-    [anchors; standard normal quantiles; 1] and encodes them once, at exit."""
+    cfg.rel_tol or cfg.max_iters is reached; returns the final vertex labels
+    and the full loss history, with no hyperedge labels.  A seeded quantile
+    run steps on coefficients over [anchors; standard normal quantiles; 1]
+    and encodes the vertex coefficients once, at exit."""
     state = initial_state(h, known, cfg, backend, initial_labels)  # validates known vertices
     encoded = state.context
     _warn_unreached(encoded)
     if initial_labels is None:
         state = _seeded_span(state)
     for _ in range(cfg.max_iters):
-        # free the previous hyperedge block before the step makes the next one
-        state = replace(state, edge_values=None)
-        state = step(state)
+        # a result holds no hyperedge block, so each is freed before the next step
+        state = replace(step(state), edge_values=None)
         hist = state.loss_history
         if len(hist) >= 2 and abs(hist[-1] - hist[-2]) <= cfg.rel_tol * max(1.0, hist[-2]):
             break

@@ -120,18 +120,21 @@ def beta(si: StabilityInputs) -> float:
     return 4.0 * si.phi_l2_squared * slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
 
 
-def _quotient(num: float, den: float, formula, values, at_inf: float = math.inf) -> float:
-    """num / den while both are normal floats; past an under- or overflow, the
-    same quotient `formula` of the floats `values` in exact rationals, rounded
-    once: inf past the float range, and its limit `at_inf` if a value is inf."""
+def _quotient(parts, values, at_inf: float = math.inf) -> float:
+    """numerator / denominator, the pair `parts(*values)`, on the floats
+    `values` while both are normal floats; past an under- or overflow, the
+    same quotient on Fractions of the values, rounded once: inf past the float
+    range or over a zero denominator, and its limit `at_inf` if a value is inf."""
+    num, den = parts(*values)
     if all(np.finfo(float).tiny <= abs(v) < math.inf for v in (num, den)):
         return num / den
     if math.inf in values:
         return at_inf
     from fractions import Fraction  # imported here: only under- and overflow need it
     try:
-        return float(formula(*map(Fraction, values)))
-    except OverflowError:
+        num, den = parts(*map(Fraction, values))
+        return float(num / den)
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -153,20 +156,16 @@ class BoundReport:
     @property
     def fraction_bound(self) -> float:
         """(64*M*m*beta + 8*M^2) / (m*eps^2)."""
-        m, M, eps = self.m, self.M, self.epsilon
-        return _quotient(64.0 * M * m * self.beta + 8.0 * M * M, m * eps * eps,
-                         lambda b, M, e: (64 * M * m * b + 8 * M * M) / (m * e * e), (self.beta, M, eps))
+        m = self.m
+        return _quotient(lambda b, M, e: (64 * M * m * b + 8 * M * M, m * e * e),
+                         (self.beta, self.M, self.epsilon))
 
     @property
     def exponential_bound(self) -> float:
         """2*exp(-m*eps^2 / (2*(m*beta + M)^2)), and 0 when m*beta + M is 0."""
-        m, eps = self.m, self.epsilon
-        denom = m * self.beta + self.M
-        if denom == 0:
-            return 0.0
-        return 2.0 * math.exp(-_quotient(m * eps * eps, 2.0 * denom * denom,
-                                         lambda b, M, e: m * e * e / (2 * (m * b + M) ** 2),
-                                         (self.beta, self.M, eps), at_inf=0.0))
+        m = self.m
+        return 2.0 * math.exp(-_quotient(lambda b, M, e: (m * e * e, 2 * (m * b + M) * (m * b + M)),
+                                         (self.beta, self.M, self.epsilon), at_inf=0.0))
 
     @property
     def m_ge_4(self) -> bool:
@@ -175,8 +174,7 @@ class BoundReport:
     @property
     def sample_size_ok(self) -> bool:
         """m >= 8*M^2/eps^2, the polynomial bound's sample-size condition."""
-        M, eps = self.M, self.epsilon
-        return self.m >= _quotient(8.0 * M * M, eps * eps, lambda M, e: 8 * M * M / (e * e), (M, eps))
+        return self.m >= _quotient(lambda M, e: (8 * M * M, e * e), (self.M, self.epsilon))
 
     @property
     def fraction_vacuous(self) -> bool:

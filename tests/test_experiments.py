@@ -348,7 +348,7 @@ class _MeanColumns:
     metric_scale = 1.0
 
     def __init__(self, b):
-        self.b = self.dim = b
+        self.b = b
 
     def encode(self, label):
         return np.array(label.mean)

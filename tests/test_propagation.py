@@ -311,15 +311,16 @@ def test_loss_independent_of_gather_block(grid32, monkeypatch):
         cases.append((GaussianBackend(b), DiagGaussianLabel(rng.uniform(-1.0, 1.0, b), rng.uniform(0.1, 1.0, b))))
     for backend, label in cases:
         known = LabeledSubset({0: label})
-        whole = evaluate_loss(initial_state(h, known, cfg, backend))
+        start = initial_state(h, known, cfg, backend)
+        whole, width = evaluate_loss(start), start.vertex_values.shape[1]
         incidences = h.incidence().nnz
         rows = incidences // 2 + 1  # a full block and a shorter last one
         assert incidences > rows
-        for block_values in (1, rows * backend.dim):  # 1: one incidence per block
+        for block_values in (1, rows * width):  # 1: one incidence per block
             # the context sizes its loss buffers when it is made
             monkeypatch.setattr(propagation, "LOSS_BLOCK_VALUES", block_values)
             state = initial_state(h, known, cfg, backend)
-            assert state.context.loss_rows == max(1, block_values // backend.dim)
+            assert state.context.loss_rows == max(1, block_values // width)
             assert evaluate_loss(state) == whole
         monkeypatch.undo()
 
@@ -394,13 +395,13 @@ def test_step_leaves_its_input_unchanged(grid32, kind):
     span = propagation._encoded(span, final.context)
     assert final.loss_history == span.loss_history
     assert final.vertex_values.tobytes() == span.vertex_values.tobytes()
-    assert final.edge_values.tobytes() == span.edge_values.tobytes()
-    for e in range(len(h.edges)):
-        want = backend.decode(span.edge_values[e])
-        assert np.array_equal(backend.encode(final.hyperedge_label(e)), backend.encode(want))
-    # and within rounding of the steps on the encoded labels
-    assert np.abs(final.edge_values - state.edge_values).max() <= 1e-14
+    # and within rounding of the steps on the encoded labels; the result holds
+    # no hyperedge labels, so the last step's are compared, mapped back
     assert np.abs(final.vertex_values - state.vertex_values).max() <= 1e-14
+    assert np.abs(span.edge_values - state.edge_values).max() <= 1e-14
+    for e in range(len(h.edges)):
+        got, want = span.hyperedge_label(e), state.hyperedge_label(e)
+        assert np.abs(backend.encode(got) - backend.encode(want)).max() <= 1e-14
 
 
 def _loss_scale(ctx, x, y):
@@ -483,17 +484,19 @@ def test_seeded_run_steps_in_the_span_and_matches_the_encoded_loop():
             warnings.simplefilter("ignore")
             final = propagate(h, known, cfg, backend)
         assert final.context.basis is None and final.vertex_values.shape == (n, grid.size)
-        wide = start
+        wide, span = start, propagation._seeded_span(start)
         for _ in range(final.iterations):
-            wide = step(wide)
+            wide, span = step(wide), step(span)
         if not spanned:
             assert final.vertex_values.tobytes() == wide.vertex_values.tobytes()
             assert final.loss_history == wide.loss_history
         assert np.abs(final.vertex_values - wide.vertex_values).max() <= 1e-12
-        assert np.abs(final.edge_values - wide.edge_values).max() <= 1e-12
         assert np.array_equal(classify(final), classify(wide))
         assert np.all(np.diff(final.vertex_values, axis=1) >= 0)
-        assert np.all(np.diff(final.edge_values, axis=1) >= 0)
+        # the result holds no hyperedge labels: the span's last step, mapped back
+        edges = propagation._encoded(span, start.context).edge_values
+        assert np.abs(edges - wide.edge_values).max() <= 1e-12
+        assert np.all(np.diff(edges, axis=1) >= 0)
 
 
 def test_explicit_initial_labels_step_on_the_encoded_labels(grid32):
@@ -509,10 +512,13 @@ def test_explicit_initial_labels_step_on_the_encoded_labels(grid32):
         final = propagate(h, known, cfg, QuantileBackend(grid32), initial_labels=labels)
     state = initial_state(h, known, cfg, QuantileBackend(grid32), initial_labels=labels)
     for _ in range(final.iterations):
-        state = step(state)
+        previous, state = state, step(state)
     assert final.vertex_values.tobytes() == state.vertex_values.tobytes()
-    assert final.edge_values.tobytes() == state.edge_values.tobytes()
     assert final.loss_history == state.loss_history
+    # the result holds no hyperedge labels; its context makes the last step's
+    # from the labels before it, bit for bit
+    edges = propagation._edge_phase(final.context, previous.vertex_values)
+    assert edges.tobytes() == state.edge_values.tobytes()
 
 
 def test_overflowing_loss_in_the_span_is_a_numerical_error():
@@ -559,9 +565,10 @@ def test_gram_past_the_float_range_keeps_the_encoded_labels(grid32):
     assert list(classify(final)[6:]) == [1, 1]
 
 
-def test_propagate_working_set_is_one_hyperedge_block():
-    # E x S >> n x S: the hyperedge block is 20 times the vertex block, so a
-    # second live hyperedge block would break the bound below
+def _wide_hyperedge_run():
+    """A seeded span run whose hyperedge block is 20 times its vertex block:
+    the result, the tracemalloc peak of the run, and the sizes of one E x S
+    block, one n x S block and the loss buffers."""
     rng = np.random.default_rng(29)
     grid256 = QuantileGrid(256)
     n, n_edges = 100, 2000
@@ -579,10 +586,46 @@ def test_propagate_working_set_is_one_hyperedge_block():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    return state, peak, edge_block, vertex_block, loss_buffers
+
+
+def test_propagate_working_set_is_one_hyperedge_block():
+    # E x S >> n x S: a second live hyperedge block would break the bound below
+    state, peak, edge_block, vertex_block, loss_buffers = _wide_hyperedge_run()
     assert state.iterations == 3
     # the current and new vertex blocks, and as much again for the context's
     # operators and numpy's ufunc buffers
     assert peak <= edge_block + 4 * vertex_block + loss_buffers
+
+
+def test_propagate_returns_vertex_labels_and_no_hyperedge_labels(grid4, grid32):
+    # a result carries the vertex labels and the loss trace; only a state
+    # that step returns holds hyperedge labels
+    rng = np.random.default_rng(59)
+    h = Hypergraph(6, [(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)])
+    cfg = PropagationConfig(alpha=3.0, gamma=2.0, max_iters=5, seed=7)
+    quantile = LabeledSubset({v: random_histogram_label(rng, grid32) for v in (0, 3)})
+    gauss = LabeledSubset({v: DiagGaussianLabel(rng.uniform(-1, 1, 2), rng.uniform(0.1, 1, 2))
+                           for v in (0, 3)})
+    runs = {  # (known, backend, initial labels, steps on coefficients)
+        "span": (quantile, QuantileBackend(grid32), None, True),
+        "encoded": (LabeledSubset({v: delta(grid4, v) for v in (0, 3)}), QuantileBackend(grid4), None, False),
+        "initial_labels": (quantile, QuantileBackend(grid32),
+                           [random_histogram_label(rng, grid32) for _ in range(6)], False),
+        "gauss": (gauss, GaussianBackend(2), None, False),
+    }
+    for known, backend, labels, spanned in runs.values():
+        start = initial_state(h, known, cfg, backend, initial_labels=labels)
+        assert (labels is None and propagation._seeded_span(start).context.basis is not None) == spanned
+        final = propagate(h, known, cfg, backend, initial_labels=labels)
+        assert final.edge_values is None and final.iterations == 5
+        with pytest.raises(InputError, match="only a state that step returns"):
+            final.hyperedge_label(0)
+        assert step(start).hyperedge_label(0) is not None
+    # a span run makes no E x S block: its peak is below one
+    state, peak, edge_block, _, _ = _wide_hyperedge_run()
+    assert state.edge_values is None
+    assert peak < edge_block
 
 
 def _has_unreached(h, known):
