@@ -9,15 +9,17 @@ vertices additionally carry weight alpha inside hyperedge barycenters.
 Both label backends embed labels into a Euclidean vector space in which the
 barycenter is a plain weighted average and the squared transport distance is
 a scaled squared norm, so each phase is exact: a product of the (n, width)
-label block with a weighted sparse incidence matrix.  Every iterate of a
-seeded quantile run with k anchors is an average of the anchors and the
-start, so it lies in the span of the r = k + 2 rows [anchors; standard
-normal quantiles; 1] (Solomon et al., ICML 2014: 1-D barycenters average
-quantile functions).  Where r < S, `propagate` runs the same phases on the
-(n, r) block of coefficients over those rows, measures the loss with their
-r x r Gram matrix, and encodes the vertex coefficients once, at exit.  The
-hyperedge labels are one step's messages: `step` returns them, and
-`propagate` returns the vertex labels and the loss trace alone.
+label block with a weighted sparse incidence matrix.  A backend's seeded
+`start` is exact: (rows, coefficients), with coefficient rows of 1-norm
+at most 2, or (None, block), the encoded start itself.  Every iterate of a
+seeded run with k anchors averages the anchors and the start, so it lies in
+the span of [anchors; rows], k + 2 rows for quantile labels (Solomon et al.,
+ICML 2014: 1-D barycenters average quantile functions).  Where these r rows
+are fewer than S, `propagate` runs the same phases on the (n, r) block of
+coefficients over them, measures the loss with their r x r Gram matrix, and
+encodes the vertex coefficients once, at exit.  The hyperedge labels are
+one step's messages: `step` returns them, and `propagate` returns the
+vertex labels and the loss trace alone.
 
 Working set: a step allocates only the two blocks it returns, the new
 (E, width) hyperedge block and the new (n, width) vertex block, where width
@@ -84,7 +86,8 @@ class QuantileBackend:
     Weighted vector averages realize the exact barycenter, and the squared
     transport distance is the grid quadrature (1/S) * ||x - y||^2.  A random
     start is the standard normal quantile function shifted by row v of one
-    seeded (n, 1) draw of U(-1, 1).
+    seeded (n, 1) draw of U(-1, 1); `start` gives it as the rows [standard
+    normal quantiles; 1] and, per vertex, the coefficients [1, shift].
     """
 
     def __init__(self, grid: QuantileGrid):
@@ -98,27 +101,13 @@ class QuantileBackend:
     def decode(self, vec: np.ndarray) -> QuantileLabel:
         return QuantileLabel(self.grid, vec)
 
-    def random_init(self, seed: int, n: int, anchor_values: np.ndarray) -> np.ndarray:
-        return standard_normal_quantiles(self.grid) + _shifts(seed, n)
-
-    def random_span(self, seed: int, n: int, anchor_values: np.ndarray):
-        """The random start as (basis, coefficients), both exact: the rows
-        [anchors; standard normal quantiles; 1] and, per vertex, 1 on the
-        quantiles and its shift on the constant row."""
-        k, size = anchor_values.shape
-        basis = np.vstack([anchor_values, standard_normal_quantiles(self.grid), np.ones(size)])
-        coefficients = np.zeros((n, k + 2))
-        coefficients[:, k] = 1.0
-        coefficients[:, k + 1:] = _shifts(seed, n)
-        return basis, coefficients
+    def start(self, seed: int, n: int, anchor_values: np.ndarray):
+        shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
+        rows = np.vstack([standard_normal_quantiles(self.grid), np.ones(self.grid.size)])
+        return rows, np.hstack([np.ones((n, 1)), shifts])
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values.mean(axis=1, keepdims=True)
-
-
-def _shifts(seed: int, n: int) -> np.ndarray:
-    """The quantile start's shifts: one seeded (n, 1) draw of U(-1, 1)."""
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
 
 
 class GaussianBackend:
@@ -127,7 +116,8 @@ class GaussianBackend:
     Averaging the concatenation averages means and stds coordinate-wise, and
     the squared norm of a difference is the closed-form squared distance.  A
     random start takes row v of one seeded (n, b) draw of U(0, 1) as its
-    means and the mean of the encoded anchors' std columns as its stds.
+    means and the mean of the encoded anchors' std columns as its stds;
+    `start` gives it as (None, block): the random means span every column.
     """
 
     def __init__(self, dim: int):
@@ -144,14 +134,10 @@ class GaussianBackend:
     def decode(self, vec: np.ndarray) -> DiagGaussianLabel:
         return DiagGaussianLabel(vec[: self.b], np.maximum(vec[self.b:], 0.0))
 
-    def random_init(self, seed: int, n: int, anchor_values: np.ndarray) -> np.ndarray:
+    def start(self, seed: int, n: int, anchor_values: np.ndarray):
         std = anchor_values[:, self.b:].mean(axis=0)
         means = np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
-        return np.hstack([means, np.broadcast_to(std, means.shape)])
-
-    def random_span(self, seed: int, n: int, anchor_values: np.ndarray) -> None:
-        """None: the random means span all b mean columns."""
-        return None
+        return None, np.hstack([means, np.broadcast_to(std, means.shape)])
 
     def mean_stats(self, values: np.ndarray) -> np.ndarray:
         return values[:, : self.b]
@@ -172,12 +158,12 @@ class LabeledSubset:
         return sorted(self.targets)
 
 
-def _member_weights(h: Hypergraph, known_vertices, alpha: float) -> np.ndarray:
-    """Per incidence of h, in storage order: alpha for a known member, 1
-    otherwise."""
-    is_known = np.zeros(h.n, dtype=bool)
+def _member_weights(inc: sp.csr_matrix, known_vertices, alpha: float) -> np.ndarray:
+    """Per incidence of the E x n incidence matrix `inc`, in storage order:
+    alpha for a known member, 1 otherwise."""
+    is_known = np.zeros(inc.shape[1], dtype=bool)
     is_known[known_vertices] = True
-    return np.where(is_known[h.incidence().indices], alpha, 1.0)
+    return np.where(is_known[inc.indices], alpha, 1.0)
 
 
 def star_graph(h: Hypergraph, known: LabeledSubset, alpha: float) -> WeightedGraph:
@@ -187,8 +173,8 @@ def star_graph(h: Hypergraph, known: LabeledSubset, alpha: float) -> WeightedGra
     The alternating loop is block coordinate descent on its Tikhonov energy,
     so that solve, at gamma' = 1 / (m alpha gamma) for m known vertices, is
     a fixed point of `step`."""
-    weights = _member_weights(h, check_vertex_range("known", known.vertices, h.n), alpha)
     inc = h.incidence()
+    weights = _member_weights(inc, check_vertex_range("known", known.vertices, h.n), alpha)
     pairs = np.column_stack((inc.indices, h.n + h.edge_of))
     return WeightedGraph(h.n + len(h.edges), pairs, weights / np.diff(inc.indptr)[h.edge_of])
 
@@ -217,7 +203,7 @@ class _Context:
         self.anchor_vertices = check_vertex_range("known", known.vertices, h.n)
 
         inc = h.incidence()
-        alpha_weights = _member_weights(h, self.anchor_vertices, cfg.alpha)
+        alpha_weights = _member_weights(inc, self.anchor_vertices, cfg.alpha)
         self.edge_incidence = sp.csr_matrix((alpha_weights, inc.indices, inc.indptr), inc.shape)
         self.vertex_incidence = h.mean_incidence
         # a matvec adds each total in storage order; .sum(axis=1) would not
@@ -398,17 +384,19 @@ def initial_state(
     backend,
     initial_labels: Optional[Sequence] = None,
 ) -> PropagationState:
-    """Build the starting state.  Unless explicit labels are given, row v of
-    the random start is row v of one `default_rng(seed)` draw of shape
-    (n, draws), so it does not depend on n: the start of n vertices is the
-    first n rows of the start of any larger n."""
+    """Build the starting state.  Unless explicit labels are given, it is the
+    backend's seeded start: its block, or its coefficients times its rows in
+    a fixed order.  Row v comes from row v of one `default_rng(seed)` draw of
+    shape (n, draws), so it does not depend on n: a larger n appends rows."""
     ctx = _Context(h, known, cfg, backend)
     if initial_labels is not None:
         if len(initial_labels) != h.n:
             raise InputError(f"expected {h.n} initial labels, got {len(initial_labels)}")
         values = np.stack([backend.encode(lab) for lab in initial_labels])
     else:
-        values = backend.random_init(cfg.seed, h.n, ctx.anchor_values)
+        rows, values = backend.start(cfg.seed, h.n, ctx.anchor_values)
+        if rows is not None:
+            values = np.einsum("ij,jk->ik", values, rows)
     return PropagationState(context=ctx, vertex_values=values)
 
 
@@ -439,30 +427,34 @@ def _warn_unreached(ctx: _Context) -> None:
 
 
 def _seeded_span(state: PropagationState) -> PropagationState:
-    """The seeded start as coefficients over the backend's basis, when it has
-    fewer rows than a label has columns and 16 times its Gram matrix is
-    finite; otherwise `state` itself.
+    """The backend's seeded start as coefficients [0 | start's] over the
+    basis [anchors; start's rows], when the basis has fewer rows than a label
+    has columns, each start coefficient row has 1-norm at most 2 and 16 times
+    the basis's Gram matrix is finite; otherwise `state` itself.
 
-    Every coefficient row is a convex combination of the anchors' and the
-    start's, plus a constant in [-1, 1], so a difference of two has 1-norm at
-    most 4, and the loss's quadratic form of it adds terms no larger than 16
-    times the largest Gram entry: where that is finite, the loss overflows
-    only where the loss of the encoded labels does."""
+    Every coefficient row is then a convex combination of the anchors' (1-norm
+    1) and the start's, so a difference of two has 1-norm at most 4, and the
+    loss's quadratic form of it adds terms no larger than 16 times the
+    largest Gram entry: where that is finite, the loss overflows only where
+    the loss of the encoded labels does."""
     ctx = state.context
-    span = ctx.backend.random_span(ctx.cfg.seed, ctx.h.n, ctx.anchor_values)
-    if span is None or len(span[0]) >= ctx.anchor_values.shape[1]:
+    k, width = ctx.anchor_values.shape
+    rows, start = ctx.backend.start(ctx.cfg.seed, ctx.h.n, ctx.anchor_values)
+    if rows is None or k + len(rows) >= width or not np.all(np.abs(start).sum(axis=1) <= 2.0):
         return state
-    basis, coefficients = span
+    basis = np.vstack([ctx.anchor_values, rows])
     with np.errstate(over="ignore", invalid="ignore"):  # anchors too large for this form
         gram = np.einsum("ik,jk->ij", basis, basis)
         if not np.isfinite(16.0 * gram).all():
             return state
+    coefficients = np.zeros((ctx.h.n, len(basis)))
+    coefficients[:, k:] = start
     return PropagationState(context=ctx.over(basis, gram), vertex_values=coefficients)
 
 
 def _encoded(state: PropagationState, ctx: _Context) -> PropagationState:
     """The state with encoded labels under `ctx`: each coefficient block it
-    holds times the basis, added in a fixed order.  Each row is a
+    holds times the basis, added in a fixed order.  A quantile row is a
     non-negative combination of non-decreasing rows plus a constant, so it
     does not decrease."""
     basis = state.context.basis
@@ -486,9 +478,9 @@ def propagate(
 ) -> PropagationState:
     """Run alternating propagation until the relative loss change drops below
     cfg.rel_tol or cfg.max_iters is reached; returns the final vertex labels
-    and the full loss history, with no hyperedge labels.  A seeded quantile
-    run steps on coefficients over [anchors; standard normal quantiles; 1]
-    and encodes the vertex coefficients once, at exit."""
+    and the full loss history, with no hyperedge labels.  A seeded run whose
+    backend's start has rows steps on coefficients over [anchors; rows] (see
+    `_seeded_span`) and encodes the vertex coefficients once, at exit."""
     state = initial_state(h, known, cfg, backend, initial_labels)  # validates known vertices
     encoded = state.context
     _warn_unreached(encoded)

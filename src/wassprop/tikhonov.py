@@ -159,7 +159,6 @@ class TikhonovOperator:
                 "the edge weights or gamma are too large"
             )
         self.norm_inf = float(abs(self.matrix).sum(axis=1).max())  # ||A||_inf, the largest row sum
-        self._field: Optional[QuantileField] = None
 
     @cached_property
     def lambda1(self) -> float:
@@ -252,12 +251,15 @@ class TikhonovOperator:
         self.check_residual(values, block, self.labeled)
         return monotone_field(self.training.grid, values)
 
+    @cached_property
+    def _solved_field(self) -> QuantileField:
+        solved = self._green_field(self.block)
+        solved.values.flags.writeable = False
+        return solved
+
     def field(self) -> QuantileField:
         """All S slices as G Y_L; kept and read-only, since callers share it."""
-        if self._field is None:
-            self._field = self._green_field(self.block)
-            self._field.values.flags.writeable = False
-        return self._field
+        return self._solved_field
 
     def swapped_field(self, index: int, label: QuantileLabel) -> QuantileField:
         """Field after sample `index` takes `label` at the same vertex v.

@@ -353,11 +353,8 @@ class _MeanColumns:
     def encode(self, label):
         return np.array(label.mean)
 
-    def random_init(self, seed, n, anchor_values):
-        return np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
-
-    def random_span(self, seed, n, anchor_values):
-        return None
+    def start(self, seed, n, anchor_values):
+        return None, np.random.default_rng(seed).uniform(0.0, 1.0, (n, self.b))
 
     def mean_stats(self, values):
         return values

@@ -485,14 +485,19 @@ def test_module_entry_point_writes_what_main_writes(tmp_path, monkeypatch, capsy
     # around main: the output file and stdout stay byte for byte the same
     monkeypatch.chdir(tmp_path)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for name, argv in _entry_point_commands(tmp_path).items():
+    commands = _entry_point_commands(tmp_path)
+    # both children start before either is waited on
+    children = {name: subprocess.Popen([sys.executable, "-m", "wassprop.cli", *argv, f"{name}-module.csv"],
+                                       env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for name, argv in commands.items()}
+    for name, argv in commands.items():
         assert cli.main(argv + ["in-process.csv"]) == 0
         stdout = capsys.readouterr().out
-        proc = subprocess.run([sys.executable, "-m", "wassprop.cli", *argv, "module.csv"],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == stdout
-        assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes(), name
+        child_stdout, child_stderr = children[name].communicate(timeout=120)
+        assert children[name].returncode == 0, child_stderr
+        assert child_stdout == stdout
+        module = tmp_path / f"{name}-module.csv"
+        assert module.read_bytes() == (tmp_path / "in-process.csv").read_bytes(), name
 
 
 def test_main_never_freezes_the_collector(tmp_path, monkeypatch):

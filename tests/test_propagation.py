@@ -90,18 +90,35 @@ def test_random_init_rows_come_from_one_generator(grid4, seed):
     n = 6
     # the quantile shift (one draw in [-1, 1)) and the Gaussian means (b draws in [0, 1))
     shifts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
+    means = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2))
     no_anchors = np.empty((0, grid4.size))  # the quantile start reads no anchor
-    assert np.array_equal(quantile.random_init(seed, n, no_anchors), standard_normal_quantiles(grid4) + shifts)
+    rows, coefficients = quantile.start(seed, n, no_anchors)
+    assert np.array_equal(rows, np.vstack([standard_normal_quantiles(grid4), np.ones(grid4.size)]))
+    assert np.array_equal(coefficients, np.hstack([np.ones((n, 1)), shifts]))
     encoded = np.stack([gauss.encode(a) for a in anchors])
-    block = gauss.random_init(seed, n, encoded)
-    assert np.array_equal(block[:, :2], np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2)))
+    rows, block = gauss.start(seed, n, encoded)
+    assert rows is None  # the block is the encoded start
+    assert np.array_equal(block[:, :2], means)
     assert np.allclose(block[:, 2:], 0.3, atol=1e-15)  # mean of the anchor stds
-    for backend, labels in [(quantile, no_anchors), (gauss, encoded)]:
+    for backend, labels, drawn in [(quantile, no_anchors, 1), (gauss, encoded, 0)]:
         # row v does not depend on n, and the seed picks the rows
-        block = backend.random_init(seed, n, labels)
-        assert np.array_equal(backend.random_init(seed, n + 5, labels)[:n], block)
-        zero, one = backend.random_init(0, n, labels), backend.random_init(1, n, labels)
-        assert not np.any(zero[:, :1] == one[:, :1])
+        rows, block = backend.start(seed, n, labels)
+        longer_rows, longer = backend.start(seed, n + 5, labels)
+        assert np.array_equal(longer[:n], block)
+        assert rows is None or np.array_equal(longer_rows, rows)
+        zero, one = backend.start(0, n, labels)[1], backend.start(1, n, labels)[1]
+        assert not np.any(zero[:, drawn] == one[:, drawn])
+    # the encoded start of a run, bit for bit: the shifted quantiles, and the
+    # means beside the mean of the anchor stds (in known-vertex order)
+    h = Hypergraph(n, [(0, 1, 2), (2, 3, 4, 5)])
+    cfg = PropagationConfig(alpha=2.0, gamma=1.0, seed=seed)
+    known = LabeledSubset({0: delta(grid4, -1.0), 5: delta(grid4, 1.0)})
+    start = initial_state(h, known, cfg, quantile).vertex_values
+    assert start.tobytes() == (standard_normal_quantiles(grid4) + shifts).tobytes()
+    known = LabeledSubset({5: anchors[1], 0: anchors[0]})
+    std = np.mean(np.stack([anchors[0].std, anchors[1].std]), axis=0)
+    start = initial_state(h, known, cfg, gauss).vertex_values
+    assert start.tobytes() == np.hstack([means, np.broadcast_to(std, means.shape)]).tobytes()
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 6])
@@ -463,6 +480,61 @@ def test_gram_form_loss_matches_the_loss_of_the_encoded_labels(kind):
                 worst_relative = max(worst_relative, gap / span.loss_history[-1])
     assert worst_scaled <= 4e-15
     assert worst_relative <= 1e-11
+
+
+class _QuantilesOnly(QuantileBackend):
+    """Quantile labels whose seeded start is the one row [standard normal
+    quantiles], with coefficient `weight` at every vertex."""
+
+    def __init__(self, grid, weight=1.0):
+        super().__init__(grid)
+        self.weight = weight
+
+    def start(self, seed, n, anchor_values):
+        return standard_normal_quantiles(self.grid)[None, :], np.full((n, 1), self.weight)
+
+
+def test_seeded_span_does_not_depend_on_the_backend():
+    # the propagation module lays out the span from any backend's start: one
+    # start row gives the (k + 1)-row basis [anchors; quantiles], and the run
+    # on it stays within 1e-12 of the encoded loop, with the same classes
+    rng = np.random.default_rng(47)
+    n, k, grid = 120, 6, QuantileGrid(32)
+    h = Hypergraph(n, [rng.choice(n, int(rng.integers(2, 6)), replace=False) for _ in range(2 * n)])
+    vertices = rng.choice(n, k, replace=False).tolist()
+    known = LabeledSubset({v: random_histogram_label(rng, grid) for v in vertices})
+    cfg = PropagationConfig(alpha=20.0, gamma=10.0, seed=3)
+    quantiles = standard_normal_quantiles(grid)
+    backend = _QuantilesOnly(grid)
+    start = initial_state(h, known, cfg, backend)
+    assert np.array_equal(start.vertex_values, np.tile(quantiles, (n, 1)))
+    span = propagation._seeded_span(start)
+    assert np.array_equal(span.context.basis, np.vstack([start.context.anchor_values, quantiles]))
+    assert np.array_equal(span.vertex_values, np.hstack([np.zeros((n, k)), np.ones((n, 1))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        final = propagate(h, known, cfg, backend)
+    wide = start
+    for _ in range(final.iterations):
+        wide = step(wide)
+    assert final.context.basis is None and final.vertex_values.shape == (n, grid.size)
+    assert np.abs(final.vertex_values - wide.vertex_values).max() <= 1e-12
+    assert np.array_equal(classify(final), classify(wide))
+    # the span's overflow rule rests on start rows of 1-norm at most 2: a
+    # start past that keeps the encoded labels, and steps on them
+    at_bound = initial_state(h, known, cfg, _QuantilesOnly(grid, 2.0))
+    assert propagation._seeded_span(at_bound).context.basis is not None
+    heavy = _QuantilesOnly(grid, np.nextafter(2.0, 3.0))
+    start = initial_state(h, known, cfg, heavy)
+    assert propagation._seeded_span(start) is start
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        final = propagate(h, known, replace(cfg, max_iters=5, rel_tol=1e-300), heavy)
+    wide = start
+    for _ in range(5):
+        wide = step(wide)
+    assert final.vertex_values.tobytes() == wide.vertex_values.tobytes()
+    assert final.loss_history == wide.loss_history
 
 
 def test_seeded_run_steps_in_the_span_and_matches_the_encoded_loop():

@@ -144,6 +144,8 @@ def test_solve_slice_matches_dense_direct(grid32):
     sol = op.field().values[:, s_index]
     dense = np.linalg.solve(op.matrix.toarray(), dense_rhs(ts, g.n)[:, s_index])
     assert np.max(np.abs(sol - dense)) <= 1e-9
+    # the field is solved once and shared read-only
+    assert op.field() is op.field() and not op.field().values.flags.writeable
 
 
 def test_solve_slice_matches_lstsq_oracle(grid32):
