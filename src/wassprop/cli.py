@@ -161,8 +161,11 @@ def cmd_propagate(args) -> int:
 
 def cmd_solve_tikhonov(args) -> int:
     op = _read_instance(args)
-    fileio.write_field(_require_output(args), op.field())
+    output = _require_output(args)
+    field = op.field()  # before the margin's eigensolver: solved after it, the peak RSS rose
+    # the margin can be undefined (one vertex has no spectral gap): fail before writing
     margin = invertibility_margin(op)
+    fileio.write_field(output, field)
     print(f"n={op.graph.n} m={op.m} margin={margin!r}")
     return 0
 

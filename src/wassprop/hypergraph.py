@@ -95,17 +95,20 @@ class Hypergraph:
         object.__setattr__(self, "_incidence_arrays", (indptr, indices))
         object.__setattr__(self, "edge_of", edge_of)
 
-    def incidence(self) -> sp.csr_matrix:
-        """E x n 0/1 incidence matrix: row e holds ones at hyperedge e's members.
+    def incidence(self, vertex_weights=None, edge_weights=None) -> sp.csr_matrix:
+        """E x n incidence matrix: row e holds hyperedge e's members, member v
+        with entry `vertex_weights[v]`, else `edge_weights[e]`, else 1.
 
-        It wraps the read-only index arrays the graph was built with, so the
-        trials of an experiment on one graph share them.  Row indices are
-        sorted, and the stored entries run through the hyperedges in order.
+        It is built from the index arrays the graph keeps, which scipy copies
+        to its own index type.  Row indices are sorted, and the stored entries
+        run through the hyperedges in order.
         """
         indptr, indices = self._incidence_arrays
-        return sp.csr_matrix(
-            (np.ones(indices.size), indices, indptr), shape=(len(self.edges), self.n)
-        )
+        if vertex_weights is not None:
+            data = vertex_weights[indices]
+        else:
+            data = np.ones(indices.size) if edge_weights is None else edge_weights[self.edge_of]
+        return sp.csr_matrix((data, indices, indptr), shape=(len(self.edges), self.n))
 
     @cached_property
     def mean_incidence(self) -> sp.csc_matrix:
@@ -113,10 +116,9 @@ class Hypergraph:
         column are 1/|e|, with read-only data in storage order: its product
         with an (E, dim) block gives each vertex the sum of its hyperedges'
         rows, each divided by the hyperedge's size."""
-        inc = self.incidence()
-        weights = 1.0 / np.diff(inc.indptr)[self.edge_of]
-        weights.flags.writeable = False
-        return sp.csr_matrix((weights, inc.indices, inc.indptr), inc.shape).T
+        inc = self.incidence(edge_weights=1.0 / np.diff(self._incidence_arrays[0]))
+        inc.data.flags.writeable = False
+        return inc.T
 
     @cached_property
     def mean_degrees(self) -> np.ndarray:
@@ -207,11 +209,9 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     incidence matrix B; each sum runs through the hyperedges in order.  The
     pairs (i, j), i < j, come in sorted order.
     """
-    inc = h.incidence()
-    sizes = np.diff(inc.indptr)
-    weights = 1.0 / (sizes * sizes)[h.edge_of]
-    weighted = sp.csr_matrix((weights, inc.indices, inc.indptr), shape=inc.shape)
-    pairs = sp.triu(inc.T.tocsr() @ weighted, k=1, format="csr")
+    sizes = np.diff(h._incidence_arrays[0])
+    weighted = h.incidence(edge_weights=1.0 / (sizes * sizes))
+    pairs = sp.triu(h.incidence().T.tocsr() @ weighted, k=1, format="csr")
     pairs.sort_indices()  # the product leaves each row's columns unordered
     pairs = pairs.tocoo()
     return WeightedGraph(h.n, np.column_stack((pairs.row, pairs.col)), pairs.data)

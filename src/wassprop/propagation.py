@@ -9,17 +9,19 @@ vertices additionally carry weight alpha inside hyperedge barycenters.
 Both label backends embed labels into a Euclidean vector space in which the
 barycenter is a plain weighted average and the squared transport distance is
 a scaled squared norm, so each phase is exact: a product of the (n, width)
-label block with a weighted sparse incidence matrix.  A backend's seeded
-`start` is exact: (rows, coefficients), with coefficient rows of 1-norm
-at most 2, or (None, block), the encoded start itself.  Every iterate of a
-seeded run with k anchors averages the anchors and the start, so it lies in
-the span of [anchors; rows], k + 2 rows for quantile labels (Solomon et al.,
-ICML 2014: 1-D barycenters average quantile functions).  Where these r rows
-are fewer than S, `propagate` runs the same phases on the (n, r) block of
-coefficients over them, measures the loss with their r x r Gram matrix, and
-encodes the vertex coefficients once, at exit.  The hyperedge labels are
-one step's messages: `step` returns them, and `propagate` returns the
-vertex labels and the loss trace alone.
+label block with a weighted sparse incidence matrix.  A run's context holds
+its alpha-weighted incidence and the one draw of the backend's seeded
+`start`: (rows, coefficients), with coefficient rows of 1-norm at most 2,
+or (None, block), the encoded start.  `initial_state` encodes that draw and
+`_seeded_span` spans it.  Every iterate of a seeded run with k anchors
+averages the anchors and the start, so it lies in the span of [anchors;
+rows], k + 2 rows for quantile labels (Solomon et al., ICML 2014: 1-D
+barycenters average quantile functions).  Where these r rows are fewer than
+S, `propagate` runs the same phases on the (n, r) block of coefficients
+over them, measures the loss with their r x r Gram matrix, and encodes the
+vertex coefficients once, at exit.  The hyperedge labels are one step's
+messages: `step` returns them, and `propagate` returns the vertex labels
+and the loss trace alone.
 
 Working set: a step allocates only the two blocks it returns, the new
 (E, width) hyperedge block and the new (n, width) vertex block, where width
@@ -44,9 +46,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import InputError, NumericalError, check_positive, check_seed, check_vertex_range
+from .errors import DimensionError, InputError, NumericalError, check_positive, check_seed, check_vertex_range
 from .hypergraph import Hypergraph, WeightedGraph
 from .labels import DiagGaussianLabel, QuantileGrid, QuantileLabel, check_same_grid
 from .labels import standard_normal_quantiles
@@ -158,12 +159,13 @@ class LabeledSubset:
         return sorted(self.targets)
 
 
-def _member_weights(inc: sp.csr_matrix, known_vertices, alpha: float) -> np.ndarray:
-    """Per incidence of the E x n incidence matrix `inc`, in storage order:
-    alpha for a known member, 1 otherwise."""
-    is_known = np.zeros(inc.shape[1], dtype=bool)
-    is_known[known_vertices] = True
-    return np.where(is_known[inc.indices], alpha, 1.0)
+def _known_incidence(h: Hypergraph, known: LabeledSubset, alpha: float):
+    """The known vertices, checked against h, and h's E x n incidence matrix
+    that weighs a known member by alpha and any other member by 1."""
+    vertices = check_vertex_range("known", known.vertices, h.n)
+    weights = np.ones(h.n)
+    weights[vertices] = alpha
+    return vertices, h.incidence(vertex_weights=weights)
 
 
 def star_graph(h: Hypergraph, known: LabeledSubset, alpha: float) -> WeightedGraph:
@@ -173,22 +175,21 @@ def star_graph(h: Hypergraph, known: LabeledSubset, alpha: float) -> WeightedGra
     The alternating loop is block coordinate descent on its Tikhonov energy,
     so that solve, at gamma' = 1 / (m alpha gamma) for m known vertices, is
     a fixed point of `step`."""
-    inc = h.incidence()
-    weights = _member_weights(inc, check_vertex_range("known", known.vertices, h.n), alpha)
+    _, inc = _known_incidence(h, known, alpha)
     pairs = np.column_stack((inc.indices, h.n + h.edge_of))
-    return WeightedGraph(h.n + len(h.edges), pairs, weights / np.diff(inc.indptr)[h.edge_of])
+    return WeightedGraph(h.n + len(h.edges), pairs, inc.data / np.diff(inc.indptr)[h.edge_of])
 
 
 class _Context:
-    """The two weighted incidence operators shared by all steps of one run,
-    the form the labels are held in, and the scratch buffers of the loss.
+    """One run's inputs: two weighted incidence operators, the one result of
+    the backend's `start` (``start``, drawn at first use), the form the
+    labels are held in, and the scratch buffers of the loss.
 
-    Both operators reuse the index arrays of the hypergraph's incidence
-    matrix B and differ only in their data: ``edge_incidence`` (E x n) weighs
-    a member by alpha if it is known and 1 otherwise, and
-    ``vertex_incidence`` (n x E, the transpose) weighs hyperedge E by 1/|E|.
-    The latter does not depend on the known set, so it is the hypergraph's
-    own `mean_incidence`, shared by every run on the graph.
+    The hypergraph builds both operators from its index arrays; only their
+    data differ: ``edge_incidence`` (E x n, `_known_incidence`, as in
+    `star_graph`) weighs a known member by alpha and others by 1, and
+    ``vertex_incidence`` (n x E) weighs hyperedge E by 1/|E|: the
+    hypergraph's own `mean_incidence`, shared by every run on the graph.
 
     Labels are held as the backend encodes them (``basis`` None), or, by
     `over`, as coefficients over the rows of ``basis``, with its Gram matrix
@@ -200,20 +201,15 @@ class _Context:
         self.cfg = cfg
         self.backend = backend
 
-        self.anchor_vertices = check_vertex_range("known", known.vertices, h.n)
-
-        inc = h.incidence()
-        alpha_weights = _member_weights(inc, self.anchor_vertices, cfg.alpha)
-        self.edge_incidence = sp.csr_matrix((alpha_weights, inc.indices, inc.indptr), inc.shape)
+        self.anchor_vertices, self.edge_incidence = _known_incidence(h, known, cfg.alpha)
         self.vertex_incidence = h.mean_incidence
         # a matvec adds each total in storage order; .sum(axis=1) would not
         self.edge_totals = self.edge_incidence @ np.ones(h.n)
         den = h.mean_degrees.copy()
         den[self.anchor_vertices] += cfg.gamma
         # vertices in no hyperedge and not known keep their current label
-        updated = den > 0
-        self.kept = ~updated
-        self.vertex_totals = np.where(updated, den, 1.0)
+        self.kept = den == 0  # den >= 0: a sum of 1/|E| terms, plus gamma > 0 if known
+        self.vertex_totals = np.where(self.kept, 1.0, den)
 
         self._hold(np.stack([backend.encode(known.targets[v]) for v in known.vertices]), None, None)
 
@@ -227,6 +223,10 @@ class _Context:
         # the loss gathers incidences in blocks of `loss_rows` into two buffers
         self.loss_rows = max(1, LOSS_BLOCK_VALUES // anchor_values.shape[1])
         vars(self).pop("loss_buffers", None)
+
+    @cached_property
+    def start(self):
+        return self.backend.start(self.cfg.seed, self.h.n, self.anchor_values)
 
     @cached_property
     def loss_buffers(self):
@@ -374,6 +374,9 @@ def evaluate_loss(state: PropagationState, vertex_values: Optional[np.ndarray] =
     if vertex_values is None:
         vertex_values = state.vertex_values
     vertex_values = np.asarray(vertex_values, dtype=float)  # the loss buffers are float
+    if vertex_values.shape != state.vertex_values.shape:
+        raise DimensionError(f"vertex_values of shape {vertex_values.shape} do not match the "
+                             f"state's labels of shape {state.vertex_values.shape}")
     return _loss(state.context, vertex_values, _edge_phase(state.context, vertex_values))
 
 
@@ -394,7 +397,7 @@ def initial_state(
             raise InputError(f"expected {h.n} initial labels, got {len(initial_labels)}")
         values = np.stack([backend.encode(lab) for lab in initial_labels])
     else:
-        rows, values = backend.start(cfg.seed, h.n, ctx.anchor_values)
+        rows, values = ctx.start
         if rows is not None:
             values = np.einsum("ij,jk->ik", values, rows)
     return PropagationState(context=ctx, vertex_values=values)
@@ -409,21 +412,14 @@ def _warn_unreached(ctx: _Context) -> None:
     scan is linear in the size of the hyperedges."""
     component = ctx.h.bipartite_components
     reached = np.isin(component, component[ctx.anchor_vertices])
-    isolated = np.flatnonzero(ctx.kept).tolist()
-    unreached = np.flatnonzero(~reached & ~ctx.kept).tolist()
-    if isolated:
-        warnings.warn(
-            f"{len(isolated)} vertices belong to no hyperedge and keep their "
-            f"initialization: {isolated[:10]}{'...' if len(isolated) > 10 else ''}",
-            stacklevel=3,
-        )
-    if unreached:
-        warnings.warn(
-            f"{len(unreached)} vertices are not reachable from the known set; "
-            f"their labels never feel an anchor: "
-            f"{unreached[:10]}{'...' if len(unreached) > 10 else ''}",
-            stacklevel=3,
-        )
+    for vertices, fate in (
+        (ctx.kept, "belong to no hyperedge and keep their initialization"),
+        (~reached & ~ctx.kept, "are not reachable from the known set; their labels never feel an anchor"),
+    ):
+        vertices = np.flatnonzero(vertices).tolist()
+        if vertices:
+            more = "..." if len(vertices) > 10 else ""
+            warnings.warn(f"{len(vertices)} vertices {fate}: {vertices[:10]}{more}", stacklevel=3)
 
 
 def _seeded_span(state: PropagationState) -> PropagationState:
@@ -439,7 +435,7 @@ def _seeded_span(state: PropagationState) -> PropagationState:
     the loss of the encoded labels does."""
     ctx = state.context
     k, width = ctx.anchor_values.shape
-    rows, start = ctx.backend.start(ctx.cfg.seed, ctx.h.n, ctx.anchor_values)
+    rows, start = ctx.start
     if rows is None or k + len(rows) >= width or not np.all(np.abs(start).sum(axis=1) <= 2.0):
         return state
     basis = np.vstack([ctx.anchor_values, rows])

@@ -599,6 +599,21 @@ def test_cli_solve_tikhonov_rejects_multidim_gauss(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_solve_tikhonov_undefined_margin_writes_no_field(tmp_path, capsys):
+    # one vertex and no edge: the solve is defined, but the margin's
+    # spectral gap is not, so the command fails before it writes the field
+    graph, labels, out = tmp_path / "graph.txt", tmp_path / "labels.csv", tmp_path / "field.csv"
+    graph.write_text("")
+    labels.write_text("vertex,kind,params\n0,hist,0.0:0.5;1.0:0.5\n")
+    rc = cli.main(["solve-tikhonov", "--graph", str(graph), "--n", "1", "--labels", str(labels),
+                   "--gamma", "1.0", "--grid-size", "8", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: spectral gap undefined on a single vertex\n"
+    assert not out.exists()
+
+
 def test_cli_missing_output_is_an_error(tmp_path, capsys):
     rc = cli.main(["gen-sbm", "--blocks", "4,4", "--k", "2", "--p-in", "0.5", "--p-out", "0.1"])
     assert rc == 2

@@ -151,6 +151,15 @@ def test_incidence_matrix():
     assert h.edge_of.tolist() == [0, 0, 0, 1, 1, 2, 2] and not h.edge_of.flags.writeable
 
 
+def test_weighted_incidence():
+    # a weighted incidence gives member v the weight of v, or of its hyperedge
+    h = Hypergraph(4, [(2, 1, 0), (1, 2), (2, 3)])
+    by_vertex = h.incidence(vertex_weights=np.array([0.5, 2.0, 3.0, 4.0]))
+    assert by_vertex.toarray().tolist() == [[0.5, 2, 3, 0], [0, 2, 3, 0], [0, 0, 3, 4]]
+    by_edge = h.incidence(edge_weights=np.array([0.25, 5.0, 6.0]))
+    assert by_edge.toarray().tolist() == [[0.25, 0.25, 0.25, 0], [0, 5, 5, 0], [0, 0, 6, 6]]
+
+
 def test_clique_expand_triangle():
     g = clique_expand(Hypergraph(3, [(0, 1, 2)]))
     assert set(edge_dict(g)) == {(0, 1), (0, 2), (1, 2)}

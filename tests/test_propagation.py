@@ -1,5 +1,6 @@
 """Alternating barycenter propagation on hypergraphs."""
 
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 
 from wassprop import (
     DiagGaussianLabel,
+    DimensionError,
     GaussianBackend,
     Hypergraph,
     InputError,
@@ -537,6 +539,94 @@ def test_seeded_span_does_not_depend_on_the_backend():
     assert final.loss_history == wide.loss_history
 
 
+class _CountsStarts:
+    """A backend mixin that counts the calls of its `start`."""
+
+    starts = 0
+
+    def start(self, seed, n, anchor_values):
+        self.starts += 1
+        return super().start(seed, n, anchor_values)
+
+
+class _CountingQuantiles(_CountsStarts, QuantileBackend):
+    pass
+
+
+class _CountingGaussians(_CountsStarts, GaussianBackend):
+    pass
+
+
+def test_each_seeded_run_draws_its_start_once(grid4, grid32):
+    # the run's context holds the one draw: initial_state encodes it and
+    # the span is laid out from it, on the span path, on the encoded
+    # quantile path (k + 2 >= S) and on the Gaussian path
+    rng = np.random.default_rng(59)
+    n = 30
+    h = Hypergraph(n, [rng.choice(n, int(rng.integers(2, 6)), replace=False) for _ in range(2 * n)])
+    cfg = PropagationConfig(alpha=20.0, gamma=10.0, max_iters=4, seed=2)
+    cases = [
+        (_CountingQuantiles(grid32), {v: random_histogram_label(rng, grid32) for v in (0, 7, 11)}, True),
+        (_CountingQuantiles(grid4), {v: random_histogram_label(rng, grid4) for v in (0, 7)}, False),
+        (_CountingGaussians(2), {0: DiagGaussianLabel([1.0, 0.0], [0.1, 0.2]),
+                                 7: DiagGaussianLabel([0.0, 1.0], [0.3, 0.1])}, False),
+    ]
+    for backend, targets, spanned in cases:
+        known = LabeledSubset(targets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            propagate(h, known, cfg, backend)
+            assert backend.starts == 1
+            labels = [backend.decode(row) for row in initial_state(h, known, cfg, backend).vertex_values]
+            propagate(h, known, cfg, backend, initial_labels=labels)
+        assert backend.starts == 2  # explicit labels draw no start
+        start = initial_state(h, known, cfg, backend)
+        rows, drawn = start.context.start
+        span = propagation._seeded_span(start)
+        assert backend.starts == 3
+        assert (span is not start) == spanned
+        if spanned:
+            assert span.vertex_values[:, len(targets):].tobytes() == drawn.tobytes()
+            assert np.array_equal(span.context.basis[len(targets):], rows)
+        elif rows is None:
+            assert start.vertex_values is drawn
+
+
+def test_known_check_and_alpha_weights_are_built_once(grid4, monkeypatch):
+    # one helper checks the known vertices and weighs the incidences: each
+    # run's context and each star expansion call it once, and the star's
+    # pair weights are the context's alpha weights over the hyperedge sizes
+    calls = []
+    check = propagation.check_vertex_range
+    monkeypatch.setattr(propagation, "check_vertex_range",
+                        lambda what, vertices, n: calls.append(what) or check(what, vertices, n))
+    h = Hypergraph(5, [(0, 1, 2), (2, 3), (1, 3, 4)])
+    known = LabeledSubset({1: delta(grid4, 0.0), 3: delta(grid4, 1.0)})
+    ctx = _Context(h, known, PropagationConfig(alpha=3.0, gamma=1.0), QuantileBackend(grid4))
+    assert calls == ["known"]
+    assert ctx.edge_incidence.toarray().tolist() == [[1, 3, 1, 0, 0], [0, 0, 1, 3, 0], [0, 3, 0, 3, 1]]
+    star = star_graph(h, known, 3.0)
+    assert calls == ["known", "known"]
+    sizes = np.diff(ctx.edge_incidence.indptr)[h.edge_of]
+    assert star.weights.tobytes() == (ctx.edge_incidence.data / sizes).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["quantile", "gauss"])
+def test_evaluate_loss_names_a_mis_shaped_block(grid4, kind):
+    h = Hypergraph(3, [(0, 1, 2)])
+    if kind == "quantile":
+        backend, label = QuantileBackend(grid4), delta(grid4, 0.0)
+    else:
+        backend, label = GaussianBackend(2), DiagGaussianLabel([0.0, 1.0], [0.5, 0.5])
+    state = initial_state(h, LabeledSubset({0: label}), PropagationConfig(alpha=2.0, gamma=1.0), backend)
+    n, width = state.vertex_values.shape
+    for shape in [(n, 1), (n, width + 1), (n - 1, width)]:
+        message = f"vertex_values of shape {shape} do not match the state's labels of shape {(n, width)}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            evaluate_loss(state, np.zeros(shape))
+    assert evaluate_loss(state, np.zeros((n, width))) >= 0.0
+
+
 def test_seeded_run_steps_in_the_span_and_matches_the_encoded_loop():
     # the span is chosen from the input: k + 2 rows against S columns.  A
     # seeded run steps on coefficients and encodes them at exit; it stays
@@ -999,11 +1089,17 @@ def test_propagate_known_vertex_out_of_range(grid4):
 
 
 def test_initial_labels_length_checked(grid4):
-    h = Hypergraph(3, [(0, 1, 2)])
+    # vertex 3 is in no hyperedge: propagate refuses the labels before it warns
+    h = Hypergraph(4, [(0, 1, 2)])
     known = LabeledSubset({0: delta(grid4, 0.0)})
     cfg = PropagationConfig(alpha=1.0, gamma=1.0)
-    with pytest.raises(InputError):
-        initial_state(h, known, cfg, QuantileBackend(grid4), initial_labels=[delta(grid4, 0.0)])
+    labels = [delta(grid4, 0.0)]
+    with pytest.raises(InputError, match="^expected 4 initial labels, got 1$"):
+        initial_state(h, known, cfg, QuantileBackend(grid4), initial_labels=labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^expected 4 initial labels, got 1$"):
+            propagate(h, known, cfg, QuantileBackend(grid4), initial_labels=labels)
 
 
 def test_gaussian_backend_dim_mismatch():

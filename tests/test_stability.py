@@ -260,6 +260,22 @@ def test_empirical_stability_random_graph(grid32):
     assert report.beta > 0.0
 
 
+@pytest.mark.parametrize("bound, message", [
+    ("slice_shift_coefficient", r"^swap 0: slice shift ratio \S+ exceeds the proven bound$"),
+    ("beta", r"^swap 0: cost shift ratio \S+ exceeds beta$"),
+])
+def test_empirical_stability_refuses_a_shift_past_its_bound(grid32, monkeypatch, bound, message):
+    # a measured shift past its proven bound is a solver defect: shrink the
+    # slice coefficient, or beta, and the first swap is refused by name
+    _, g, base = _swap_instance(8, grid32, 10, [2, 5, 9])
+    env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    op = TikhonovOperator(g, base, 5.0)
+    assert empirical_stability(op, swaps=3, envelope=env, seed=4).ok
+    monkeypatch.setattr(stability, bound, lambda *args: 1e-12)
+    with pytest.raises(NumericalError, match=message):
+        empirical_stability(op, swaps=3, envelope=env, seed=4)
+
+
 def test_empirical_stability_envelope_violation(grid4):
     g = dict_graph(2, {(0, 1): 1.0})
     env = DominatedQuantileEnvelope(grid4, np.ones(4))

@@ -278,6 +278,17 @@ def test_check_apriori_rejects_undominated_training(grid4):
         check_apriori(field, env, ts)
 
 
+def test_monotone_field_clamps_roundoff_and_refuses_a_larger_drop(grid4):
+    # the solution is non-decreasing: a drop within MONOTONE_SLACK is
+    # roundoff, clamped by a running maximum, and a larger one is a defect
+    row = np.array([[0.0, 1.0, 1.0 - 1e-12, 2.0]])
+    assert tikhonov.monotone_field(grid4, row).values.tolist() == [[0.0, 1.0, 1.0, 2.0]]
+    increasing = np.array([[0.0, 1.0, 1.0, 2.0]])
+    assert tikhonov.monotone_field(grid4, increasing).values is increasing
+    with pytest.raises(NumericalError, match=r"^monotonicity violated by 1\.000e-01 \(> 1e-09\)"):
+        tikhonov.monotone_field(grid4, np.array([[0.0, 1.0, 0.9, 2.0]]))
+
+
 def test_invertibility_margin_p2(grid4):
     g, ts = p2_instance(grid4)
     # lambda_1 = 2, m = 2, gamma = 1, T = 1
