@@ -42,6 +42,7 @@ from .labels import DominatedQuantileEnvelope, QuantileLabel
 from .tikhonov import TikhonovOperator
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
+SWAP_BLOCK_VALUES = 1 << 13  # floats per row block of a swap's statistics (64 KiB)
 
 
 def stability_margin(m: int, gamma: float, lambda1: float, T: int) -> float:
@@ -240,6 +241,25 @@ def check_swap_plan(swaps: int, seed) -> int:
     return seed
 
 
+def _swap_shifts(x: np.ndarray, x_swapped: np.ndarray, c: float) -> Tuple[np.ndarray, float]:
+    """The per-slice shifts max_v |x - x'| of two (n, S) fields, and the
+    largest cost shift over the step probes of level c, not finite when one
+    is not.  Rows run in blocks of about SWAP_BLOCK_VALUES floats; each row's
+    arithmetic is the same in any block, and blocks combine by exact maxima."""
+    rows = max(1, SWAP_BLOCK_VALUES // x.shape[1])
+    shift, worst = np.zeros(x.shape[1]), []
+    for lo in range(0, x.shape[0], rows):
+        a, b = x[lo:lo + rows], x_swapped[lo:lo + rows]
+        d = a - b
+        np.maximum(shift, np.max(np.abs(d), axis=0), out=shift)
+        prefix = np.zeros((d.shape[0], d.shape[1] + 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller raises an overflow
+            np.cumsum(d, axis=1, out=prefix[:, 1:])
+            shifts = np.einsum("vs,vs->v", d, a + b)[:, None] - 2.0 * c * (prefix[:, -1:] - 2.0 * prefix)
+        worst.append(np.max(np.abs(shifts)))
+    return shift, float(np.max(worst)) / x.shape[1]
+
+
 def empirical_stability(
     op: TikhonovOperator,
     swaps: int,
@@ -265,7 +285,6 @@ def empirical_stability(
     if not math.isfinite(beta_value):
         raise NumericalError(f"beta = {beta_value} overflows the float range: no cost shift can be "
                              "measured against it")
-    S = envelope.grid.size
     bound = coeff * envelope.phi
     c = float(envelope.phi.min())
 
@@ -275,11 +294,11 @@ def empirical_stability(
     trials: List[SwapTrial] = []
     for k in range(swaps):
         idx = int(rng.integers(0, op.m))
-        other_field = op.swapped_field(idx, _random_dominated_label(rng, envelope)).values
-        d = base_field - other_field
-
+        # the swapped field is not bound here, so the next swap's solve does not hold it
+        shift, worst_shift = _swap_shifts(
+            base_field, op.swapped_field(idx, _random_dominated_label(rng, envelope)).values, c
+        )
         # (a) per-slice shift against coeff * M_s with M_s = phi(s_j)
-        shift = np.max(np.abs(d), axis=0)
         ratios = np.where(bound > 0, shift / np.where(bound > 0, bound, 1.0), 0.0)
         zero_bound = (bound == 0) & (shift > RATIO_SLACK)
         if zero_bound.any():
@@ -290,25 +309,14 @@ def empirical_stability(
         # against beta.  It is linear in p, so over monotone p in [-c, c] its
         # extremes are at the S+1 step probes, -c before node t and +c from t
         # on, where (x - x').p = c(D_S - 2 D_t) with D_t the prefix sum of x - x'.
-        prefix = np.zeros((d.shape[0], S + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-            np.cumsum(d, axis=1, out=prefix[:, 1:])
-            shifts = np.einsum("vs,vs->v", d, base_field + other_field)[:, None] - 2.0 * c * (
-                prefix[:, -1:] - 2.0 * prefix
-            )
-        if not np.isfinite(shifts).all():
+        if not math.isfinite(worst_shift):
             raise NumericalError(f"swap {k}: the cost shift overflows the float range")
-        worst_shift = float(np.max(np.abs(shifts))) / S
         cost_ratio = worst_shift / beta_value if beta_value > 0 else (0.0 if worst_shift == 0 else np.inf)
 
         if slice_ratio > 1.0 + RATIO_SLACK:
-            raise NumericalError(
-                f"swap {k}: slice shift ratio {slice_ratio:.6g} exceeds the proven bound"
-            )
+            raise NumericalError(f"swap {k}: slice shift ratio {slice_ratio:.6g} exceeds the proven bound")
         if cost_ratio > 1.0 + RATIO_SLACK:
-            raise NumericalError(
-                f"swap {k}: cost shift ratio {cost_ratio:.6g} exceeds beta"
-            )
+            raise NumericalError(f"swap {k}: cost shift ratio {cost_ratio:.6g} exceeds beta")
         trials.append(SwapTrial(idx, slice_ratio, float(cost_ratio)))
 
     return EmpiricalStabilityReport(beta=beta_value, trials=tuple(trials))

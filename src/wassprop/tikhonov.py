@@ -12,9 +12,9 @@ least one sample the matrix is a symmetric positive definite M-matrix.  Only
 the k labeled vertices carry data, so all slices are Phi = G Y_L with one
 block of Green's columns G = A^{-1} E_L (E_L: unit columns at those vertices;
 Y_L: their right-hand-side rows).  G >= 0 entrywise, so monotone rows of Y_L
-give monotone rows of Phi; the same G serves every same-vertex swap.  The
-inputs are checked by the shared rules `check_same_grid`, `check_positive`
-and `check_vertex_range`.
+give monotone rows of Phi; the same G, the one solve, serves every
+same-vertex swap.  The inputs are checked by the shared rules
+`check_same_grid`, `check_positive` and `check_vertex_range`.
 """
 
 from __future__ import annotations
@@ -131,12 +131,11 @@ class TikhonovOperator:
 
     It holds the Laplacian L, built once, the slice operator
     A = T + m*gamma*L and `block`, the labeled rows Y_L of the right-hand
-    sides of all slices.  Up to DENSE_SOLVE_LIMIT vertices A is
-    Cholesky-factored on the first solve; above it every solve is one batched
+    sides of all slices.  Up to DENSE_SOLVE_LIMIT vertices a solve factors A
+    in place and drops the factor; above it a solve is one batched
     Jacobi-preconditioned conjugate gradient run over the whole block.
-    lambda_1 of L, the Green's columns at the labeled vertices and the solved
-    field are computed on first use and kept.
-    """
+    lambda_1 of L, the Green's columns at the labeled vertices (the one solve)
+    and the solved field are computed on first use and kept."""
 
     def __init__(self, g: WeightedGraph, ts: TrainingSet, gamma: float):
         gamma = check_positive("gamma", gamma)
@@ -166,18 +165,6 @@ class TikhonovOperator:
         return spectral_gap(self.laplacian)
 
     @cached_property
-    def _cho(self):
-        """Cholesky factorization of A, or None above DENSE_SOLVE_LIMIT."""
-        if self.graph.n > DENSE_SOLVE_LIMIT:
-            return None
-        import scipy.linalg as sla  # loaded here: only the dense path uses it
-
-        try:
-            return sla.cho_factor(self.matrix.toarray())
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"operator not positive definite: {exc}") from exc
-
-    @cached_property
     def green(self) -> np.ndarray:
         """G = A^{-1} E_L, shape (n, k), read-only: column i is the response
         to a unit right-hand side at the i-th labeled vertex."""
@@ -188,13 +175,18 @@ class TikhonovOperator:
         return g
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A X = rhs for an (n, k) block, with residual check."""
-        if self._cho is None:
+        """Solve A X = rhs for an (n, k) block, with residual check; the
+        dense path's Cholesky factor does not outlive the call."""
+        if self.graph.n > DENSE_SOLVE_LIMIT:
             x = self._pcg(rhs)
         else:
-            import scipy.linalg as sla  # loaded by _cho already
-
-            x = sla.cho_solve(self._cho, rhs)
+            import scipy.linalg as sla  # loaded here: only the dense path uses it
+            try:
+                # A is symmetric, so LAPACK factors its Fortran-ordered copy in place
+                factor = sla.cho_factor(self.matrix.toarray(order="F"), overwrite_a=True)
+            except sla.LinAlgError as exc:
+                raise NumericalError(f"operator not positive definite: {exc}") from exc
+            x = sla.cho_solve(factor, rhs)
         self.check_residual(x, rhs)
         return x
 

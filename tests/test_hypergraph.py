@@ -142,11 +142,13 @@ def test_incidence_matrix():
     assert inc.shape == (3, 4)
     assert np.array_equal(inc.toarray(), [[1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     assert Hypergraph(2, []).incidence().shape == (0, 2)
-    # the index arrays are built once per graph and shared read-only
+    # the graph builds its index arrays once and keeps them read-only; scipy
+    # copies them to its own index type, so each call makes new matrix arrays
+    arrays = h._incidence_arrays
+    indptr, indices = arrays
     again = h.incidence()
     assert again is not inc and np.array_equal(again.toarray(), inc.toarray())
-    indptr, indices = h._incidence_arrays
-    assert h._incidence_arrays[1] is indices
+    assert h._incidence_arrays is arrays  # a tuple: the same two arrays
     assert not indptr.flags.writeable and not indices.flags.writeable
     assert h.edge_of.tolist() == [0, 0, 0, 1, 1, 2, 2] and not h.edge_of.flags.writeable
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from wassprop import (
     BoundReport,
     DimensionError,
     DominatedQuantileEnvelope,
+    Hypergraph,
     HypothesisError,
     InputError,
     NumericalError,
@@ -21,6 +23,7 @@ from wassprop import (
     StabilityInputs,
     TrainingSet,
     beta,
+    clique_expand,
     empirical_stability,
     generalization_bounds,
     laplacian,
@@ -28,9 +31,9 @@ from wassprop import (
     slice_shift_coefficient,
     spectral_gap,
 )
-from wassprop import stability, tikhonov
+from wassprop import hypergraph, stability, tikhonov
 from wassprop.labels import check_quantile_samples
-from wassprop.stability import _random_dominated_label
+from wassprop.stability import SwapTrial, _random_dominated_label
 from wassprop.tikhonov import TikhonovOperator
 from conftest import dict_graph, random_connected_graph, random_monotone_label
 
@@ -335,7 +338,7 @@ def test_swap_update_matches_fresh_solve(grid32, monkeypatch, cg_path):
         # vertex 2 carries two samples: multiplicity 2 in T
         rng, g, base = _swap_instance(seed, grid32, 12, [0, 2, 2, 7, 11])
         op = TikhonovOperator(g, base, gamma=0.8)
-        assert (op._cho is None) == cg_path
+        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
         for idx in range(base.m):
             label = random_monotone_label(rng, grid32)
             updated = op.swapped_field(idx, label).values
@@ -445,7 +448,7 @@ def test_empirical_stability_builds_one_operator(grid32, monkeypatch, swaps):
 
     monkeypatch.setattr(TikhonovOperator, "__init__", counting)
     factor = scipy.linalg.cho_factor
-    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda a: calls.append(2) or factor(a))
+    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda a, **kw: calls.append(2) or factor(a, **kw))
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
     op = TikhonovOperator(g, base, 5.0)
     assert calls == [1]  # factored on the first solve, not on construction
@@ -512,3 +515,86 @@ def test_empirical_stability_shared_inputs(grid32, monkeypatch):
     assert len(gaps) == 1 and si.lambda1 == op.lambda1
     own = empirical_stability(TikhonovOperator(g, base, 5.0), swaps=3, envelope=env, seed=4)
     assert shared == own
+
+
+def _clique_instance(n, grid, seed):
+    """An instance shaped like the benchmark's stability workload: the clique
+    expansion of 3n random hyperedges of 2 to 7 vertices plus a spanning
+    cycle, n // 50 labeled vertices, gamma 1.5, and an envelope phi >= 1."""
+    rng = np.random.default_rng(seed)
+    edges = [tuple(sorted(rng.choice(n, size=int(k), replace=False).tolist()))
+             for k in rng.integers(2, 8, 3 * n)]
+    edges += [tuple(sorted((v, (v + 1) % n))) for v in range(n)]
+    known = rng.choice(n, n // 50, replace=False)
+    ts = TrainingSet([(int(v), random_monotone_label(rng, grid, spread=1.0)) for v in known])
+    env = DominatedQuantileEnvelope(grid, np.linspace(1.0, 1.5, grid.size))
+    return TikhonovOperator(clique_expand(Hypergraph(n, edges)), ts, 1.5), env
+
+
+def _whole_block_ratios(x, other, env, coeff, beta_value):
+    """One swap's (slice, cost) ratios from the whole (n, S) fields at once:
+    the harness's formulas without its row blocks."""
+    S = env.grid.size
+    bound = coeff * env.phi
+    c = float(env.phi.min())
+    d = x - other
+    shift = np.max(np.abs(d), axis=0)
+    slice_ratio = float(np.where(bound > 0, shift / np.where(bound > 0, bound, 1.0), 0.0).max())
+    prefix = np.zeros((d.shape[0], S + 1))
+    np.cumsum(d, axis=1, out=prefix[:, 1:])
+    shifts = np.einsum("vs,vs->v", d, x + other)[:, None] - 2.0 * c * (prefix[:, -1:] - 2.0 * prefix)
+    return slice_ratio, float(np.max(np.abs(shifts))) / S / beta_value
+
+
+def _assert_blocked_trials_exact(op, env, swaps, seed):
+    report = empirical_stability(op, swaps=swaps, envelope=env, seed=seed)
+    si = StabilityInputs.from_instance(op, env)
+    coeff = slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
+    assert report.beta == beta(si)
+    for trial, x, other in _replayed_fields(op, env, report, seed):
+        assert trial == SwapTrial(trial.sample_index, *_whole_block_ratios(x, other, env, coeff, report.beta))
+
+
+@pytest.mark.parametrize("S", [1, 32])
+@pytest.mark.parametrize("n", [5, 16, 21])  # below one block of 8 rows, two blocks, and 2 5/8
+def test_blocked_swap_statistics_are_bit_exact(monkeypatch, S, n):
+    monkeypatch.setattr(stability, "SWAP_BLOCK_VALUES", 8 * S)
+    grid = QuantileGrid(S)
+    _, g, base = _swap_instance(n + S, grid, n, [0, 2, 2, n - 1])
+    gamma = max(1.0, 4.0 / (base.m * spectral_gap(laplacian(g))))
+    env = DominatedQuantileEnvelope(grid, np.linspace(2.0, 3.0, S))
+    _assert_blocked_trials_exact(TikhonovOperator(g, base, gamma), env, swaps=5, seed=n)
+
+
+def test_blocked_swap_statistics_are_bit_exact_on_a_dense_eigsh_instance():
+    # SWAP_BLOCK_VALUES itself: 600 rows in blocks of 8192 // 32 = 256
+    op, env = _clique_instance(600, QuantileGrid(32), seed=12)
+    assert hypergraph.DENSE_EIG_LIMIT < op.graph.n <= tikhonov.DENSE_SOLVE_LIMIT
+    _assert_blocked_trials_exact(op, env, swaps=3, seed=5)
+
+
+def test_dense_path_working_set():
+    # tracemalloc sees numpy's buffers and f2py's copies for LAPACK.  The
+    # Green's block factors one Fortran-ordered copy of A in place, and the
+    # operator keeps G alone; a dense copy of A kept with cho_factor's own
+    # copy read 2.0 n^2 floats, and keeping the factor held 1.0.  A swap holds
+    # the base field, the swapped one with its residual check, and a few row
+    # blocks: whole (n, S + 1) temporaries read about 7.5 fields
+    n, grid = 600, QuantileGrid(64)
+    op, env = _clique_instance(n, grid, seed=11)
+    op.lambda1  # the CLI's report computes it before the swaps
+    dense, field = n * n * 8, n * grid.size * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op.green
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak - start <= 1.5 * dense
+        assert held - start <= 0.1 * dense
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        report = empirical_stability(op, swaps=4, envelope=env, seed=3)
+        assert tracemalloc.get_traced_memory()[1] - start <= 4.5 * field
+    finally:
+        tracemalloc.stop()
+    assert report.ok

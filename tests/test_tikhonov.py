@@ -372,7 +372,7 @@ def test_green_columns_nonnegative(grid32, monkeypatch, cg_path):
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
-        assert (op._cho is None) == cg_path
+        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
         assert op.green.shape == (n, len(ts.labeled_vertices))
         assert np.all(op.green >= 0.0)
 
@@ -388,7 +388,7 @@ def test_field_matches_block_solve_of_rhs(grid32, monkeypatch, cg_path, tol):
         g = random_connected_graph(rng, n, extra_edges=n)
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
-        assert (op._cho is None) == cg_path
+        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
         assert np.max(np.abs(op.field().values - op.solve(dense_rhs(ts, n)))) <= tol
 
 
@@ -413,7 +413,7 @@ def test_labeled_block_is_the_dense_rhs_bit_for_bit(grid32, monkeypatch, cg_path
         n = int(rng.integers(8, 30))
         g, ts = _repeated_vertex_instance(rng, grid32, n)
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.2, 3.0)))
-        assert (op._cho is None) == cg_path
+        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
         dense = dense_rhs(ts, n)
         assert ts.block.tobytes() == dense[ts.labeled_vertices].tobytes()
         assert op.block is ts.block and not op.block.flags.writeable
@@ -437,7 +437,7 @@ def test_corrupted_green_block_fails_field_and_swap(grid32, monkeypatch, cg_path
         monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
     g, ts = _repeated_vertex_instance(np.random.default_rng(94), grid32, 20)
     op = TikhonovOperator(g, ts, gamma=1.0)
-    assert (op._cho is None) == cg_path
+    assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
     corrupt = op.green.copy()
     corrupt[:, -1] += 1e-7
     monkeypatch.setitem(vars(op), "green", corrupt)
@@ -494,7 +494,7 @@ def test_large_gamma_solve_meets_contract(grid32, monkeypatch, cg_path, gamma):
     rng = np.random.default_rng(91)
     g = random_connected_graph(rng, 20, extra_edges=20)
     op = TikhonovOperator(g, random_training_set(rng, grid32, 20, 40), gamma)
-    assert (op._cho is None) == cg_path
+    assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
     exact = np.linalg.solve(op.matrix.toarray(), dense_rhs(op.training, 20))
     assert np.max(np.abs(op.field().values - exact)) <= 1e-8
 
@@ -513,7 +513,7 @@ def test_cg_path_large_graph():
     )
     op = TikhonovOperator(g, ts, gamma=5.0)
     field = op.field()
-    assert op._cho is None  # the conjugate-gradient path
+    assert op.graph.n > tikhonov.DENSE_SOLVE_LIMIT  # the conjugate-gradient path
     assert field.values.shape == (n, 4)
     assert np.all(np.diff(field.values, axis=1) >= -1e-9)
     # spot-check one slice against the oracle on the tridiagonal system
@@ -558,7 +558,7 @@ def test_block_solve_matches_per_column_cg(grid32, monkeypatch, cg_path):
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
-        assert (op._cho is None) == cg_path
+        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
         for b in (_unit_columns(op), dense_rhs(ts, n)):
             ref = _per_column_cg(op, b)
             assert np.max(np.abs(op.solve(b) - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -567,7 +567,7 @@ def test_block_solve_matches_per_column_cg(grid32, monkeypatch, cg_path):
 def test_block_solve_matches_per_column_cg_on_path():
     # the n=2100 path graph of test_cg_path_large_graph: far more iterations
     op = _path_instance(2100)
-    assert op._cho is None
+    assert op.graph.n > tikhonov.DENSE_SOLVE_LIMIT
     ref = _per_column_cg(op, _unit_columns(op))
     assert np.max(np.abs(op.green - ref)) <= 1e-9 * np.max(np.abs(ref))
 
