@@ -30,7 +30,7 @@ from .experiments import (
     run_experiment,
 )
 from .fileio import emit_metrics
-from .labels import DEFAULT_GRID_SIZE, QuantileGrid, gaussian_quantile_label, tight_envelope
+from .labels import DEFAULT_GRID_SIZE, QuantileGrid, tight_envelope
 from .propagation import (
     DEFAULT_MAX_ITERS,
     DEFAULT_REL_TOL,
@@ -98,13 +98,7 @@ def _read_instance(args) -> TikhonovOperator:
     the graph file, the labels file and --gamma."""
     g = fileio.read_graph(args.graph, args.n)
     grid = QuantileGrid(args.grid_size)
-    kind, targets = fileio.read_labels(args.labels, grid, g.n)
-    if kind == "gauss":  # the reader checked that every Gaussian has one dimension
-        dim = next(iter(targets.values())).dim
-        if dim != 1:
-            raise InputError(f"quantile-field solving needs one-dimensional labels, got dimension {dim}")
-        targets = {v: gaussian_quantile_label(float(lab.mean[0]), float(lab.std[0]), grid)
-                   for v, lab in targets.items()}
+    _, targets = fileio.read_labels(args.labels, grid, g.n, quantiles=True)
     return TikhonovOperator(g, TrainingSet(sorted(targets.items())), args.gamma)
 
 

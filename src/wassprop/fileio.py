@@ -38,6 +38,7 @@ from .labels import (
     QuantileGrid,
     QuantileLabel,
     check_quantile_samples,
+    gaussian_quantile_label,
     quantile_from_histogram,
 )
 from .propagation import QuantileBackend
@@ -155,13 +156,17 @@ def label_params(label) -> str:
     raise InputError(f"cannot serialize label of type {type(label).__name__}")
 
 
-def read_labels(path, grid: Optional[QuantileGrid] = None, n: Optional[int] = None):
+def read_labels(path, grid: Optional[QuantileGrid] = None, n: Optional[int] = None,
+                quantiles: bool = False):
     """Parse a labels CSV into (kind, {vertex: label}) in one pass, naming the
     file and line of the first bad row: every row needs 3 columns, a new
     integer vertex (in [0, n) when the caller knows the vertex count n),
     params that parse and the file's one kind, "hist" (resampled onto
-    `grid`, required then) or "gauss" (of one dimension)."""
-    kind = None
+    `grid`, required then) or "gauss" (of one dimension).  With `quantiles`
+    every label is a quantile label on `grid`: the file's Gaussians must be
+    one-dimensional, and each becomes its quantiles on its own row, so a
+    row whose quantiles leave the float range is named too."""
+    kind = dim = None
     out: Dict[int, object] = {}
     for line, row in _vertex_rows(path):
         try:
@@ -187,14 +192,18 @@ def read_labels(path, grid: Optional[QuantileGrid] = None, n: Optional[int] = No
                 label = quantile_from_histogram(*parse_hist_params(params), grid)
             else:
                 label = parse_gauss_params(params)
-                first = next(iter(out.values()), label)
-                if label.dim != first.dim:
-                    raise InputError(f"gauss labels mix dimensions {first.dim} and {label.dim}")
+                dim = dim or label.dim
+                if label.dim != dim:
+                    raise InputError(f"gauss labels mix dimensions {dim} and {label.dim}")
+                if quantiles and dim == 1:
+                    label = gaussian_quantile_label(float(label.mean[0]), float(label.std[0]), grid)
             out[vertex] = label
         except InputError as exc:  # keeps the subclass, e.g. NormalizationError
             raise type(exc)(f"{path}, line {line}: {exc}") from None
     if not out:
         raise InputError(f"no label rows found in {path}")
+    if quantiles and dim not in (None, 1):
+        raise InputError(f"quantile-field solving needs one-dimensional labels, got dimension {dim}")
     return kind, out
 
 

@@ -15,6 +15,13 @@ from .errors import InputError, NumericalError, StructureError
 # Above this size the spectral gap switches from dense eigendecomposition to a
 # deflated iterative eigensolver.
 DENSE_EIG_LIMIT = 512
+# The iterative solve's Lanczos basis holds LANCZOS_BASIS vectors and a
+# restart keeps half of them.  It stops once the smallest Ritz value theta
+# has residual <= LANCZOS_TOL * |theta| (ARPACK's stop rule) and gives up
+# after RESTARTS_PER_VERTEX * n restarts (ARPACK's default cap).
+LANCZOS_BASIS = 32
+RESTARTS_PER_VERTEX = 10
+LANCZOS_TOL = 1e-10
 
 
 def _edge_fault(edge: Tuple[int, ...], n: int) -> Optional[str]:
@@ -282,10 +289,10 @@ def connected_spectral_gap(lap: sp.spmatrix) -> float:
     """`spectral_gap` for a Laplacian whose graph the caller has already
     checked connected, so its components are not scanned again.
 
-    Dense eigendecomposition up to DENSE_EIG_LIMIT vertices; above that, an
-    iterative smallest-eigenvalue solve on the Laplacian with the constant
-    nullvector deflated by a rank-one shift, started from a fixed seeded
-    vector so that reruns return the same float.
+    Dense eigendecomposition up to DENSE_EIG_LIMIT vertices; above that, the
+    smallest eigenvalue of the Laplacian with the constant nullvector
+    deflated by a rank-one shift, by `smallest_eigenvalue` from a fixed
+    seeded vector, so that reruns return the same float.
     """
     n = lap.shape[0]
     if n == 1:
@@ -293,8 +300,6 @@ def connected_spectral_gap(lap: sp.spmatrix) -> float:
     if n <= DENSE_EIG_LIMIT:
         eigvals = np.linalg.eigvalsh(lap.toarray())
         return float(eigvals[1])
-    import scipy.sparse.linalg as spla  # loaded here: only this branch uses it
-
     # Shift the constant eigenvector's eigenvalue from 0 up to c > lambda_max
     # (Gershgorin: lambda_max <= 2 max degree), leaving lambda_1 the minimum.
     c = 2.0 * float(lap.diagonal().max()) + 1.0
@@ -303,11 +308,62 @@ def connected_spectral_gap(lap: sp.spmatrix) -> float:
     def matvec(x):
         return lap @ x + c * ones * (ones @ x)
 
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     # not the constant vector: that is the deflated eigenvector
     v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals = spla.eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(f"spectral gap: eigsh did not converge: {exc}") from None
-    return float(vals[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a step past the float range raises
+        gap = smallest_eigenvalue(matvec, v0, c)
+    if not 0.0 < gap < np.inf:
+        raise NumericalError(f"spectral gap: eigensolver returned {gap!r}")
+    return gap
+
+
+def smallest_eigenvalue(matvec, v0: np.ndarray, norm: float) -> float:
+    """Smallest eigenvalue of the symmetric operator `matvec`, of 2-norm
+    `norm`, by thick-restart Lanczos (Wu & Simon 2000) from the start vector
+    `v0`; for one eigenpair it matches ARPACK's implicit restarts.
+
+    The (LANCZOS_BASIS + 1, n) basis is kept orthonormal by two classical
+    Gram-Schmidt passes against all of it on every step.  When it is full,
+    the projected matrix's smallest Ritz value is returned if its residual
+    meets LANCZOS_TOL; otherwise the smallest half of the Ritz vectors and
+    the residual vector are kept, and the basis fills up again.  A residual
+    at rounding level (n eps norm) means the Krylov space is invariant, so
+    the Ritz values are eigenvalues and the smallest is returned at once.
+    Raises NumericalError after RESTARTS_PER_VERTEX * n restarts, or when a
+    step leaves the float range.
+    """
+    n = v0.size
+    m, keep = LANCZOS_BASIS, LANCZOS_BASIS // 2
+    basis = np.empty((m + 1, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    # the projected matrix: tridiagonal, but for the arrow that a restart
+    # leaves in the rows and columns of its kept vectors
+    proj = np.zeros((m, m))
+    start, breakdown = 0, n * np.finfo(float).eps * norm
+    for _ in range(RESTARTS_PER_VERTEX * n + 1):
+        for j in range(start, m):
+            w = matvec(basis[j])
+            done = basis[: j + 1]
+            coef = done @ w
+            w -= coef @ done
+            fix = done @ w  # the second pass takes out what rounding left
+            w -= fix @ done
+            proj[j, j] = coef[j] + fix[j]
+            beta = float(np.linalg.norm(w))
+            if not beta < np.inf:
+                raise NumericalError(f"spectral gap: a Lanczos step left the float range ({beta!r})")
+            if beta <= breakdown:
+                return float(np.linalg.eigvalsh(proj[: j + 1, : j + 1])[0])
+            basis[j + 1] = w / beta
+            if j + 1 < m:
+                proj[j, j + 1] = proj[j + 1, j] = beta
+        theta, s = np.linalg.eigh(proj)
+        if beta * abs(s[-1, 0]) <= LANCZOS_TOL * abs(theta[0]):
+            return float(theta[0])
+        basis[:keep] = s[:, :keep].T @ basis[:m]
+        basis[keep] = basis[m]
+        proj[:] = 0.0
+        proj[:keep, :keep] = np.diag(theta[:keep])
+        proj[:keep, keep] = proj[keep, :keep] = beta * s[-1, :keep]
+        start = keep
+    raise NumericalError(f"spectral gap: Lanczos did not converge in {RESTARTS_PER_VERTEX * n} restarts")

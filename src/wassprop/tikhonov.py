@@ -182,8 +182,10 @@ class TikhonovOperator:
         else:
             import scipy.linalg as sla  # loaded here: only the dense path uses it
             try:
-                # A is symmetric, so LAPACK factors its Fortran-ordered copy in place
-                factor = sla.cho_factor(self.matrix.toarray(order="F"), overwrite_a=True)
+                # A is bitwise symmetric, so its CSC transpose densifies to A
+                # in Fortran order with no CSR-to-CSC conversion, and LAPACK
+                # factors that copy in place
+                factor = sla.cho_factor(self.matrix.T.toarray(), overwrite_a=True)
             except sla.LinAlgError as exc:
                 raise NumericalError(f"operator not positive definite: {exc}") from exc
             x = sla.cho_solve(factor, rhs)

@@ -413,7 +413,7 @@ def import_child(tmp_path_factory):
     """One fresh interpreter, run once for the import guards: it says whether
     `scipy.stats` is loaded right after `from wassprop import cli`, and which
     heavy scipy modules and whether `wassprop.floattext` are loaded after
-    `import wassprop`, after the cli import and after each of two commands.
+    `import wassprop`, after the cli import and after each of four commands.
     Returns its stdout lines and the directory the commands wrote in."""
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
     # together cost about a quarter of a second of start-up; the package and
@@ -422,9 +422,19 @@ def import_child(tmp_path_factory):
     work = tmp_path_factory.mktemp("imports")
     (work / "h.txt").write_text("0 1\n1 2\n")
     fileio.write_hist_labels(work / "l.csv", {0: ([-1.0], [1.0]), 2: ([1.0], [1.0])})
+    # a cycle above DENSE_EIG_LIMIT, so the report's lambda_1 is iterative,
+    # and a star above DENSE_SOLVE_LIMIT, so the solve is PCG; the star's
+    # conditioning keeps its solve short
+    cycle, star = 600, 2100
+    (work / "cycle.txt").write_text("".join(f"{v} {(v + 1) % cycle} 1.0\n" for v in range(cycle)))
+    (work / "star.txt").write_text("".join(f"0 {v} 1.0\n" for v in range(1, star)))
     experiment = ["experiment", "--blocks", "5,5", "--p-in", "0.8", "--p-out", "0.1",
                   "--labels-per-class", "1", "--trials", "2", "--alpha", "2", "--gamma", "1",
                   "--max-iters", "5", "--output", "m.csv"]
+    stability = ["stability", "--graph", "cycle.txt", "--labels", "l.csv", "--gamma", "1",
+                 "--epsilon", "0.5", "--grid-size", "8", "--output", "r.txt"]
+    solve = ["solve-tikhonov", "--graph", "star.txt", "--labels", "l.csv", "--gamma", "1",
+             "--grid-size", "8", "--output", "f.csv"]
     propagate_hist = ["propagate", "--hypergraph", "h.txt", "--labels", "l.csv", "--alpha", "2",
                       "--gamma", "1", "--grid-size", "8", "--output", "p.csv"]
     script = "\n".join([
@@ -434,6 +444,8 @@ def import_child(tmp_path_factory):
         "import wassprop", "loaded()",
         "from wassprop import cli", "print('scipy.stats:', 'scipy.stats' in sys.modules)", "loaded()",
         f"assert cli.main({experiment!r}) == 0", "loaded()",
+        f"assert cli.main({stability!r}) == 0", "loaded()",
+        f"assert cli.main({solve!r}) == 0", "loaded()",
         f"assert cli.main({propagate_hist!r}) == 0", "loaded()",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
@@ -450,9 +462,11 @@ def test_cli_import_leaves_out_scipy_stats(import_child):
 def test_commands_load_only_the_scipy_they_run(import_child):
     lines, work = import_child
     reports = [line.split()[1:] for line in lines if line.startswith("loaded:")]
-    # quantile initialization takes the standard normal quantiles from the Cephes port
-    assert reports == [[], [], [], []]
-    assert (work / "m.csv").is_file() and (work / "p.csv").is_file()
+    # quantile initialization takes the standard normal quantiles from the
+    # Cephes port, and the iterative lambda_1 is a numpy Lanczos
+    assert reports == [[], [], [], [], [], []]
+    for name in ("m.csv", "r.txt", "f.csv", "p.csv"):
+        assert (work / name).is_file()
 
 
 def test_only_block_writers_load_the_float_text_kernel(import_child):
@@ -460,8 +474,9 @@ def test_only_block_writers_load_the_float_text_kernel(import_child):
     # commands that write no (n, S) block never compile or import it
     lines, _ = import_child
     reports = [line.split()[1] for line in lines if line.startswith("floattext:")]
-    # after import wassprop, the cli import, experiment and the hist propagate
-    assert reports == ["False", "False", "False", "True"]
+    # after import wassprop, the cli import, experiment, stability, the
+    # field solve and the hist propagate
+    assert reports == ["False", "False", "False", "False", "True", "True"]
 
 
 def _entry_point_commands(tmp_path):
@@ -1135,6 +1150,11 @@ def _bad_input_cases(tmp_path):
     fileio.write_hist_labels(ends, {0: ([0.0], [1.0]), 2: ([1.0], [1.0])})
     outside = tmp_path / "outside.csv"
     outside.write_text("vertex,kind,params\n0,hist,0.0:1.0\n5,hist,1.0:1.0\n")
+    # mean + 1.53 std, the top quantile of the 8-node grid, is past the float range
+    quantile_overflow = tmp_path / "quantile_overflow.csv"
+    quantile_overflow.write_text("vertex,kind,params\n0,gauss,1e308|1e308\n1,gauss,0.0|1.0\n")
+    two_dims = tmp_path / "two_dims.csv"
+    two_dims.write_text('vertex,kind,params\n0,gauss,"0.0,0.0|1.0,1.0"\n1,gauss,"1.0,1.0|1.0,1.0"\n')
     training = ["--graph", str(graph), "--labels", str(labels), "--grid-size", "8"]
     stab = ["stability", *training]
     prop = ["propagate", "--hypergraph", str(hyper), "--alpha", "2", "--gamma", "1",
@@ -1178,6 +1198,18 @@ def _bad_input_cases(tmp_path):
         "stability-sample-outside": (["stability", "--graph", str(graph), "--labels", str(outside),
                                       "--gamma", "1.0", "--epsilon", "0.5", "--grid-size", "8"],
                                      f"{outside}, line 3: label vertex 5 outside [0, 2)"),
+        "gauss-quantile-overflow-solve": (
+            ["solve-tikhonov", "--graph", str(graph), "--labels", str(quantile_overflow),
+             "--grid-size", "8", "--gamma", "1.0", "--output", str(tmp_path / "f.csv")],
+            f"{quantile_overflow}, line 2: quantile samples must be finite"),
+        "gauss-quantile-overflow-stability": (
+            ["stability", "--graph", str(graph), "--labels", str(quantile_overflow),
+             "--gamma", "1.0", "--epsilon", "0.5", "--grid-size", "8"],
+            f"{quantile_overflow}, line 2: quantile samples must be finite"),
+        "gauss-two-dimensions-solve": (
+            ["solve-tikhonov", "--graph", str(graph), "--labels", str(two_dims),
+             "--grid-size", "8", "--gamma", "1.0", "--output", str(tmp_path / "f.csv")],
+            "quantile-field solving needs one-dimensional labels, got dimension 2"),
         "truth-vertex-huge": ([*experiment, "--hypergraph", str(hyper), "--truth", str(huge_truth)],
                               "truth file must cover vertices"),
         "truth-class-huge": ([*experiment, "--hypergraph", str(hyper), "--truth", str(huge_class)],
@@ -1240,6 +1272,8 @@ def _bad_input_cases(tmp_path):
      "truth-class-a", "graph-bad-line", "config-bad-line", "epsilon-nan-margin-negative",
      "output-dir-missing", "hist-mass-nan-propagate", "hist-mass-nan-solve", "tol-nan",
      "anchor-variance-nan", "blocks-not-int", "blocks-empty", "stability-sample-outside",
+     "gauss-quantile-overflow-solve", "gauss-quantile-overflow-stability",
+     "gauss-two-dimensions-solve",
      "truth-vertex-huge", "truth-class-huge", "hypergraph-vertex-huge", "operator-overflow",
      "gen-sbm-seed-negative", "experiment-seed-negative", "stability-empirical-seed-negative",
      "stability-empirical-swaps-zero-margin-negative",

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from wassprop import (
@@ -305,17 +304,84 @@ def test_spectral_gap_iterative_path():
     weights[(0, n - 1)] = 1.0
     g = dict_graph(n, weights)
     exact = 2.0 - 2.0 * math.cos(2.0 * math.pi / n)
-    assert spectral_gap(laplacian(g)) == pytest.approx(exact, rel=1e-8)
+    assert spectral_gap(laplacian(g)) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.fixture
+def count_matvecs(monkeypatch):
+    """The operator products of every Lanczos solve, appended one count per solve."""
+    counts = []
+    solve = hypergraph.smallest_eigenvalue
+
+    def counted(matvec, v0, norm):
+        counts.append(0)
+
+        def product(x):
+            counts[-1] += 1
+            return matvec(x)
+
+        return solve(product, v0, norm)
+
+    monkeypatch.setattr(hypergraph, "smallest_eigenvalue", counted)
+    return counts
+
+
+# name -> (n, edges, lambda_1, most products): a complete graph's and a
+# star's Krylov spaces are invariant after 2 and 3 steps, so the breakdown
+# exit returns before the basis fills; the path and the cycle may use no
+# more products than ARPACK's eigsh did on them (3271 and 761)
+CLOSED_FORMS = {
+    "complete": (600, [(i, j) for i in range(600) for j in range(i + 1, 600)], 600.0, 3),
+    "star": (700, [(0, i) for i in range(1, 700)], 1.0, 3),
+    "path": (600, [(i, i + 1) for i in range(599)], 2.0 - 2.0 * math.cos(math.pi / 600), 3271),
+    "cycle": (520, [(i, (i + 1) % 520) for i in range(520)],
+              2.0 - 2.0 * math.cos(2.0 * math.pi / 520), 761),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORMS))
+def test_spectral_gap_iterative_closed_forms(count_matvecs, case):
+    n, edges, exact, most = CLOSED_FORMS[case]
+    assert n > hypergraph.DENSE_EIG_LIMIT
+    g = WeightedGraph(n, edges, np.ones(len(edges)))
+    assert spectral_gap(laplacian(g)) == pytest.approx(exact, rel=1e-10)
+    (products,) = count_matvecs
+    assert products <= most
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spectral_gap_iterative_matches_dense_on_random_graphs(seed):
+    from conftest import random_connected_graph
+
+    rng = np.random.default_rng([47, seed])
+    n = int(rng.integers(hypergraph.DENSE_EIG_LIMIT + 1, 801))
+    g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+    dense = np.linalg.eigvalsh(laplacian(g).toarray())
+    assert spectral_gap(laplacian(g)) == pytest.approx(dense[1], rel=1e-10)
 
 
 def test_spectral_gap_no_convergence_is_numerical_error(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
-
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    # no restart: one filled basis cannot resolve the gap of a long path
+    monkeypatch.setattr(hypergraph, "RESTARTS_PER_VERTEX", 0)
     n = hypergraph.DENSE_EIG_LIMIT + 1  # the iterative path
     g = dict_graph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
-    with pytest.raises(NumericalError, match="eigsh did not converge"):
+    with pytest.raises(NumericalError, match="did not converge in 0 restarts"):
+        spectral_gap(laplacian(g))
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan])
+def test_spectral_gap_not_positive_is_numerical_error(monkeypatch, value):
+    monkeypatch.setattr(hypergraph, "smallest_eigenvalue", lambda matvec, v0, norm: value)
+    g = dict_graph(600, {(i, i + 1): 1.0 for i in range(599)})
+    with pytest.raises(NumericalError, match="eigensolver returned"):
+        spectral_gap(laplacian(g))
+
+
+def test_spectral_gap_past_the_float_range_is_numerical_error():
+    # degrees of 2e308 overflow, so the deflated operator's products do too
+    n = hypergraph.DENSE_EIG_LIMIT + 1
+    g = dict_graph(n, {(i, i + 1): 1e308 for i in range(n - 1)})
+    with pytest.raises(NumericalError, match="left the float range"):
         spectral_gap(laplacian(g))
 
 

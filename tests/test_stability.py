@@ -566,7 +566,7 @@ def test_blocked_swap_statistics_are_bit_exact(monkeypatch, S, n):
     _assert_blocked_trials_exact(TikhonovOperator(g, base, gamma), env, swaps=5, seed=n)
 
 
-def test_blocked_swap_statistics_are_bit_exact_on_a_dense_eigsh_instance():
+def test_blocked_swap_statistics_are_bit_exact_on_a_dense_lanczos_instance():
     # SWAP_BLOCK_VALUES itself: 600 rows in blocks of 8192 // 32 = 256
     op, env = _clique_instance(600, QuantileGrid(32), seed=12)
     assert hypergraph.DENSE_EIG_LIMIT < op.graph.n <= tikhonov.DENSE_SOLVE_LIMIT
@@ -576,10 +576,12 @@ def test_blocked_swap_statistics_are_bit_exact_on_a_dense_eigsh_instance():
 def test_dense_path_working_set():
     # tracemalloc sees numpy's buffers and f2py's copies for LAPACK.  The
     # Green's block factors one Fortran-ordered copy of A in place, and the
-    # operator keeps G alone; a dense copy of A kept with cho_factor's own
-    # copy read 2.0 n^2 floats, and keeping the factor held 1.0.  A swap holds
-    # the base field, the swapped one with its residual check, and a few row
-    # blocks: whole (n, S + 1) temporaries read about 7.5 fields
+    # operator keeps G alone.  The peak, 1.146 n^2 floats, is that copy,
+    # cho_factor's n^2-byte finiteness mask of it and the (n, k) blocks;
+    # copying through a CSC conversion of A read 1.160, a dense copy of A
+    # kept with cho_factor's own copy 2.0, and keeping the factor held 1.0.
+    # A swap holds the base field, the swapped one with its residual check,
+    # and a few row blocks: whole (n, S + 1) temporaries read about 7.5 fields
     n, grid = 600, QuantileGrid(64)
     op, env = _clique_instance(n, grid, seed=11)
     op.lambda1  # the CLI's report computes it before the swaps
@@ -589,7 +591,7 @@ def test_dense_path_working_set():
         start = tracemalloc.get_traced_memory()[0]
         op.green
         held, peak = tracemalloc.get_traced_memory()
-        assert peak - start <= 1.5 * dense
+        assert peak - start <= 1.15 * dense
         assert held - start <= 0.1 * dense
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 from wassprop import (
     DimensionError,
     DominatedQuantileEnvelope,
+    Hypergraph,
     InputError,
     NumericalError,
     QuantileBackend,
@@ -338,6 +339,28 @@ def test_operator_shared_across_slices(grid32):
     for s in (0, 31):
         assert np.allclose(field.values[:, s], shared.values[:, s], atol=1e-12)
         assert np.allclose(op.solve(dense_rhs(ts, g.n)[:, [s]])[:, 0], shared.values[:, s], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_operator_is_bitwise_symmetric(grid4, seed):
+    # laplacian writes both orientations of a pair with one weight,
+    # WeightedGraph refuses a repeated pair and T is diagonal, so A equals its
+    # transpose bit for bit: the dense solve densifies A.T, a CSC view of A,
+    # in Fortran order with no CSR-to-CSC conversion
+    rng = np.random.default_rng([89, seed])
+    n = int(rng.integers(2, 60))
+    if seed % 2:  # a clique expansion: weights summed over hyperedges of 2 to 6 vertices
+        edges = [rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
+                 for _ in range(n)]
+        g = clique_expand(Hypergraph(n, edges + [(v, v + 1) for v in range(n - 1)]))
+    else:
+        g = random_connected_graph(rng, n, extra_edges=n)
+    ts = random_training_set(rng, grid4, n, int(rng.integers(1, 2 * n)))  # repeats: T > 1
+    op = TikhonovOperator(g, ts, float(rng.uniform(0.01, 10.0)))
+    assert (op.matrix != op.matrix.T).nnz == 0
+    dense = op.matrix.T.toarray()
+    assert dense.flags.f_contiguous
+    assert np.array_equal(dense.view(np.int64), op.matrix.toarray(order="F").view(np.int64))
 
 
 def test_operator_solves_each_column_once(grid32, monkeypatch):
