@@ -15,6 +15,15 @@ Y_L: their right-hand-side rows).  G >= 0 entrywise, so monotone rows of Y_L
 give monotone rows of Phi; the same G, the one solve, serves every
 same-vertex swap.  The inputs are checked by the shared rules
 `check_same_grid`, `check_positive` and `check_vertex_range`.
+
+A solve of k columns takes the cheaper of two paths by `cholesky_is_cheaper`,
+a pure function of (n, nnz(A), k): a dense Cholesky factorization, about
+n^3/3 + 2 n^2 k flops, or batched Jacobi-preconditioned conjugate gradients,
+about PCG_ITERATIONS * k * (nnz(A) + n) entry updates, each at a throughput
+measured on the benchmark's clique expansions at one BLAS thread.  No A with
+more than DENSE_SOLVE_LIMIT vertices is densified.  Few labeled vertices
+(small k) thus go to PCG, which sums in a fixed order at every BLAS thread
+count; many go to Cholesky, whose blocked factorization does not.
 """
 
 from __future__ import annotations
@@ -41,7 +50,12 @@ from .labels import (
     check_same_grid,
 )
 
-DENSE_SOLVE_LIMIT = 2000     # direct Cholesky factorization up to this size
+DENSE_SOLVE_LIMIT = 2000     # memory ceiling: no A above this size is densified
+# the solve-path cost model (see cholesky_is_cheaper), measured on the
+# benchmark's clique expansions, n = 600..2000, k = 10..400, one BLAS thread
+CHOLESKY_FLOPS_PER_S = 24e9  # factor and triangular solves, densifying A included
+PCG_ITERATIONS = 22          # 19-24 there; worse-conditioned graphs take more
+PCG_ENTRIES_PER_S = 1.7e9    # one iteration of one column touches nnz(A) + n entries
 CG_RELATIVE_RESIDUAL = 1e-10
 # solve contract: ||A x - y||_inf <= RESIDUAL_TOL * max(1, ||y||_inf) + 100 eps ||A||_inf ||x||_inf;
 # the last term is the rounding floor of a backward-stable solve, which grows with m*gamma
@@ -131,8 +145,8 @@ class TikhonovOperator:
 
     It holds the Laplacian L, built once, the slice operator
     A = T + m*gamma*L and `block`, the labeled rows Y_L of the right-hand
-    sides of all slices.  Up to DENSE_SOLVE_LIMIT vertices a solve factors A
-    in place and drops the factor; above it a solve is one batched
+    sides of all slices.  A solve whose block `uses_cholesky` factors a dense
+    copy of A in place and drops the factor; any other is one batched
     Jacobi-preconditioned conjugate gradient run over the whole block.
     lambda_1 of L, the Green's columns at the labeled vertices (the one solve)
     and the solved field are computed on first use and kept."""
@@ -174,21 +188,27 @@ class TikhonovOperator:
         g.flags.writeable = False
         return g
 
+    def uses_cholesky(self, k: int) -> bool:
+        """Whether `solve` of an (n, k) block takes the dense Cholesky path."""
+        return cholesky_is_cheaper(self.graph.n, self.matrix.nnz, k)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A X = rhs for an (n, k) block, with residual check; the
-        dense path's Cholesky factor does not outlive the call."""
-        if self.graph.n > DENSE_SOLVE_LIMIT:
-            x = self._pcg(rhs)
-        else:
+        """Solve A X = rhs for an (n, k) block, with residual check, by the
+        path `uses_cholesky` picks; the dense path's Cholesky factor does not
+        outlive the call."""
+        if self.uses_cholesky(rhs.shape[1]):
             import scipy.linalg as sla  # loaded here: only the dense path uses it
             try:
                 # A is bitwise symmetric, so its CSC transpose densifies to A
                 # in Fortran order with no CSR-to-CSC conversion, and LAPACK
-                # factors that copy in place
-                factor = sla.cho_factor(self.matrix.T.toarray(), overwrite_a=True)
+                # factors that copy in place.  __init__ rejected a non-finite
+                # A, so neither call needs its n-by-n finiteness mask
+                factor = sla.cho_factor(self.matrix.T.toarray(), overwrite_a=True, check_finite=False)
             except sla.LinAlgError as exc:
                 raise NumericalError(f"operator not positive definite: {exc}") from exc
-            x = sla.cho_solve(factor, rhs)
+            x = sla.cho_solve(factor, rhs, check_finite=False)
+        else:
+            x = self._pcg(rhs)
         self.check_residual(x, rhs)
         return x
 
@@ -233,7 +253,7 @@ class TikhonovOperator:
         resid = float(np.abs(resid, out=resid).max())
         scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
         floor = 100 * np.finfo(float).eps * self.norm_inf * float(np.max(np.abs(x), initial=0.0))
-        if resid > RESIDUAL_TOL * scale + floor:
+        if not resid <= RESIDUAL_TOL * scale + floor:  # a NaN residual fails too
             raise NumericalError(
                 f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e} + {floor:.3e}"
             )
@@ -266,6 +286,19 @@ class TikhonovOperator:
         block = self.block.copy()
         block[np.searchsorted(self.labeled, vertex)] += label.values - old.values
         return self._green_field(block)
+
+
+def cholesky_is_cheaper(n: int, nnz: int, k: int) -> bool:
+    """The solve-path rule for A X = B, A of order n with nnz stored entries
+    and B of k columns: True when a dense Cholesky factorization and solve,
+    about n^3/3 + 2 n^2 k flops, is estimated to take less time than batched
+    Jacobi-PCG, about PCG_ITERATIONS * k * (nnz + n) entry updates.  Never
+    True above the DENSE_SOLVE_LIMIT memory ceiling."""
+    if n > DENSE_SOLVE_LIMIT:
+        return False
+    cholesky_s = (n ** 3 / 3 + 2 * n * n * k) / CHOLESKY_FLOPS_PER_S
+    pcg_s = PCG_ITERATIONS * k * (nnz + n) / PCG_ENTRIES_PER_S
+    return cholesky_s < pcg_s
 
 
 def _active_ratio(num: np.ndarray, den: np.ndarray, active: np.ndarray) -> np.ndarray:

@@ -413,7 +413,7 @@ def import_child(tmp_path_factory):
     """One fresh interpreter, run once for the import guards: it says whether
     `scipy.stats` is loaded right after `from wassprop import cli`, and which
     heavy scipy modules and whether `wassprop.floattext` are loaded after
-    `import wassprop`, after the cli import and after each of four commands.
+    `import wassprop`, after the cli import and after each of six commands.
     Returns its stdout lines and the directory the commands wrote in."""
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
     # together cost about a quarter of a second of start-up; the package and
@@ -428,6 +428,12 @@ def import_child(tmp_path_factory):
     cycle, star = 600, 2100
     (work / "cycle.txt").write_text("".join(f"{v} {(v + 1) % cycle} 1.0\n" for v in range(cycle)))
     (work / "star.txt").write_text("".join(f"0 {v} 1.0\n" for v in range(1, star)))
+    # empirical swaps on two stars: a 600-vertex one with 2 labeled vertices,
+    # which the cost rule sends to PCG, and a 60-vertex one with 30, which it
+    # sends to Cholesky; lambda_1 = 1 keeps both margins positive
+    for name, size in (("star600.txt", 600), ("star60.txt", 60)):
+        (work / name).write_text("".join(f"0 {v} 1.0\n" for v in range(1, size)))
+    fileio.write_hist_labels(work / "many.csv", {v: ([float(v % 3)], [1.0]) for v in range(0, 60, 2)})
     experiment = ["experiment", "--blocks", "5,5", "--p-in", "0.8", "--p-out", "0.1",
                   "--labels-per-class", "1", "--trials", "2", "--alpha", "2", "--gamma", "1",
                   "--max-iters", "5", "--output", "m.csv"]
@@ -437,6 +443,10 @@ def import_child(tmp_path_factory):
              "--grid-size", "8", "--output", "f.csv"]
     propagate_hist = ["propagate", "--hypergraph", "h.txt", "--labels", "l.csv", "--alpha", "2",
                       "--gamma", "1", "--grid-size", "8", "--output", "p.csv"]
+    empirical = ["stability", "--gamma", "1", "--epsilon", "0.5", "--grid-size", "8", "--empirical",
+                 "--swaps", "2"]
+    small_k = [*empirical, "--graph", "star600.txt", "--labels", "l.csv", "--output", "e.txt"]
+    large_k = [*empirical, "--graph", "star60.txt", "--labels", "many.csv", "--output", "d.txt"]
     script = "\n".join([
         "import sys",
         f"def loaded(): print('loaded:', *[m for m in {heavy!r} if m in sys.modules]);"
@@ -447,6 +457,8 @@ def import_child(tmp_path_factory):
         f"assert cli.main({stability!r}) == 0", "loaded()",
         f"assert cli.main({solve!r}) == 0", "loaded()",
         f"assert cli.main({propagate_hist!r}) == 0", "loaded()",
+        f"assert cli.main({small_k!r}) == 0", "loaded()",
+        f"assert cli.main({large_k!r}) == 0", "loaded()",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
                          cwd=work, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -463,10 +475,13 @@ def test_commands_load_only_the_scipy_they_run(import_child):
     lines, work = import_child
     reports = [line.split()[1:] for line in lines if line.startswith("loaded:")]
     # quantile initialization takes the standard normal quantiles from the
-    # Cephes port, and the iterative lambda_1 is a numpy Lanczos
-    assert reports == [[], [], [], [], [], []]
-    for name in ("m.csv", "r.txt", "f.csv", "p.csv"):
+    # Cephes port, the iterative lambda_1 is a numpy Lanczos, and only the
+    # last run's Green's block, 30 columns on 60 vertices, is worth a Cholesky
+    assert reports == [[], [], [], [], [], [], [], ["scipy.linalg"]]
+    for name in ("m.csv", "r.txt", "f.csv", "p.csv", "e.txt", "d.txt"):
         assert (work / name).is_file()
+    for name in ("e.txt", "d.txt"):
+        assert "empirical_ok=True" in (work / name).read_text()
 
 
 def test_only_block_writers_load_the_float_text_kernel(import_child):
@@ -475,8 +490,8 @@ def test_only_block_writers_load_the_float_text_kernel(import_child):
     lines, _ = import_child
     reports = [line.split()[1] for line in lines if line.startswith("floattext:")]
     # after import wassprop, the cli import, experiment, stability, the
-    # field solve and the hist propagate
-    assert reports == ["False", "False", "False", "False", "True", "True"]
+    # field solve, the hist propagate and the two empirical stability runs
+    assert reports == ["False", "False", "False", "False", "True", "True", "True", "True"]
 
 
 def _entry_point_commands(tmp_path):
@@ -783,6 +798,31 @@ def test_cli_propagate_gauss_rerun_identical(tmp_path):
     assert classes[0] == 0 and classes[3] == 1
 
 
+def _hist_labels(rng, n, k):
+    return {int(v): (np.sort(rng.uniform(-2.0, 2.0, 3)).tolist(), rng.dirichlet(np.ones(3)).tolist())
+            for v in rng.choice(n, k, replace=False)}
+
+
+def _outputs_at_one_and_two_blas_threads(work, argv, outputs):
+    """Run `argv` in two child interpreters at once, at one and at two BLAS
+    threads, the `{}` in each of `outputs` filled with the thread count;
+    return each child's stdout and output bytes."""
+    children = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        names = [name.format(threads) for name in outputs]
+        children[threads] = names, subprocess.Popen(
+            [sys.executable, "-m", "wassprop.cli", *[a.format(threads) for a in argv]],
+            cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    runs = []
+    for names, child in children.values():
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        runs.append((stdout, [(work / name).read_bytes() for name in names]))
+    return runs
+
+
 def test_cli_propagate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a hist-label run with k + 2 < S, so the loop steps on coefficients over
     # [anchors; standard normal quantiles; 1], and n = 160 vertices, past the
@@ -791,24 +831,35 @@ def test_cli_propagate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     n = 160
     edges = [rng.choice(n, int(rng.integers(2, 6)), replace=False) for _ in range(2 * n)]
     (tmp_path / "h.txt").write_text("".join(" ".join(map(str, e)) + "\n" for e in edges))
-    hists = {int(v): (np.sort(rng.uniform(-2.0, 2.0, 3)).tolist(), rng.dirichlet(np.ones(3)).tolist())
-             for v in rng.choice(n, 12, replace=False)}
-    fileio.write_hist_labels(tmp_path / "l.csv", hists)
+    fileio.write_hist_labels(tmp_path / "l.csv", _hist_labels(rng, n, 12))
     argv = ["propagate", "--hypergraph", "h.txt", "--labels", "l.csv", "--alpha", "20",
-            "--gamma", "10", "--grid-size", "64", "--max-iters", "40", "--seed", "5"]
-    children = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        children[threads] = subprocess.Popen(
-            [sys.executable, "-m", "wassprop.cli", *argv, "--output", f"p{threads}.csv"],
-            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    outputs = []
-    for threads, child in children.items():
-        stdout, stderr = child.communicate(timeout=120)
-        assert child.returncode == 0, stderr
-        outputs.append((stdout, (tmp_path / f"p{threads}.csv").read_bytes()))
+            "--gamma", "10", "--grid-size", "64", "--max-iters", "40", "--seed", "5",
+            "--output", "p{}.csv"]
+    outputs = _outputs_at_one_and_two_blas_threads(tmp_path, argv, ["p{}.csv"])
     assert outputs[0][0].startswith("iterations=")
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_small_k_stability_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 6 labeled vertices of n = 600: the Green's block goes to PCG, whose sums
+    # follow no thread count, and lambda_1 to the Lanczos iteration (n is
+    # above DENSE_EIG_LIMIT).  A Cholesky factor past n ~ 128 changes its
+    # bits with the thread count, and so did these outputs while n alone
+    # chose the path
+    rng = np.random.default_rng(62)
+    n = 600
+    pairs = {tuple(sorted((v, (v + 1) % n))) for v in range(n)}
+    while len(pairs) < 3 * n:
+        pairs.add(tuple(sorted(rng.choice(n, 2, replace=False).tolist())))
+    (tmp_path / "g.txt").write_text("".join(f"{i} {j} {rng.uniform(0.5, 2.0)!r}\n" for i, j in sorted(pairs)))
+    fileio.write_hist_labels(tmp_path / "l.csv", _hist_labels(rng, n, 6))
+    assert n > hypergraph.DENSE_EIG_LIMIT
+    assert not tikhonov.cholesky_is_cheaper(n, n + 2 * len(pairs), 6)  # nnz(A) = n + 2|E|
+    argv = ["stability", "--graph", "g.txt", "--labels", "l.csv", "--gamma", "1.5", "--epsilon", "0.5",
+            "--grid-size", "32", "--empirical", "--swaps", "3", "--ratios", "r{}.csv", "--seed", "7",
+            "--output", "o{}.txt"]
+    outputs = _outputs_at_one_and_two_blas_threads(tmp_path, argv, ["o{}.txt", "r{}.csv"])
+    assert b"empirical_ok=True" in outputs[0][1][0]
     assert outputs[0] == outputs[1]
 
 

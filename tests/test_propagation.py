@@ -936,6 +936,7 @@ def test_star_expansion_solve_is_a_fixed_point_of_step(monkeypatch, alpha, dense
         monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", star.n - 1)
     ts = TrainingSet(sorted(targets.items()))
     op = TikhonovOperator(star, ts, 1.0 / (ts.m * alpha * gamma))
+    assert op.uses_cholesky(op.labeled.size) == dense
     solution = op.field().values
     x, y = solution[: h.n], solution[h.n:]
     cfg = PropagationConfig(alpha=alpha, gamma=gamma)

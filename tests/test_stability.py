@@ -338,7 +338,7 @@ def test_swap_update_matches_fresh_solve(grid32, monkeypatch, cg_path):
         # vertex 2 carries two samples: multiplicity 2 in T
         rng, g, base = _swap_instance(seed, grid32, 12, [0, 2, 2, 7, 11])
         op = TikhonovOperator(g, base, gamma=0.8)
-        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
+        assert op.uses_cholesky(op.labeled.size) != cg_path
         for idx in range(base.m):
             label = random_monotone_label(rng, grid32)
             updated = op.swapped_field(idx, label).values
@@ -567,23 +567,43 @@ def test_blocked_swap_statistics_are_bit_exact(monkeypatch, S, n):
 
 
 def test_blocked_swap_statistics_are_bit_exact_on_a_dense_lanczos_instance():
-    # SWAP_BLOCK_VALUES itself: 600 rows in blocks of 8192 // 32 = 256
+    # SWAP_BLOCK_VALUES itself: 600 rows in blocks of 8192 // 32 = 256; the
+    # cost rule keeps this 12-column block on Cholesky
     op, env = _clique_instance(600, QuantileGrid(32), seed=12)
-    assert hypergraph.DENSE_EIG_LIMIT < op.graph.n <= tikhonov.DENSE_SOLVE_LIMIT
+    assert hypergraph.DENSE_EIG_LIMIT < op.graph.n and op.uses_cholesky(op.labeled.size)
     _assert_blocked_trials_exact(op, env, swaps=3, seed=5)
+
+
+def test_small_k_green_block_densifies_no_a():
+    # the benchmark's stability shape, n = 1000 and k = 20: the cost rule sends
+    # the block to PCG, whose peak is about 8.1 (n, k) blocks (x, r, p, z, A p,
+    # the unit columns and two products), 0.16 n^2 floats; Cholesky read 1.08
+    n = 1000
+    op, _ = _clique_instance(n, QuantileGrid(64), seed=11)
+    k = op.labeled.size
+    assert not op.uses_cholesky(k)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op.green
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n * k * 8
 
 
 def test_dense_path_working_set():
     # tracemalloc sees numpy's buffers and f2py's copies for LAPACK.  The
     # Green's block factors one Fortran-ordered copy of A in place, and the
-    # operator keeps G alone.  The peak, 1.146 n^2 floats, is that copy,
-    # cho_factor's n^2-byte finiteness mask of it and the (n, k) blocks;
-    # copying through a CSC conversion of A read 1.160, a dense copy of A
-    # kept with cho_factor's own copy 2.0, and keeping the factor held 1.0.
+    # operator keeps G alone.  The peak, 1.081 n^2 floats, is that copy and
+    # the (n, k) blocks; cho_factor's n^2-byte finiteness masks read 1.146,
+    # copying through a CSC conversion of A 1.160, a dense copy of A kept
+    # with cho_factor's own copy 2.0, and keeping the factor held 1.0.
     # A swap holds the base field, the swapped one with its residual check,
     # and a few row blocks: whole (n, S + 1) temporaries read about 7.5 fields
     n, grid = 600, QuantileGrid(64)
     op, env = _clique_instance(n, grid, seed=11)
+    assert op.uses_cholesky(op.labeled.size)  # 12 columns: the cost rule's Cholesky side
     op.lambda1  # the CLI's report computes it before the swaps
     dense, field = n * n * 8, n * grid.size * 8
     tracemalloc.start()
@@ -591,7 +611,7 @@ def test_dense_path_working_set():
         start = tracemalloc.get_traced_memory()[0]
         op.green
         held, peak = tracemalloc.get_traced_memory()
-        assert peak - start <= 1.15 * dense
+        assert peak - start <= 1.09 * dense
         assert held - start <= 0.1 * dense
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]

@@ -395,7 +395,7 @@ def test_green_columns_nonnegative(grid32, monkeypatch, cg_path):
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
-        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
+        assert op.uses_cholesky(op.labeled.size) != cg_path
         assert op.green.shape == (n, len(ts.labeled_vertices))
         assert np.all(op.green >= 0.0)
 
@@ -411,7 +411,8 @@ def test_field_matches_block_solve_of_rhs(grid32, monkeypatch, cg_path, tol):
         g = random_connected_graph(rng, n, extra_edges=n)
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
-        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
+        assert op.uses_cholesky(op.labeled.size) != cg_path
+        assert op.uses_cholesky(grid32.size) != cg_path
         assert np.max(np.abs(op.field().values - op.solve(dense_rhs(ts, n)))) <= tol
 
 
@@ -436,7 +437,7 @@ def test_labeled_block_is_the_dense_rhs_bit_for_bit(grid32, monkeypatch, cg_path
         n = int(rng.integers(8, 30))
         g, ts = _repeated_vertex_instance(rng, grid32, n)
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.2, 3.0)))
-        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
+        assert op.uses_cholesky(op.labeled.size) != cg_path
         dense = dense_rhs(ts, n)
         assert ts.block.tobytes() == dense[ts.labeled_vertices].tobytes()
         assert op.block is ts.block and not op.block.flags.writeable
@@ -460,7 +461,7 @@ def test_corrupted_green_block_fails_field_and_swap(grid32, monkeypatch, cg_path
         monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
     g, ts = _repeated_vertex_instance(np.random.default_rng(94), grid32, 20)
     op = TikhonovOperator(g, ts, gamma=1.0)
-    assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
+    assert op.uses_cholesky(op.labeled.size) != cg_path
     corrupt = op.green.copy()
     corrupt[:, -1] += 1e-7
     monkeypatch.setitem(vars(op), "green", corrupt)
@@ -517,7 +518,7 @@ def test_large_gamma_solve_meets_contract(grid32, monkeypatch, cg_path, gamma):
     rng = np.random.default_rng(91)
     g = random_connected_graph(rng, 20, extra_edges=20)
     op = TikhonovOperator(g, random_training_set(rng, grid32, 20, 40), gamma)
-    assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
+    assert op.uses_cholesky(op.labeled.size) != cg_path
     exact = np.linalg.solve(op.matrix.toarray(), dense_rhs(op.training, 20))
     assert np.max(np.abs(op.field().values - exact)) <= 1e-8
 
@@ -536,12 +537,46 @@ def test_cg_path_large_graph():
     )
     op = TikhonovOperator(g, ts, gamma=5.0)
     field = op.field()
-    assert op.graph.n > tikhonov.DENSE_SOLVE_LIMIT  # the conjugate-gradient path
+    assert not op.uses_cholesky(op.labeled.size)  # above the memory ceiling: PCG
     assert field.values.shape == (n, 4)
     assert np.all(np.diff(field.values, axis=1) >= -1e-9)
     # spot-check one slice against the oracle on the tridiagonal system
     dense = np.linalg.solve(op.matrix.toarray(), dense_rhs(ts, n)[:, 2])
     assert np.max(np.abs(field.values[:, 2] - dense)) <= 1e-8
+
+
+# nnz(A) of the benchmark generator's clique expansions: 3n hyperedges of 2 to
+# 7 vertices in two planted blocks
+CLIQUE_NNZ = {600: 32444, 1000: 55786, 1500: 85876, 2000: 114820}
+# the sweep the cost constants were fitted to: Green's blocks of k columns on
+# those graphs at gamma 1.5, ms by Cholesky / by PCG (one BLAS thread, min of 3)
+SOLVE_SWEEP = {
+    600: {10: (4.9, 4.8), 20: (5.5, 8.3), 50: (6.9, 17.4), 100: (9.4, 33.7), 200: (14.5, 69.3)},
+    1000: {10: (17.0, 7.7), 20: (19.0, 14.4), 50: (21.8, 32.9), 100: (26.6, 61.2),
+           200: (35.3, 130.9), 400: (57.1, 313.0)},
+    1500: {10: (48.1, 13.9), 20: (50.3, 20.7), 50: (55.8, 48.1), 100: (64.3, 101.0),
+           200: (83.0, 230.0), 400: (120.0, 525.0)},
+    2000: {10: (96.7, 18.0), 20: (98.0, 28.1), 50: (106.0, 69.0), 100: (120.0, 158.0),
+           200: (154.0, 319.0), 400: (200.0, 759.0)},
+}
+
+
+def test_solve_path_rule():
+    rule = tikhonov.cholesky_is_cheaper
+    assert not rule(1000, CLIQUE_NNZ[1000], 20)  # the stability workload's Green's block
+    assert rule(1000, CLIQUE_NNZ[1000], 400)
+    assert not rule(2000, CLIQUE_NNZ[2000], 10)
+    n = tikhonov.DENSE_SOLVE_LIMIT + 1
+    for k in (0, 1, 20, 400, n, 100 * n):
+        for nnz in (n, 10 * n, n * n):
+            assert not rule(n, nnz, k)  # above the memory ceiling nothing is densified
+
+
+@pytest.mark.parametrize("n", sorted(SOLVE_SWEEP))
+def test_solve_path_rule_picks_the_faster_side_of_the_sweep(n):
+    for k, (cholesky_ms, pcg_ms) in SOLVE_SWEEP[n].items():
+        if max(cholesky_ms, pcg_ms) > 1.2 * min(cholesky_ms, pcg_ms):
+            assert tikhonov.cholesky_is_cheaper(n, CLIQUE_NNZ[n], k) == (cholesky_ms < pcg_ms), k
 
 
 def _per_column_cg(op, b):
@@ -581,8 +616,8 @@ def test_block_solve_matches_per_column_cg(grid32, monkeypatch, cg_path):
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
         ts = random_training_set(rng, grid32, n, int(rng.integers(1, n)))
         op = TikhonovOperator(g, ts, gamma=float(rng.uniform(0.05, 5.0)))
-        assert (op.graph.n > tikhonov.DENSE_SOLVE_LIMIT) == cg_path
         for b in (_unit_columns(op), dense_rhs(ts, n)):
+            assert op.uses_cholesky(b.shape[1]) != cg_path
             ref = _per_column_cg(op, b)
             assert np.max(np.abs(op.solve(b) - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -590,7 +625,7 @@ def test_block_solve_matches_per_column_cg(grid32, monkeypatch, cg_path):
 def test_block_solve_matches_per_column_cg_on_path():
     # the n=2100 path graph of test_cg_path_large_graph: far more iterations
     op = _path_instance(2100)
-    assert op.graph.n > tikhonov.DENSE_SOLVE_LIMIT
+    assert not op.uses_cholesky(op.labeled.size)
     ref = _per_column_cg(op, _unit_columns(op))
     assert np.max(np.abs(op.green - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -614,6 +649,23 @@ def test_block_columns_stop_on_their_own(grid32, monkeypatch):
     assert np.array_equal(x[:, 0], y[:, 0])
     assert np.array_equal(x[:, 1], 2.0 * x[:, 0])
     assert not x[:, 2].any() and not y[:, 2].any()
+
+
+@pytest.mark.parametrize("cg_path", [False, True])
+def test_nan_right_hand_side_is_numerical_error(grid32, monkeypatch, cg_path):
+    # Cholesky runs without LAPACK's finiteness masks, so a NaN right-hand
+    # side reaches the residual check as a NaN residual, which fails the
+    # contract; PCG breaks down on it first
+    if cg_path:
+        monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)
+    rng = np.random.default_rng(96)
+    g = random_connected_graph(rng, 20, extra_edges=20)
+    op = TikhonovOperator(g, random_training_set(rng, grid32, 20, 4), gamma=1.0)
+    rhs = np.ones((20, 2))
+    rhs[3, 1] = np.nan
+    assert op.uses_cholesky(2) != cg_path
+    with pytest.raises(NumericalError):
+        op.solve(rhs)
 
 
 @pytest.mark.parametrize("instance", ["path", "random"])
