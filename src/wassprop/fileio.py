@@ -10,7 +10,10 @@ hyperedge per line as whitespace-separated 0-based vertex indices; graph
 files hold lines `i j w`.  All floats are written with `.` decimals via repr
 (shortest round-trip).  The block writers, `write_field` and the quantile
 rows of `write_predictions`, make repr's exact text for a whole (n, S)
-block at a time through `floattext.repr_rows`.  Every output file is
+block through `floattext.repr_rows`, which streams it through orjson one
+chunk of at most `floattext.CHUNK` values at a time and relays out the
+three kinds of value orjson writes unlike repr (1e-5 <= |x| < 1e-4,
+one-digit and positive exponents, and nan and ±inf).  Every output file is
 written by `write_lines`, so every line ends in `\n` on every platform, and
 `_csv_field` is the one CSV quoting rule: a field holding `,`, `"` or a
 newline is quoted, its inner quotes doubled.  `_read_lines` opens every

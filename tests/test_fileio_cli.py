@@ -412,8 +412,9 @@ def test_trace_and_incidence(tmp_path):
 def import_child(tmp_path_factory):
     """One fresh interpreter, run once for the import guards: it says whether
     `scipy.stats` is loaded right after `from wassprop import cli`, and which
-    heavy scipy modules and whether `wassprop.floattext` are loaded after
-    `import wassprop`, after the cli import and after each of six commands.
+    heavy scipy modules and whether `wassprop.floattext` and orjson are
+    loaded after `import wassprop`, after the cli import and after each of
+    six commands.
     Returns its stdout lines and the directory the commands wrote in."""
     # scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph and scipy.special
     # together cost about a quarter of a second of start-up; the package and
@@ -450,7 +451,8 @@ def import_child(tmp_path_factory):
     script = "\n".join([
         "import sys",
         f"def loaded(): print('loaded:', *[m for m in {heavy!r} if m in sys.modules]);"
-        " print('floattext:', 'wassprop.floattext' in sys.modules)",
+        " print('floattext:', 'wassprop.floattext' in sys.modules);"
+        " print('orjson:', 'orjson' in sys.modules)",
         "import wassprop", "loaded()",
         "from wassprop import cli", "print('scipy.stats:', 'scipy.stats' in sys.modules)", "loaded()",
         f"assert cli.main({experiment!r}) == 0", "loaded()",
@@ -492,6 +494,9 @@ def test_only_block_writers_load_the_float_text_kernel(import_child):
     # after import wassprop, the cli import, experiment, stability, the
     # field solve, the hist propagate and the two empirical stability runs
     assert reports == ["False", "False", "False", "False", "True", "True", "True", "True"]
+    # orjson, the kernel's ~8 ms import, comes with it: not after import
+    # wassprop or experiment, and after the hist propagate
+    assert [line.split()[1] for line in lines if line.startswith("orjson:")] == reports
 
 
 def _entry_point_commands(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from wassprop import (Hypergraph, QuantileBackend, QuantileField, QuantileGrid, fileio,
                       quantile_from_histogram)
-from wassprop.floattext import CHUNK, _tables, repr_rows
+from wassprop.floattext import CHUNK, repr_rows
 from wassprop.propagation import LabeledSubset, PropagationConfig, classify, propagate
 
 EDGES = [1e-05, 0.0001, 1e16, 9999999999999998.0, 5e-324, 2.2250738585072014e-308,
@@ -60,6 +60,34 @@ def test_repr_rows_is_repr_of_edge_values():
     assert_repr_rows(np.stack((powers, np.nextafter(powers, 0.0), -np.nextafter(powers, np.inf))))
 
 
+# one of each token orjson lays out unlike repr: 1e-5 <= |x| < 1e-4 with 1
+# and 17 digits, the one-digit exponents e-06..e-09, the positive exponents
+# and nan, inf and -inf; beside them e-10, ±0.0 and subnormals, which it
+# lays out as repr does
+RELAID = [1e-05, -3e-05, 2.0000000000000005e-05, -2.0000000000000005e-05,
+          2.5e-06, -1e-07, 3.0000000000000004e-07, 7.25e-08, -1.0000000000000003e-09, 1e-10,
+          1e+16, -1.0000000000000002e+16, 1e+100, -1.7976931348623157e+308,
+          float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -4.9e-322]
+
+
+@pytest.mark.parametrize("sep", [",", ";"])
+@pytest.mark.parametrize("value", RELAID, ids=repr)
+def test_relaid_token_first_last_and_across_a_chunk_end(value, sep):
+    rng = np.random.default_rng(34)
+    block = rng.standard_normal((3, 5))
+    block[0, 0] = block[1, -1] = value  # first in a row, last in a row
+    assert_repr_rows(block, sep)
+    # rows of 3 values go CHUNK // 3 rows to a chunk: the value ends one
+    # chunk and starts the next
+    block = rng.standard_normal((CHUNK // 3 + 1, 3))
+    block[CHUNK // 3 - 1, -1] = block[CHUNK // 3, 0] = value
+    assert_repr_rows(block, sep)
+    # a row wider than a chunk goes in pieces of CHUNK values
+    row = rng.standard_normal(CHUNK + 2)
+    row[[0, CHUNK - 1, CHUNK, -1]] = value
+    assert_repr_rows(row[None, :], sep)
+
+
 def test_repr_rows_takes_any_2d_float_block():
     values = np.arange(12.0).reshape(3, 4) / 7.0
     assert_repr_rows(values.T)  # not C-contiguous
@@ -70,12 +98,6 @@ def test_repr_rows_takes_any_2d_float_block():
             list(repr_rows(values, bad_sep))
     with pytest.raises(ValueError, match="2-D"):
         list(repr_rows(values.ravel(), ","))
-
-
-def test_multiplier_shift_of_every_exponent_is_in_the_kernel_range():
-    # _mul_shift's limb carries assume a shift in [118, 125] for finite doubles
-    shift = _tables().shift[:2047].astype(np.intp) + 112
-    assert shift.min() == 118 and shift.max() == 125
 
 
 def test_block_writers_write_the_joined_reference(tmp_path):

@@ -1,9 +1,11 @@
 """Import lint: every name a package module imports is used there, the
-package's own imports are exactly its `__all__`, and the package imports no
-scipy module but the ones it is allowed."""
+package's own imports are exactly its `__all__`, the package imports no
+scipy module but the ones it is allowed, and no third-party package but
+numpy, scipy and, in `floattext` alone, orjson."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,10 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # solve; the spectral gap's Lanczos and the CG solve are numpy code, so no
 # command pays the start-up of scipy.sparse.linalg
 ALLOWED_SCIPY = ("scipy.sparse", "scipy.linalg")
+# the third-party packages each module may import: numpy and scipy anywhere,
+# orjson only in the float text kernel
+THIRD_PARTY = {"numpy", "scipy"}
+ALLOWED_THIRD_PARTY = {"floattext.py": THIRD_PARTY | {"orjson"}}
 
 
 def _imported_names(tree: ast.Module):
@@ -75,3 +81,28 @@ def test_scipy_lint_sees_every_import_form():
 def test_only_allowed_scipy_modules(module):
     banned = sorted(set(_scipy_modules(_parse(module))) - set(ALLOWED_SCIPY))
     assert not banned, f"{module} imports {banned}; the package may import only {ALLOWED_SCIPY}"
+
+
+def _top_level_packages(tree: ast.Module):
+    """The top-level package of each absolute import, anywhere in the
+    module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_third_party_lint_sees_every_import_form():
+    source = ("import orjson\nimport numpy as np\nfrom scipy.sparse import csr_matrix\n"
+              "from . import errors\nimport os.path\nfrom __future__ import annotations\n"
+              "def f():\n    import yaml\n")
+    assert list(_top_level_packages(ast.parse(source))) == [
+        "orjson", "numpy", "scipy", "os", "__future__", "yaml"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_allowed_third_party_packages(module):
+    allowed = ALLOWED_THIRD_PARTY.get(module, THIRD_PARTY)
+    foreign = sorted(set(_top_level_packages(_parse(module))) - allowed - sys.stdlib_module_names)
+    assert not foreign, f"{module} imports {foreign}; it may import only {sorted(allowed)}"
