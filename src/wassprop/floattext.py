@@ -108,7 +108,7 @@ def repr_rows(block: np.ndarray, sep: str) -> Iterator[str]:
     values = np.ascontiguousarray(block, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"repr_rows needs a 2-D block, got {values.ndim} dimensions")
-    if len(sep) != 1 or not sep.isascii() or sep in "\n\0":
+    if len(sep) != 1 or not sep.isascii() or sep == "\n":
         raise ValueError(f"repr_rows needs one ASCII separator other than a newline, got {sep!r}")
     rows, width = values.shape
     if width == 0:

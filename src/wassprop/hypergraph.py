@@ -149,11 +149,18 @@ class Hypergraph:
 
 
 def first_duplicate(pairs: np.ndarray) -> int:
-    """Index of the first row of an (m, 2) pair array that repeats an earlier
-    row, or -1.  A stable sort puts equal rows next to each other in input
-    order, so every row after the first of its run is a repeat."""
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    ranked = pairs[order]
+    """Index of the first row of an (m, 2) integer pair array that repeats an
+    earlier row, or -1.  A stable sort of one int64 key per row, (i - lo) *
+    span + (j - lo), or a lexsort where span^2 overflows int64, puts equal rows
+    next to each other in input order: each row after the first of its run repeats."""
+    lo, hi = (int(pairs.min()), int(pairs.max())) if pairs.size else (0, 0)
+    if (hi - lo + 1) ** 2 <= np.iinfo(np.int64).max:
+        shifted = np.subtract(pairs, lo, dtype=np.int64)
+        ranked = shifted[:, :1] * (hi - lo + 1) + shifted[:, 1:]
+        order = np.argsort(ranked[:, 0], kind="stable")
+    else:
+        ranked, order = pairs, np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ranked = ranked[order]
     repeats = order[1:][np.all(ranked[1:] == ranked[:-1], axis=1)]
     return int(repeats.min()) if repeats.size else -1
 

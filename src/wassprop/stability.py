@@ -19,13 +19,13 @@ which beta, the bounds and the swap harness all go through; it only warns in
 
 The empirical harness replaces single training labels and verifies, on each
 swap, that the measured per-slice solution shift and the measured cost shift
-stay below their theoretical bounds.  A swap keeps the vertex, so A does
-not change: each swapped field is `TikhonovOperator.swapped_field`, the
-instance's Green's columns applied to the shifted labeled right-hand side,
-checked like a fresh solve.  The cost shift is measured over the probe
-class of monotone labels with values in [-c, c], c = min phi, all dominated
-by the envelope.  It is linear in the probe, so its supremum over that class
-is reached at a step probe and one prefix sum per swap gives it exactly.
+stay below their theoretical bounds.  A swap keeps the vertex v, so A does
+not change and the field moves by g delta^T, g the Green's column of v and
+delta the new label minus the old: both shifts come in closed form from g
+and w = G Y_L delta, checked like a fresh solve.  The cost shift is measured
+over the probe class of monotone labels with values in [-c, c], c = min phi,
+all dominated by the envelope.  It is linear in the probe, so its supremum
+over that class is reached at a step probe, at an extreme prefix sum of delta.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .labels import DominatedQuantileEnvelope, QuantileLabel
 from .tikhonov import TikhonovOperator
 
 RATIO_SLACK = 1e-9  # measured/bound ratios above 1 + slack indicate a defect
-SWAP_BLOCK_VALUES = 1 << 13  # floats per row block of a swap's statistics (64 KiB)
 
 
 def stability_margin(m: int, gamma: float, lambda1: float, T: int) -> float:
@@ -241,25 +240,6 @@ def check_swap_plan(swaps: int, seed) -> int:
     return seed
 
 
-def _swap_shifts(x: np.ndarray, x_swapped: np.ndarray, c: float) -> Tuple[np.ndarray, float]:
-    """The per-slice shifts max_v |x - x'| of two (n, S) fields, and the
-    largest cost shift over the step probes of level c, not finite when one
-    is not.  Rows run in blocks of about SWAP_BLOCK_VALUES floats; each row's
-    arithmetic is the same in any block, and blocks combine by exact maxima."""
-    rows = max(1, SWAP_BLOCK_VALUES // x.shape[1])
-    shift, worst = np.zeros(x.shape[1]), []
-    for lo in range(0, x.shape[0], rows):
-        a, b = x[lo:lo + rows], x_swapped[lo:lo + rows]
-        d = a - b
-        np.maximum(shift, np.max(np.abs(d), axis=0), out=shift)
-        prefix = np.zeros((d.shape[0], d.shape[1] + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller raises an overflow
-            np.cumsum(d, axis=1, out=prefix[:, 1:])
-            shifts = np.einsum("vs,vs->v", d, a + b)[:, None] - 2.0 * c * (prefix[:, -1:] - 2.0 * prefix)
-        worst.append(np.max(np.abs(shifts)))
-    return shift, float(np.max(worst)) / x.shape[1]
-
-
 def empirical_stability(
     op: TikhonovOperator,
     swaps: int,
@@ -268,14 +248,14 @@ def empirical_stability(
 ) -> EmpiricalStabilityReport:
     """Stress-test the bounds on `swaps` random single-label replacements.
 
-    Each trial replaces one training label (same vertex) with a fresh
-    envelope-dominated label, obtains the swapped field from
-    `TikhonovOperator.swapped_field`, and measures (a) the worst per-slice
-    solution shift relative to its bound and (b) the worst cost shift at any
-    vertex relative to beta.  The cost shift's probe class is every monotone
-    label with values in [-c, c], c = min phi, and `cost_shift_ratio` is its
-    exact supremum over that class.  A measured value beyond its proven bound
-    raises, since that indicates a solver defect.
+    Each trial replaces one training label (same vertex v) with a fresh
+    envelope-dominated label and measures, relative to their bounds, (a) the
+    worst per-slice solution shift and (b) the worst cost shift at any vertex,
+    exactly over the probe class of monotone labels with values in [-c, c],
+    c = min phi.  Both come in closed form from the Green's column g of v and
+    w = G Y_L delta (the field moves by g delta^T, delta the new label minus
+    the old), so no (n, S) field is formed.  A measured value beyond its
+    proven bound raises, since that indicates a solver defect.
     """
     seed = check_swap_plan(swaps, seed)
     op.training.check_dominated(envelope)
@@ -289,16 +269,20 @@ def empirical_stability(
     c = float(envelope.phi.min())
 
     rng = np.random.default_rng(seed)
-    base_field = op.field().values
-
     trials: List[SwapTrial] = []
     for k in range(swaps):
         idx = int(rng.integers(0, op.m))
-        # the swapped field is not bound here, so the next swap's solve does not hold it
-        shift, worst_shift = _swap_shifts(
-            base_field, op.swapped_field(idx, _random_dominated_label(rng, envelope)).values, c
-        )
-        # (a) per-slice shift against coeff * M_s with M_s = phi(s_j)
+        vertex, old = op.training.sample(idx)
+        delta = _random_dominated_label(rng, envelope).values - old.values
+        # [g, w] = G [e_v, Y_L delta], checked as a solve, in einsum's thread-independent order
+        rhs = np.stack((op.labeled == vertex, np.einsum("ks,s->k", op.block, delta)), axis=1)
+        gw = np.einsum("vk,kj->vj", op.green, rhs)
+        op.check_residual(gw, rhs, op.labeled)
+        g, w = gw.T
+        size = np.abs(g)
+
+        # (a) per-slice shift max_v |g_v delta_s| against coeff * M_s with M_s = phi(s_j)
+        shift = size.max() * np.abs(delta)
         ratios = np.where(bound > 0, shift / np.where(bound > 0, bound, 1.0), 0.0)
         zero_bound = (bound == 0) & (shift > RATIO_SLACK)
         if zero_bound.any():
@@ -306,9 +290,15 @@ def empirical_stability(
         slice_ratio = float(ratios.max())
 
         # (b) cost shift (1/S)(||x - p||^2 - ||x' - p||^2) = (1/S)(x - x').(x + x' - 2p)
-        # against beta.  It is linear in p, so over monotone p in [-c, c] its
-        # extremes are at the S+1 step probes, -c before node t and +c from t
-        # on, where (x - x').p = c(D_S - 2 D_t) with D_t the prefix sum of x - x'.
+        # against beta: linear in p, so over monotone p in [-c, c] extreme at the S+1
+        # step probes, -c before node t and +c from t on.  With x_v - x'_v = -g_v delta,
+        # x_v.delta = w_v and D_t the prefix sums of delta, at vertex v and step t it is
+        # -g_v (u_v + 4c D_t), u_v = 2 w_v + g_v ||delta||^2 - 2c D_S: worst at an extreme D_t.
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises just below
+            prefix = np.cumsum(np.concatenate(([0.0], delta)))
+            u = 2.0 * w + g * np.einsum("s,s->", delta, delta) - 2.0 * c * prefix[-1]
+            steps = np.maximum(np.abs(u + 4.0 * c * prefix.max()), np.abs(u + 4.0 * c * prefix.min()))
+            worst_shift = float(np.max(size * steps)) / delta.size
         if not math.isfinite(worst_shift):
             raise NumericalError(f"swap {k}: the cost shift overflows the float range")
         cost_ratio = worst_shift / beta_value if beta_value > 0 else (0.0 if worst_shift == 0 else np.inf)

@@ -181,10 +181,13 @@ class TikhonovOperator:
     @cached_property
     def green(self) -> np.ndarray:
         """G = A^{-1} E_L, shape (n, k), read-only: column i is the response
-        to a unit right-hand side at the i-th labeled vertex."""
+        to a unit right-hand side at the i-th labeled vertex.  A is an
+        M-matrix, so G >= 0; an entry below -MONOTONE_SLACK raises."""
         units = np.zeros((self.graph.n, self.labeled.size))
         units[self.labeled, np.arange(self.labeled.size)] = 1.0
         g = self.solve(units)
+        if g.min() < -MONOTONE_SLACK:
+            raise NumericalError(f"Green's block entry {g.min():.3e} < -{MONOTONE_SLACK:.0e}; solver defect")
         g.flags.writeable = False
         return g
 

@@ -96,6 +96,8 @@ def test_repr_rows_takes_any_2d_float_block():
     for bad_sep in ("", ",,", "\n", "é"):
         with pytest.raises(ValueError, match="separator"):
             list(repr_rows(values, bad_sep))
+    # the separator goes in after the relayout, so "\0" is a separator like any other
+    assert_repr_rows(np.array([RELAID, RELAID[::-1]]), "\0")
     with pytest.raises(ValueError, match="2-D"):
         list(repr_rows(values.ravel(), ","))
 

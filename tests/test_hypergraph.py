@@ -179,6 +179,41 @@ def test_clique_expand_accumulates():
     assert g[(0, 1)] == pytest.approx(1.0 / 9.0)
 
 
+def _lexsort_first_duplicate(pairs):
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ranked = pairs[order]
+    repeats = order[1:][np.all(ranked[1:] == ranked[:-1], axis=1)]
+    return int(repeats.min()) if repeats.size else -1
+
+
+@pytest.mark.parametrize("lo, width", [
+    (0, 40), (-20, 40), (2**40 - 30, 40),  # one int64 key per pair
+    (0, 2**40), (2**40, 2**40 + 7),  # span^2 overflows int64: lexsort
+])
+def test_first_duplicate_is_the_lexsort_index(monkeypatch, lo, width):
+    # random pairs with repeats, distinct pairs in file order, then shuffled,
+    # then with one repeat put back; each index against a lexsort's
+    rng = np.random.default_rng(abs(lo) % 1000 + width % 1000)
+    sets = [np.array([[lo, lo + width - 1]] * 2)]
+    for m in (0, 1, 2, 5, 60, 400):
+        sets.append(rng.integers(lo, lo + width, (m, 2)))
+        distinct = np.unique(rng.integers(lo, lo + width, (m, 2)), axis=0)  # sorted, as a file may be
+        sets += [distinct, rng.permutation(distinct)]
+        if len(distinct) > 1:
+            shuffled = rng.permutation(distinct)
+            sets.append(np.insert(shuffled, rng.integers(1, len(shuffled)), shuffled[0], axis=0))
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+    for pairs in sets:
+        expected = _lexsort_first_duplicate(pairs)
+        lexsorts.clear()
+        assert hypergraph.first_duplicate(pairs) == expected
+        span = int(pairs.max()) - int(pairs.min()) + 1 if pairs.size else 1
+        assert lexsorts == ([] if span * span < 2**63 else [1])
+    assert {_lexsort_first_duplicate(p) >= 0 for p in sets} == {True, False}
+
+
 def test_clique_expand_duplicate_hyperedges():
     g = clique_expand(Hypergraph(2, [(0, 1), (0, 1)]))
     assert edge_dict(g)[(0, 1)] == pytest.approx(0.5)

@@ -33,7 +33,7 @@ from wassprop import (
 )
 from wassprop import hypergraph, stability, tikhonov
 from wassprop.labels import check_quantile_samples
-from wassprop.stability import SwapTrial, _random_dominated_label
+from wassprop.stability import _random_dominated_label
 from wassprop.tikhonov import TikhonovOperator
 from conftest import dict_graph, random_connected_graph, random_monotone_label
 
@@ -491,15 +491,26 @@ def test_swap_index_outside_samples_rejected(grid32, index):
 
 
 def test_swapped_fields_pass_monotonicity_check(grid32, monkeypatch):
+    # a swapped field is G times monotone label rows, so G >= 0 keeps it
+    # monotone: the harness reads G through its sign check, then checks each
+    # swap's (n, 2) block [g, w] by one residual check of a fresh solve
     _, g, base = _swap_instance(7, grid32, 10, [0, 3, 9])
-    checked = []
-    original = tikhonov.monotone_field
-    monkeypatch.setattr(
-        tikhonov, "monotone_field", lambda grid, phi: checked.append(1) or original(grid, phi)
-    )
     env = DominatedQuantileEnvelope(grid32, np.full(32, 2.0))
+    checked = []
+    original = TikhonovOperator.check_residual
+    monkeypatch.setattr(TikhonovOperator, "check_residual",
+                        lambda self, x, *args: checked.append(x.shape) or original(self, x, *args))
     empirical_stability(TikhonovOperator(g, base, 5.0), swaps=3, envelope=env, seed=0)
-    assert len(checked) == 1 + 3  # the base field, then each swapped field
+    assert checked == [(10, 3)] + [(10, 2)] * 3  # the Green's block, then each swap
+    # a Green's block below the sign slack stops the harness before any swap
+    checked.clear()
+    op = TikhonovOperator(g, base, 5.0)
+    solve = op.solve
+    negative = -2 * tikhonov.MONOTONE_SLACK
+    monkeypatch.setattr(op, "solve", lambda rhs: np.where(rhs == 1.0, negative, solve(rhs)))
+    with pytest.raises(NumericalError, match="^Green's block entry"):
+        empirical_stability(op, swaps=3, envelope=env, seed=0)
+    assert checked == [(10, 3)]
 
 
 def test_empirical_stability_shared_inputs(grid32, monkeypatch):
@@ -532,8 +543,8 @@ def _clique_instance(n, grid, seed):
 
 
 def _whole_block_ratios(x, other, env, coeff, beta_value):
-    """One swap's (slice, cost) ratios from the whole (n, S) fields at once:
-    the harness's formulas without its row blocks."""
+    """One swap's (slice, cost) ratios from the whole (n, S) fields, by the
+    step-probe formulas on x - x' and its prefix sums."""
     S = env.grid.size
     bound = coeff * env.phi
     c = float(env.phi.min())
@@ -546,32 +557,65 @@ def _whole_block_ratios(x, other, env, coeff, beta_value):
     return slice_ratio, float(np.max(np.abs(shifts))) / S / beta_value
 
 
-def _assert_blocked_trials_exact(op, env, swaps, seed):
+def _assert_trials_match_whole_fields(op, env, swaps, seed):
     report = empirical_stability(op, swaps=swaps, envelope=env, seed=seed)
     si = StabilityInputs.from_instance(op, env)
     coeff = slice_shift_coefficient(si.m, si.gamma, si.lambda1, si.T)
     assert report.beta == beta(si)
     for trial, x, other in _replayed_fields(op, env, report, seed):
-        assert trial == SwapTrial(trial.sample_index, *_whole_block_ratios(x, other, env, coeff, report.beta))
+        slice_ratio, cost_ratio = _whole_block_ratios(x, other, env, coeff, report.beta)
+        assert math.isclose(trial.slice_shift_ratio, slice_ratio, rel_tol=1e-12)
+        assert math.isclose(trial.cost_shift_ratio, cost_ratio, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("S", [1, 32])
-@pytest.mark.parametrize("n", [5, 16, 21])  # below one block of 8 rows, two blocks, and 2 5/8
-def test_blocked_swap_statistics_are_bit_exact(monkeypatch, S, n):
-    monkeypatch.setattr(stability, "SWAP_BLOCK_VALUES", 8 * S)
+@pytest.mark.parametrize("n", [5, 16, 21])
+def test_blocked_swap_statistics_are_bit_exact(S, n):
+    # the closed-form ratios against explicit swapped fields, on the Cholesky
+    # path; vertex 2 carries two samples
     grid = QuantileGrid(S)
     _, g, base = _swap_instance(n + S, grid, n, [0, 2, 2, n - 1])
     gamma = max(1.0, 4.0 / (base.m * spectral_gap(laplacian(g))))
     env = DominatedQuantileEnvelope(grid, np.linspace(2.0, 3.0, S))
-    _assert_blocked_trials_exact(TikhonovOperator(g, base, gamma), env, swaps=5, seed=n)
+    _assert_trials_match_whole_fields(TikhonovOperator(g, base, gamma), env, swaps=5, seed=n)
 
 
 def test_blocked_swap_statistics_are_bit_exact_on_a_dense_lanczos_instance():
-    # SWAP_BLOCK_VALUES itself: 600 rows in blocks of 8192 // 32 = 256; the
-    # cost rule keeps this 12-column block on Cholesky
+    # 600 vertices, past the dense eigensolver; the cost rule keeps this
+    # 12-column block on Cholesky
     op, env = _clique_instance(600, QuantileGrid(32), seed=12)
     assert hypergraph.DENSE_EIG_LIMIT < op.graph.n and op.uses_cholesky(op.labeled.size)
-    _assert_blocked_trials_exact(op, env, swaps=3, seed=5)
+    _assert_trials_match_whole_fields(op, env, swaps=3, seed=5)
+
+
+def test_closed_form_swap_ratios_match_whole_fields_on_the_pcg_path(monkeypatch):
+    monkeypatch.setattr(tikhonov, "DENSE_SOLVE_LIMIT", 5)  # PCG, through the ceiling
+    grid = QuantileGrid(32)
+    _, g, base = _swap_instance(53, grid, 21, [0, 2, 2, 20])
+    op = TikhonovOperator(g, base, max(1.0, 4.0 / (base.m * spectral_gap(laplacian(g)))))
+    assert not op.uses_cholesky(op.labeled.size)
+    _assert_trials_match_whole_fields(op, DominatedQuantileEnvelope(grid, np.linspace(2.0, 3.0, 32)),
+                                      swaps=5, seed=21)
+
+
+def test_swaps_allocate_no_field():
+    # once G exists, a swap holds (n, 2) blocks and vectors of length k or S:
+    # the harness's peak at S = 1024, where one (n, S) field is 4.9 MB, is
+    # its peak at S = 8 plus a few S-vectors (5.5 measured); forming the
+    # explicit fields read 3.05 fields at S = 1024
+    n, peaks = 600, []
+    for S in (8, 1024):
+        op, env = _clique_instance(n, QuantileGrid(S), seed=11)
+        op.lambda1, op.green
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = empirical_stability(op, swaps=4, envelope=env, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+    assert peaks[1] <= peaks[0] + 16 * 1024 * 8
 
 
 def test_small_k_green_block_densifies_no_a():
@@ -599,8 +643,8 @@ def test_dense_path_working_set():
     # the (n, k) blocks; cho_factor's n^2-byte finiteness masks read 1.146,
     # copying through a CSC conversion of A 1.160, a dense copy of A kept
     # with cho_factor's own copy 2.0, and keeping the factor held 1.0.
-    # A swap holds the base field, the swapped one with its residual check,
-    # and a few row blocks: whole (n, S + 1) temporaries read about 7.5 fields
+    # The swaps hold (n, 2) blocks and short vectors, 0.16 fields here; the
+    # explicit base and swapped fields with their checks read 3.47
     n, grid = 600, QuantileGrid(64)
     op, env = _clique_instance(n, grid, seed=11)
     assert op.uses_cholesky(op.labeled.size)  # 12 columns: the cost rule's Cholesky side
@@ -616,7 +660,7 @@ def test_dense_path_working_set():
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         report = empirical_stability(op, swaps=4, envelope=env, seed=3)
-        assert tracemalloc.get_traced_memory()[1] - start <= 4.5 * field
+        assert tracemalloc.get_traced_memory()[1] - start <= 0.25 * field
     finally:
         tracemalloc.stop()
     assert report.ok

@@ -400,6 +400,29 @@ def test_green_columns_nonnegative(grid32, monkeypatch, cg_path):
         assert np.all(op.green >= 0.0)
 
 
+@pytest.mark.parametrize("entry", [-0.5 * tikhonov.MONOTONE_SLACK, -2 * tikhonov.MONOTONE_SLACK, -0.1])
+def test_green_block_below_the_sign_slack_raises(grid32, monkeypatch, entry):
+    # monotone fields rest on G >= 0: a doctored G with an entry below
+    # -MONOTONE_SLACK is refused, and a roundoff-size one is kept
+    rng = np.random.default_rng(87)
+    g = random_connected_graph(rng, 12, extra_edges=6)
+    op = TikhonovOperator(g, random_training_set(rng, grid32, 12, 4), gamma=1.0)
+    solve = op.solve
+
+    def doctored(rhs):
+        x = solve(rhs)
+        x[-1, -1] = entry
+        return x
+
+    monkeypatch.setattr(op, "solve", doctored)
+    if entry >= -tikhonov.MONOTONE_SLACK:
+        assert op.green.min() == entry
+    else:
+        message = rf"^Green's block entry {entry:.3e} < -1e-09; solver defect$"
+        with pytest.raises(NumericalError, match=message):
+            op.green
+
+
 @pytest.mark.parametrize("cg_path, tol", [(False, 1e-12), (True, 1e-8)])
 def test_field_matches_block_solve_of_rhs(grid32, monkeypatch, cg_path, tol):
     # G Y_L and the direct solve of all S columns are the same field
