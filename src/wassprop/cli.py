@@ -131,7 +131,7 @@ def cmd_ingest(args) -> int:
     result = ingest_categorical(table, missing)
     _write_hypergraph(args, result.hypergraph, result.classes)
     print(
-        f"rows={result.hypergraph.n} hyperedges={len(result.hypergraph.edges)} "
+        f"rows={result.hypergraph.n} hyperedges={len(result.hypergraph.sizes)} "
         f"classes={','.join(result.class_names)}"
     )
     return 0

@@ -8,12 +8,13 @@ histogram as `b1:m1;b2:m2;...` (bin:mass pairs); kind "gauss" encodes a
 diagonal Gaussian as `mu1,...,mub|sd1,...,sdb`.  Hypergraph files hold one
 hyperedge per line as whitespace-separated 0-based vertex indices; graph
 files hold lines `i j w`.  All floats are written with `.` decimals via repr
-(shortest round-trip).  The block writers, `write_field` and the quantile
-rows of `write_predictions`, make repr's exact text for a whole (n, S)
-block through `floattext.repr_rows`, which streams it through orjson one
-chunk of at most `floattext.CHUNK` values at a time and relays out the
-three kinds of value orjson writes unlike repr (1e-5 <= |x| < 1e-4,
-one-digit and positive exponents, and nan and ±inf).  Every output file is
+(shortest round-trip).  The block writers, `write_field` and
+`write_predictions` (an (n, S) quantile block, or the Gaussian means and
+clamped stds as two blocks), make repr's exact text for a whole block
+through `floattext.repr_rows`, which streams it through orjson one chunk
+of at most `floattext.CHUNK` values at a time and relays out the three
+kinds of value orjson writes unlike repr (1e-5 <= |x| < 1e-4, one-digit
+and positive exponents, and nan and ±inf).  Every output file is
 written by `write_lines`, so every line ends in `\n` on every platform, and
 `_csv_field` is the one CSV quoting rule: a field holding `,`, `"` or a
 newline is quoted, its inner quotes doubled.  `_read_lines` opens every
@@ -40,6 +41,7 @@ from .labels import (
     DiagGaussianLabel,
     QuantileGrid,
     QuantileLabel,
+    check_gaussian,
     check_quantile_samples,
     gaussian_quantile_label,
     quantile_from_histogram,
@@ -416,16 +418,19 @@ def read_truth(path) -> np.ndarray:
 def write_predictions(path, predicted: np.ndarray, state) -> None:
     """CSV rows `vertex,predicted_class,label_params` of a propagation state;
     only the params field can need quoting (Gaussian params hold commas).
-    Quantile rows are checked as one (n, S) block, by the rule each
-    QuantileLabel obeys, and formatted straight from the state's values."""
-    backend = state.context.backend
-    if isinstance(backend, QuantileBackend):
-        from .floattext import repr_rows  # loaded only by the commands that write a block
+    The labels are checked as one block, by the rule each label obeys, and
+    formatted straight from the state's values: quantile rows as the (n, S)
+    block, Gaussian rows as the block of means and that of clamped stds."""
+    from .floattext import repr_rows  # loaded only by the commands that write a block
 
-        check_quantile_samples(state.vertex_values, (len(predicted), backend.grid.size))
-        params = repr_rows(state.vertex_values, ";")
+    backend, values = state.context.backend, state.vertex_values
+    if isinstance(backend, QuantileBackend):
+        check_quantile_samples(values, (len(predicted), backend.grid.size))
+        params = repr_rows(values, ";")
     else:
-        params = (label_params(state.vertex_label(v)) for v in range(len(predicted)))
+        means, stds = backend.split(values)
+        check_gaussian(means, stds)
+        params = map("|".join, zip(repr_rows(means, ","), repr_rows(stds, ",")))
     rows = (f"{v},{c},{_csv_field(text)}"
             for v, (c, text) in enumerate(zip(predicted.tolist(), params)))
     write_lines(path, "vertex,predicted_class,label_params", rows)
@@ -463,7 +468,7 @@ def write_incidence(path, h: Hypergraph) -> None:
 
     Rows are written one at a time from the sparse incidence, so no dense
     n x E matrix is held in memory."""
-    m = len(h.edges)
+    m = len(h.sizes)
     inc = h.incidence().tocsc()  # column v lists the hyperedges holding vertex v
 
     def lines():

@@ -45,22 +45,22 @@ def _check_vertex_count(n: int) -> None:
         raise InputError(f"vertex count {n} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Vertex count plus a list of hyperedges (vertex subsets of size >= 2).
-
-    Hyperedges are stored as sorted tuples. Duplicate hyperedges are allowed
-    and act as a multiset (their contributions accumulate downstream);
-    duplicate vertices inside one hyperedge are rejected.  The first hyperedge
-    that fails a check is named, by the first check it fails.  `edge_of` is a
-    read-only intp array holding the hyperedge of each stored incidence, in
-    the storage order of `incidence()`.  The parts every propagation run on
+    """Vertex count plus hyperedges (vertex subsets of size >= 2), held once
+    as read-only CSR arrays of the E x n incidence: hyperedge e is
+    `indices[indptr[e]:indptr[e + 1]]`, sorted, of `sizes[e]` vertices, and
+    `edge_of` holds the hyperedge of each incidence.  The index arrays have
+    scipy's index type (int32 while n, E and the incidence count fit it, else
+    int64), so `incidence()` wraps them as they are.  Duplicate hyperedges
+    act as a multiset; a vertex twice in one hyperedge is rejected, and the
+    first faulty hyperedge is named by the first check it fails.  `edges`
+    (the hyperedges as sorted tuples) and the parts every propagation run on
     the graph shares (`mean_incidence`, `mean_degrees`, `bipartite_components`)
     are computed on first use and kept.
     """
 
     n: int
-    edges: Tuple[Tuple[int, ...], ...]
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         _check_vertex_count(n)
@@ -82,9 +82,10 @@ class Hypergraph:
         return h
 
     def _build(self, n: int, sizes: np.ndarray, members: np.ndarray) -> None:
-        """Check and store the hyperedges, and keep their incidence index
-        arrays: one lexsort on (hyperedge, vertex) sorts every hyperedge and
-        puts a repeated vertex next to its twin."""
+        """Check the hyperedges and keep their arrays, an intp copy of `sizes`
+        among them: one lexsort on (hyperedge, vertex) sorts every hyperedge
+        and puts a repeated vertex next to its twin."""
+        sizes = np.array(sizes, dtype=np.intp)  # the graph's own, left unfrozen at the caller
         indptr = np.concatenate([[0], np.cumsum(sizes)])
         edge_of = np.repeat(np.arange(len(sizes)), sizes)
         indices = members[np.lexsort((members, edge_of))]
@@ -94,28 +95,29 @@ class Hypergraph:
         if bad.any():
             e = int(bad.argmax())
             raise InputError(_edge_fault(tuple(indices[indptr[e]:indptr[e + 1]].tolist()), n))
-        flat, bounds = indices.tolist(), indptr.tolist()
-        edges = tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-        indptr.flags.writeable = indices.flags.writeable = edge_of.flags.writeable = False
+        index = np.int32 if max(n, len(sizes), indices.size) <= np.iinfo(np.int32).max else np.int64
+        for name, a in zip(("indptr", "indices", "sizes", "edge_of"),
+                           (indptr.astype(index), indices.astype(index), sizes, edge_of)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_incidence_arrays", (indptr, indices))
-        object.__setattr__(self, "edge_of", edge_of)
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, ...], ...]:
+        """The hyperedges as sorted tuples, in order."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def incidence(self, vertex_weights=None, edge_weights=None) -> sp.csr_matrix:
         """E x n incidence matrix: row e holds hyperedge e's members, member v
-        with entry `vertex_weights[v]`, else `edge_weights[e]`, else 1.
-
-        It is built from the index arrays the graph keeps, which scipy copies
-        to its own index type.  Row indices are sorted, and the stored entries
-        run through the hyperedges in order.
-        """
-        indptr, indices = self._incidence_arrays
+        with entry `vertex_weights[v]`, else `edge_weights[e]`, else 1.  It
+        wraps the graph's own `indptr` and `indices`: row indices are sorted,
+        and the stored entries run through the hyperedges in order."""
         if vertex_weights is not None:
-            data = vertex_weights[indices]
+            data = vertex_weights[self.indices]
         else:
-            data = np.ones(indices.size) if edge_weights is None else edge_weights[self.edge_of]
-        return sp.csr_matrix((data, indices, indptr), shape=(len(self.edges), self.n))
+            data = np.ones(self.indices.size) if edge_weights is None else edge_weights[self.edge_of]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(len(self.sizes), self.n))
 
     @cached_property
     def mean_incidence(self) -> sp.csc_matrix:
@@ -123,7 +125,7 @@ class Hypergraph:
         column are 1/|e|, with read-only data in storage order: its product
         with an (E, dim) block gives each vertex the sum of its hyperedges'
         rows, each divided by the hyperedge's size."""
-        inc = self.incidence(edge_weights=1.0 / np.diff(self._incidence_arrays[0]))
+        inc = self.incidence(edge_weights=1.0 / self.sizes)
         inc.data.flags.writeable = False
         return inc.T
 
@@ -132,7 +134,7 @@ class Hypergraph:
         """Row totals of `mean_incidence`, read-only: the sum of 1/|e| over
         the hyperedges e holding each vertex, 0 for a vertex in none."""
         # a matvec adds each total in storage order; .sum(axis=1) would not
-        degrees = self.mean_incidence @ np.ones(len(self.edges))
+        degrees = self.mean_incidence @ np.ones(len(self.sizes))
         degrees.flags.writeable = False
         return degrees
 
@@ -141,9 +143,8 @@ class Hypergraph:
         """Component label of each vertex in the bipartite vertex-hyperedge
         graph, read-only; two vertices share a label iff a chain of
         hyperedges joins them."""
-        _, indices = self._incidence_arrays
         # vertices first, then hyperedges; each incidence links its two nodes
-        labels = components(self.n + len(self.edges), indices, self.n + self.edge_of)[: self.n]
+        labels = components(self.n + len(self.sizes), self.indices, self.n + self.edge_of)[: self.n]
         labels.flags.writeable = False
         return labels
 
@@ -223,8 +224,7 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
     incidence matrix B; each sum runs through the hyperedges in order.  The
     pairs (i, j), i < j, come in sorted order.
     """
-    sizes = np.diff(h._incidence_arrays[0])
-    weighted = h.incidence(edge_weights=1.0 / (sizes * sizes))
+    weighted = h.incidence(edge_weights=1.0 / (h.sizes * h.sizes))
     pairs = sp.triu(h.incidence().T.tocsr() @ weighted, k=1, format="csr")
     pairs.sort_indices()  # the product leaves each row's columns unordered
     pairs = pairs.tocoo()

@@ -73,6 +73,15 @@ def check_quantile_samples(values: np.ndarray, shape: Tuple[int, ...]) -> None:
         raise InputError("quantile samples must be non-decreasing")
 
 
+def check_gaussian(mean: np.ndarray, std: np.ndarray) -> None:
+    """Raise unless the means and standard deviations are finite and the
+    stds non-negative.  Checks one label's vectors or whole blocks of them."""
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise InputError("Gaussian means and standard deviations must be finite")
+    if np.any(std < 0):
+        raise InputError("standard deviations must be non-negative")
+
+
 def check_same_grid(a: QuantileGrid, b: QuantileGrid) -> None:
     """Raise DimensionError unless the grids match; every grid comparison calls it."""
     if a.size != b.size:
@@ -114,10 +123,7 @@ class DiagGaussianLabel:
             raise DimensionError(
                 f"mean and std must be equal-length vectors, got {m.shape} and {s.shape}"
             )
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
-            raise InputError("Gaussian means and standard deviations must be finite")
-        if np.any(s < 0):
-            raise InputError("standard deviations must be non-negative")
+        check_gaussian(m, s)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
 

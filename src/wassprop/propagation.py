@@ -132,8 +132,12 @@ class GaussianBackend:
             raise InputError(f"label dimension {label.dim} does not match backend {self.b}")
         return np.concatenate([label.mean, label.std])
 
+    def split(self, values: np.ndarray):
+        """Means and stds, clamped at 0, of an encoded label or a block of them."""
+        return values[..., : self.b], np.maximum(values[..., self.b:], 0.0)
+
     def decode(self, vec: np.ndarray) -> DiagGaussianLabel:
-        return DiagGaussianLabel(vec[: self.b], np.maximum(vec[self.b:], 0.0))
+        return DiagGaussianLabel(*self.split(vec))
 
     def start(self, seed: int, n: int, anchor_values: np.ndarray):
         std = anchor_values[:, self.b:].mean(axis=0)
@@ -177,7 +181,7 @@ def star_graph(h: Hypergraph, known: LabeledSubset, alpha: float) -> WeightedGra
     a fixed point of `step`."""
     _, inc = _known_incidence(h, known, alpha)
     pairs = np.column_stack((inc.indices, h.n + h.edge_of))
-    return WeightedGraph(h.n + len(h.edges), pairs, inc.data / np.diff(inc.indptr)[h.edge_of])
+    return WeightedGraph(h.n + len(h.sizes), pairs, inc.data / h.sizes[h.edge_of])
 
 
 class _Context:

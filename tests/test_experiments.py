@@ -13,17 +13,22 @@ from wassprop import (
     ExperimentResult,
     Hypergraph,
     InputError,
+    LabeledSubset,
     PropagationConfig,
+    QuantileBackend,
+    QuantileGrid,
     SbmConfig,
     classify,
     emit_metrics,
     expected_sbm_counts,
     gen_sbm,
+    gaussian_quantile_label,
     ingest_categorical,
+    propagate,
     run_experiment,
     stratified_subsample,
 )
-from wassprop import experiments, hypergraph
+from wassprop import experiments, fileio, hypergraph
 
 REFERENCE_SBM = dict(block_sizes=(50, 50), k=3, p_in=0.01, p_out=0.002)
 
@@ -338,6 +343,29 @@ def test_run_experiment_shares_graph_parts_across_trials(monkeypatch):
     assert len(scans) == 2  # once per graph
     assert len(operators) == 8 and all(op is h.mean_incidence for op in operators[:4])
     assert shared.accuracies == fresh.accuracies
+
+
+def test_runs_read_the_incidence_not_the_hyperedge_tuples(tmp_path):
+    # a read hypergraph holds its CSR arrays alone: reading it, propagating
+    # on it and running trials on it build no tuple per hyperedge
+    sample, truth = small_sbm(seed=3)
+    path = tmp_path / "h.txt"
+    fileio.write_hypergraph(path, sample)
+    h = fileio.read_hypergraph(path)
+    assert "edges" not in vars(h)
+    grid = QuantileGrid(8)
+    known = LabeledSubset({0: gaussian_quantile_label(-1.0, 0.5, grid),
+                           19: gaussian_quantile_label(1.0, 0.5, grid)})
+    cfg = PropagationConfig(alpha=10.0, gamma=5.0, max_iters=3, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        classify(propagate(h, known, cfg, QuantileBackend(grid)))
+        run_experiment(h, truth, labels_per_class=3, trials=2, cfg=cfg,
+                       anchors=AnchorSpec(kind="onehot", variance=0.05))
+    assert "edges" not in vars(h)
+    lines = path.read_text().splitlines()
+    assert h.edges == tuple(tuple(sorted(map(int, line.split()))) for line in lines) == sample.edges
+    assert vars(h)["edges"] is h.edges  # built once, on first read
 
 
 class _MeanColumns:

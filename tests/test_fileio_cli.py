@@ -368,6 +368,50 @@ def test_predictions_refuse_what_a_quantile_label_refuses(tmp_path, row, message
                                  dataclasses.replace(state, vertex_values=values))
 
 
+def _gaussian_state(b, rows):
+    """A Gaussian propagation state on 3 vertices whose encoded labels are
+    replaced by `rows`, each b means and then b stds."""
+    targets = {0: DiagGaussianLabel(np.linspace(0.0, 1.0, b), np.full(b, 0.5))}
+    state = propagate(Hypergraph(3, [(0, 1), (1, 2)]), LabeledSubset(targets),
+                      PropagationConfig(alpha=2.0, gamma=1.0, max_iters=2), GaussianBackend(b))
+    return dataclasses.replace(state, vertex_values=np.array(rows, dtype=float).reshape(3, 2 * b))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_gaussian_predictions_match_label_params(tmp_path, b):
+    # the rows come from the blocks of means and clamped stds; each matches
+    # label_params of the decoded label, over the tokens floattext relays out
+    # (1e-5 <= |x| < 1e-4, one-digit and positive exponents) and clamped stds
+    values = [3e-5, -0.0, 1e16, 2.5e-300, -7.25, 1 / 3, 1e-6, 4.5e-5, 0.0, -1e-300, 1e22, 2.0,
+              -1e-5, 123.0, 1e-7, 9.99e-5, -2.0, 0.1, 5e-324, 7e-6]
+    state = _gaussian_state(b, (values * 2)[: 6 * b])
+    path = tmp_path / "pred.csv"
+    fileio.write_predictions(path, classify(state), state)
+    rows = [[v, c, fileio.label_params(state.vertex_label(v))] for v, c in enumerate(classify(state).tolist())]
+    assert path.read_bytes() == _csv_bytes([["vertex", "predicted_class", "label_params"], *rows])
+    assert all(row.split(",", 2)[2].startswith('"') == (b > 1) for row in path.read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predictions_refuse_what_a_gaussian_label_refuses(tmp_path, bad):
+    # a non-finite mean or std is refused with DiagGaussianLabel's message,
+    # before any row is written; a std of -inf is clamped to 0 first, as decode does
+    for at in (1, 3):  # a mean, a std
+        rows = [[0.0, 1.0, 0.5, 0.5]] * 3
+        rows[2] = [bad if i == at else x for i, x in enumerate(rows[2])]
+        state = _gaussian_state(2, rows)
+        path = tmp_path / f"p{at}.csv"
+        if at == 3 and bad == -np.inf:
+            fileio.write_predictions(path, classify(state), state)
+            assert path.read_text().splitlines()[3].endswith('"0.0,1.0|0.5,0.0"')
+            continue
+        with pytest.raises(InputError, match="must be finite"):
+            state.vertex_label(2)
+        with pytest.raises(InputError, match="must be finite"):
+            fileio.write_predictions(path, classify(state), state)
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("text", ["", "1.5;2.0", "1.0,2.0|0.5,0.5", 'a"b', "a\nb", '",'])
 def test_predictions_field_quoting_matches_csv_writer(text):
     assert _csv_bytes([[7, -1, text]]) == f"7,-1,{fileio._csv_field(text)}\n".encode()
@@ -1100,7 +1144,13 @@ def test_cli_config_file_defaults_and_overrides(tmp_path, capsys):
         "--output", str(out),
     ]
     assert cli.main(argv) == 0
-    assert "margin=3.0" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "margin=3.0" in printed
+    # --config=FILE is the same run as --config FILE
+    field = out.read_bytes()
+    out.unlink()
+    assert cli.main([*argv[:3], f"--config={cfg}", *argv[5:]]) == 0
+    assert capsys.readouterr().out == printed and out.read_bytes() == field
     # explicit flag beats the config value: margin = 2*2*2 - 1 = 7
     argv += ["--gamma", "2.0"]
     assert cli.main(argv) == 0
@@ -1206,6 +1256,8 @@ def _bad_input_cases(tmp_path):
     fileio.write_hist_labels(ends, {0: ([0.0], [1.0]), 2: ([1.0], [1.0])})
     outside = tmp_path / "outside.csv"
     outside.write_text("vertex,kind,params\n0,hist,0.0:1.0\n5,hist,1.0:1.0\n")
+    empty_table = tmp_path / "empty.csv"
+    empty_table.write_text("")
     # mean + 1.53 std, the top quantile of the 8-node grid, is past the float range
     quantile_overflow = tmp_path / "quantile_overflow.csv"
     quantile_overflow.write_text("vertex,kind,params\n0,gauss,1e308|1e308\n1,gauss,0.0|1.0\n")
@@ -1314,6 +1366,13 @@ def _bad_input_cases(tmp_path):
         "experiment-blocks-with-truth": (
             [*experiment, "--blocks", "5,5", *sbm[:4], "--truth", str(truth)],
             "--blocks does not combine with --truth"),
+        # each source needs all of its flags
+        "experiment-hypergraph-without-truth": (
+            [*experiment, "--hypergraph", str(hyper)], "--hypergraph requires --truth"),
+        "experiment-blocks-without-p-in-p-out": (
+            [*experiment, "--blocks", "5,5"], "--blocks requires --p-in and --p-out"),
+        "ingest-empty-csv": (["ingest", "--input", str(empty_table), "--output", str(tmp_path / "i.txt")],
+                             f"{empty_table} is empty"),
         # two labels in each of two 2-vertex blocks leave no vertex to score
         "experiment-every-vertex-known": (
             ["experiment", "--blocks", "2,2", "--k", "2", "--p-in", "1", "--p-out", "1",
@@ -1337,7 +1396,8 @@ def _bad_input_cases(tmp_path):
      "blocks-size-zero", "stability-ratios-without-empirical",
      "stability-swaps-negative-without-empirical", "experiment-hypergraph-with-block-flags",
      "experiment-blocks-with-truth", "gen-sbm-subsets-past-int64",
-     "experiment-blocks-subsets-past-int64"],
+     "experiment-blocks-subsets-past-int64", "experiment-hypergraph-without-truth",
+     "experiment-blocks-without-p-in-p-out", "ingest-empty-csv"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv, names = _bad_input_cases(tmp_path)[case]
@@ -1384,6 +1444,7 @@ MALFORMED_LABELS = {
     "hist-not-normalized": "vertex,kind,params\n0,hist,0.0:0.5\n2,hist,1.0:1.0\n",
     "gauss-missing-part": "vertex,kind,params\n0,gauss,0.0\n2,gauss,1.0|1.0\n",
     "gauss-extra-part": "vertex,kind,params\n0,gauss,0.0|1.0|2.0\n2,gauss,1.0|1.0\n",
+    "gauss-not-a-number": "vertex,kind,params\n0,gauss,0.0|1.0\n2,gauss,1.0|one\n",
     "gauss-negative-std": "vertex,kind,params\n0,gauss,0.0|-1.0\n2,gauss,1.0|1.0\n",
     "gauss-mixed-dimensions": 'vertex,kind,params\n0,gauss,"0.0,1.0|1.0,1.0"\n2,gauss,1.0|1.0\n',
     # |inf - inf| is NaN, so an overflowing loss never met the stop test
@@ -1547,7 +1608,8 @@ LABEL_DEFECT_LINES = {
     "vertex-past-intp": 3, "vertex-out-of-range": 3, "vertex-not-integer": 3,
     "hist-empty-params": 2, "hist-unsorted-bins": 2, "hist-negative-mass": 2,
     "hist-nan-mass": 2, "hist-not-normalized": 2, "gauss-missing-part": 2,
-    "gauss-extra-part": 2, "gauss-negative-std": 2, "gauss-mixed-dimensions": 3,
+    "gauss-extra-part": 2, "gauss-not-a-number": 3, "gauss-negative-std": 2,
+    "gauss-mixed-dimensions": 3,
 }
 LABEL_DEFECTS_PER_COMMAND = {"gauss-loss-overflow", "gauss-envelope-overflow"}
 

@@ -79,7 +79,8 @@ def test_hypergraph_checks_name_the_first_faulty_edge():
         if fault is None:
             h = Hypergraph(n, edges)
             assert h.edges == tuple(tuple(sorted(e)) for e in edges)
-            indptr, indices = h._incidence_arrays
+            indptr, indices = h.indptr, h.indices
+            assert h.sizes.tolist() == [len(e) for e in edges]
             assert indptr.tolist() == [0, *np.cumsum([len(e) for e in edges]).tolist()]
             assert indices.tolist() == [v for e in h.edges for v in e]
             assert h.edge_of.tolist() == [i for i, e in enumerate(edges) for _ in e]
@@ -141,15 +142,27 @@ def test_incidence_matrix():
     assert inc.shape == (3, 4)
     assert np.array_equal(inc.toarray(), [[1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     assert Hypergraph(2, []).incidence().shape == (0, 2)
-    # the graph builds its index arrays once and keeps them read-only; scipy
-    # copies them to its own index type, so each call makes new matrix arrays
-    arrays = h._incidence_arrays
-    indptr, indices = arrays
-    again = h.incidence()
+    # the graph builds its index arrays once, read-only, in scipy's index
+    # type, and every incidence matrix wraps those very arrays
+    again = h.incidence(edge_weights=np.ones(3))
     assert again is not inc and np.array_equal(again.toarray(), inc.toarray())
-    assert h._incidence_arrays is arrays  # a tuple: the same two arrays
-    assert not indptr.flags.writeable and not indices.flags.writeable
+    for m in (inc, again, h.mean_incidence):
+        assert np.shares_memory(m.indptr, h.indptr) and np.shares_memory(m.indices, h.indices)
+    assert h.indptr.dtype == h.indices.dtype == np.int32
+    assert not h.indptr.flags.writeable and not h.indices.flags.writeable
+    assert h.sizes.tolist() == [3, 2, 2] and not h.sizes.flags.writeable
     assert h.edge_of.tolist() == [0, 0, 0, 1, 1, 2, 2] and not h.edge_of.flags.writeable
+
+
+def test_from_members_keeps_its_own_sizes():
+    # the graph stores an intp copy of `sizes`: the caller's array stays
+    # writable, and writing to it changes nothing the graph holds
+    sizes, members = np.array([3, 2], dtype=np.int32), np.array([2, 1, 0, 3, 2])
+    h = Hypergraph.from_members(4, sizes, members)
+    assert sizes.flags.writeable and not np.shares_memory(h.sizes, sizes)
+    assert h.sizes.dtype == np.intp and not h.sizes.flags.writeable
+    sizes[0] = 99
+    assert h.sizes.tolist() == [3, 2] and h.edges == ((0, 1, 2), (2, 3))
 
 
 def test_weighted_incidence():

@@ -490,7 +490,7 @@ def test_swap_index_outside_samples_rejected(grid32, index):
         base.replaced(index, 0, label)
 
 
-def test_swapped_fields_pass_monotonicity_check(grid32, monkeypatch):
+def test_swaps_check_the_green_block_sign_and_each_residual(grid32, monkeypatch):
     # a swapped field is G times monotone label rows, so G >= 0 keeps it
     # monotone: the harness reads G through its sign check, then checks each
     # swap's (n, 2) block [g, w] by one residual check of a fresh solve
@@ -570,7 +570,7 @@ def _assert_trials_match_whole_fields(op, env, swaps, seed):
 
 @pytest.mark.parametrize("S", [1, 32])
 @pytest.mark.parametrize("n", [5, 16, 21])
-def test_blocked_swap_statistics_are_bit_exact(S, n):
+def test_closed_form_swap_ratios_match_whole_fields_on_the_cholesky_path(S, n):
     # the closed-form ratios against explicit swapped fields, on the Cholesky
     # path; vertex 2 carries two samples
     grid = QuantileGrid(S)
@@ -580,7 +580,7 @@ def test_blocked_swap_statistics_are_bit_exact(S, n):
     _assert_trials_match_whole_fields(TikhonovOperator(g, base, gamma), env, swaps=5, seed=n)
 
 
-def test_blocked_swap_statistics_are_bit_exact_on_a_dense_lanczos_instance():
+def test_closed_form_swap_ratios_match_whole_fields_past_the_dense_eigensolver():
     # 600 vertices, past the dense eigensolver; the cost rule keeps this
     # 12-column block on Cholesky
     op, env = _clique_instance(600, QuantileGrid(32), seed=12)
